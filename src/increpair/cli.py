@@ -22,7 +22,7 @@ from .dc import parse_dc_file
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .inject import ERROR_KINDS, inject_errors
 from .models import Hyperparams
-from .pipeline import RunState, Strategy, StrategyKind, evaluate, run_stream
+from .pipeline import RunState, Strategy, StrategyKind, evaluate, run_stream, score
 from .relation import DEFAULT_NULL_TOKENS, RelationStore, load_csv, make_batches
 from .snapshot import load_run, save_run
 
@@ -151,7 +151,6 @@ def _clean_strategy(ns: argparse.Namespace) -> Strategy:
         hyperparams=Hyperparams(
             epochs=_resolve(ns.epochs, "EPOCHS", int, 30),
             learning_rate=_resolve(ns.lr, "LR", float, 0.1),
-            seed=_resolve(ns.seed, "SEED", int, 0),
         ),
         seed=_resolve(ns.seed, "SEED", int, 0),
     )
@@ -283,29 +282,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             f"row counts differ: repaired={len(repaired)},"
             f" truth={len(truth)}, dirty={len(dirty)}"
         )
-    changed = correct = true_errors = remaining = 0
-    for repaired_row, truth_row, dirty_row in zip(repaired, truth, dirty):
-        for value, expected, before in zip(repaired_row, truth_row, dirty_row):
-            if before != expected:
-                true_errors += 1
-            if value != expected:
-                remaining += 1
-            if value != before:
-                changed += 1
-                if value == expected:
-                    correct += 1
-    precision = correct / changed if changed else 0.0
-    recall = correct / true_errors if true_errors else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    metrics = {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "true_errors": true_errors,
-        "remaining_errors": remaining,
-        "repairs_changed": changed,
-        "repairs_correct": correct,
-    }
+    metrics = score(repaired, dirty, truth)
     text = json.dumps(metrics, sort_keys=True)
     print(text)
     if ns.json_out:

@@ -98,6 +98,16 @@ def detect_dc(
     return dirty
 
 
+def ground_truth_row(ground_truth: GroundTruth, tid: int, n_attrs: int) -> Sequence[str | None]:
+    """Tuple `tid`'s row of the ground truth, checked against the relation's shape."""
+    if tid >= len(ground_truth):
+        raise DataError(f"ground truth has {len(ground_truth)} rows, tuple {tid} needs one")
+    row = ground_truth[tid]
+    if len(row) != n_attrs:
+        raise DataError(f"ground truth row {tid} has {len(row)} fields, expected {n_attrs}")
+    return row
+
+
 def detect_perfect(
     store: RelationStore,
     ground_truth: GroundTruth,
@@ -106,16 +116,7 @@ def detect_perfect(
     """Flag probe cells whose current value differs from the ground truth."""
     dirty = DirtySet()
     for tid in scope.probe:
-        if tid >= len(ground_truth):
-            raise DataError(
-                f"ground truth has {len(ground_truth)} rows but tuple {tid} was probed"
-            )
-        truth_row = ground_truth[tid]
-        if len(truth_row) != store.n_attrs:
-            raise DataError(
-                f"ground truth row {tid} has {len(truth_row)} fields,"
-                f" expected {store.n_attrs}"
-            )
+        truth_row = ground_truth_row(ground_truth, tid, store.n_attrs)
         for attr in range(store.n_attrs):
             if store.canonical(tid, attr) != truth_row[attr]:
                 dirty.add(CellRef(tid, attr), "perfect")

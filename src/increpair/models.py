@@ -25,7 +25,6 @@ from .relation import CellRef, RelationStore
 class Hyperparams:
     epochs: int = 30
     learning_rate: float = 0.1
-    seed: int = 0  # reserved; full-batch descent consumes no randomness
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

@@ -1,20 +1,24 @@
 """Batch-strategy orchestration: detect, count, gate training, repair, report.
 
-Four strategies share one engine and differ only in scoping:
+The four strategies are the cells of a 2x2 grid over one engine:
 
-* hc-sep   -- every batch is handled as a brand-new dataset: statistics and
-              models are rebuilt from the batch alone, and only its tuples
-              are detected and repaired.
-* hc-acc   -- the batch is appended, then everything reruns from scratch over
-              all data seen so far: full re-detection (prior repairs carried
-              forward, prior flags reset), full statistics rebuild, full
-              retraining, and repair of every currently flagged cell.
-* ihc      -- the batch is appended, statistics advance incrementally, only
-              incoming tuples are detected (prior tuples serve as reference
-              witnesses) and repaired, and the drift skipper decides which
-              attribute models actually retrain.
-* ihc-re   -- like ihc, but detection probes every tuple seen so far and
-              previously flagged-but-unrepaired cells re-enter inference.
+                      batch only    revisit history
+    from scratch      hc-sep        hc-acc
+    incremental       ihc           ihc-re
+
+* incremental -- statistics advance by the batch's count delta, models carry
+  over, and the drift skipper (when enabled) decides which attribute models
+  retrain.  Otherwise statistics are rebuilt from current (post-repair)
+  values and every model retrains from nothing.
+* revisit -- detection probes, and repair reaches, every tuple seen so far.
+  Otherwise only incoming tuples are detected and repaired; an incremental
+  kind still lets prior tuples witness constraint violations.
+
+hc-sep, which neither carries nor revisits history, treats every batch as a
+brand-new dataset: statistics and training see the batch alone.  hc-acc
+re-detects from scratch, so prior flags are reset while prior repairs carry
+forward; ihc-re keeps prior flags, so flagged-but-unrepaired cells re-enter
+inference.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .dc import DenialConstraint
-from .detectors import DETECTOR_NAMES, DetectionScope, run_detectors
+from .detectors import (
+    DETECTOR_NAMES,
+    DetectionScope,
+    GroundTruth,
+    ground_truth_row,
+    run_detectors,
+)
 from .errors import ConfigError, DataError
 from .featurize import DEFAULT_DOMAIN_CAP, DEFAULT_OMEGA, Featurizer
 from .models import (
@@ -37,9 +47,8 @@ from .models import (
     repair_cells,
     train,
 )
-from .relation import NULL_ID, RawBatch, RelationStore
+from .relation import RawBatch, RelationStore
 from .skipper import (
-    DEFAULT_KL_FLOOR,
     SkipperState,
     record_training,
     should_retrain_ikl,
@@ -54,14 +63,22 @@ from .stats import (
     scratch_accumulator,
 )
 
-GroundTruth = Sequence[Sequence[str | None]]
-
 
 class StrategyKind(str, Enum):
     HC_SEP = "hc-sep"
     HC_ACC = "hc-acc"
     IHC = "ihc"
     IHC_RE = "ihc-re"
+
+    @property
+    def incremental(self) -> bool:
+        """Statistics, models and the drift skipper carry across batches."""
+        return self in (StrategyKind.IHC, StrategyKind.IHC_RE)
+
+    @property
+    def revisit(self) -> bool:
+        """Detection and repair reach every tuple seen so far."""
+        return self in (StrategyKind.HC_ACC, StrategyKind.IHC_RE)
 
 
 SKIP_VARIANTS = ("none", "ikl", "wkl")
@@ -80,12 +97,11 @@ class Strategy:
     train_limit: int = 1000
     hyperparams: Hyperparams = Hyperparams()
     seed: int = 0
-    kl_floor: float = DEFAULT_KL_FLOOR
 
     def __post_init__(self) -> None:
         if self.skip not in SKIP_VARIANTS:
             raise ConfigError(f"unknown skip variant {self.skip!r}")
-        if self.kind in (StrategyKind.HC_SEP, StrategyKind.HC_ACC) and self.skip != "none":
+        if not self.kind.incremental and self.skip != "none":
             raise ConfigError(
                 f"{self.kind.value} always retrains; skip must be 'none'"
             )
@@ -153,7 +169,12 @@ class BatchReport:
 
 
 class RunState:
-    """Everything a strategy carries from one batch to the next."""
+    """Everything a strategy carries from one batch to the next.
+
+    With ground truth attached, `true_errors` and `remaining_errors` count the
+    cells seen so far whose original and current values are wrong; snapshots
+    omit them and `attach_inputs` recounts them.
+    """
 
     def __init__(
         self,
@@ -161,12 +182,19 @@ class RunState:
         strategy: Strategy,
         dcs: Sequence[DenialConstraint] = (),
         ground_truth: GroundTruth | None = None,
+        *,
+        attach: bool = True,
     ):
+        """`attach=False` defers the inputs, and their check, to a later
+        `attach_inputs` call: a run restored from a snapshot has none yet."""
         self.store = store
         self.strategy = strategy
-        self.dcs = tuple(dcs)
-        self.ground_truth = ground_truth
-        self._validate_inputs()
+        self.dcs: tuple[DenialConstraint, ...] = ()
+        self.ground_truth: GroundTruth | None = None
+        self.true_errors: int | None = None
+        self.remaining_errors: int | None = None
+        if attach:
+            self.attach_inputs(dcs, ground_truth)
         n_attrs = store.schema.n_attrs
         self.stats = StatsStore(n_attrs)
         self.entropy = EntropyAccumulator(n_attrs)
@@ -178,49 +206,34 @@ class RunState:
         self.cum_repairs_changed = 0
         self.cum_repairs_correct = 0
 
-    def _validate_inputs(self) -> None:
-        if "dc" in self.strategy.detectors and not self.dcs:
-            raise ConfigError("the dc detector is enabled but no constraints were provided")
-        if "perfect" in self.strategy.detectors and self.ground_truth is None:
-            raise ConfigError("the perfect detector is enabled but no ground truth was provided")
-
     def attach_inputs(
         self,
         dcs: Sequence[DenialConstraint] = (),
         ground_truth: GroundTruth | None = None,
     ) -> None:
-        """Re-attach unserializable inputs after restoring from a snapshot."""
+        """Attach the unserializable inputs and count errors against the truth."""
+        if "dc" in self.strategy.detectors and not dcs:
+            raise ConfigError("the dc detector is enabled but no constraints were provided")
+        if "perfect" in self.strategy.detectors and ground_truth is None:
+            raise ConfigError("the perfect detector is enabled but no ground truth was provided")
         self.dcs = tuple(dcs)
         self.ground_truth = ground_truth
-        self._validate_inputs()
-
-
-def _rebuild_stats(
-    store: RelationStore, tids: Iterable[int]
-) -> tuple[StatsStore, EntropyAccumulator]:
-    """From-scratch statistics over the current (post-repair) values of `tids`."""
-    stats = StatsStore(store.schema.n_attrs)
-    stats.ingest([list(store.tuple_values(tid)) for tid in tids])
-    return stats, scratch_accumulator(stats)
+        self.true_errors = self.remaining_errors = None
+        if ground_truth is not None:
+            tally = _score_tuples(self.store, ground_truth, range(self.store.n_tuples))
+            self.true_errors = tally["true_errors"]
+            self.remaining_errors = tally["remaining_errors"]
 
 
 def _scope_for(kind: StrategyKind, incoming: range, everything: range) -> DetectionScope:
-    if kind == StrategyKind.HC_SEP:
-        return DetectionScope.over(incoming)
-    if kind == StrategyKind.IHC:
-        prior = range(everything.start, incoming.start)
-        return DetectionScope.over(incoming, reference=prior)
-    if kind == StrategyKind.IHC_RE:
-        return DetectionScope.over(everything, flag_reference=True)
-    return DetectionScope.over(everything)
+    if kind.revisit:
+        return DetectionScope.over(everything)
+    prior = range(everything.start, incoming.start) if kind.incremental else ()
+    return DetectionScope.over(incoming, reference=prior)
 
 
 def _training_rng(seed: int, batch: int, attr: int) -> random.Random:
     return random.Random(seed * 1_000_003 + batch * 1_009 + attr)
-
-
-def _canonical_value(store: RelationStore, attr: int, vid: int) -> str | None:
-    return None if vid == NULL_ID else store.interner.resolve(attr, vid)
 
 
 def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport:
@@ -230,20 +243,29 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     store = state.store
     kind = strategy.kind
     n_attrs = store.schema.n_attrs
+    truth = state.ground_truth
     timings: dict[str, float] = {}
 
     batch = store.append_batch(raw)
     incoming = store.batch_tids(batch.k)
     everything = range(store.n_tuples)
+    # hc-sep alone neither carries nor revisits history: it sees its batch only
+    isolated = not (kind.incremental or kind.revisit)
+
+    # -- error counters: the incoming cells -----------------------------------
+    started = time.perf_counter()
+    if truth is not None:
+        tally = _score_tuples(store, truth, incoming)
+        state.true_errors += tally["true_errors"]
+        state.remaining_errors += tally["remaining_errors"]
+    timings["evaluate"] = time.perf_counter() - started
 
     # -- detection -----------------------------------------------------------
     started = time.perf_counter()
-    if kind == StrategyKind.HC_ACC:
+    if kind.revisit and not kind.incremental:
         store.reset_dirty()
     scope = _scope_for(kind, incoming, everything)
-    dirty = run_detectors(
-        store, scope, strategy.detectors, dcs=state.dcs, ground_truth=state.ground_truth
-    )
+    dirty = run_detectors(store, scope, strategy.detectors, dcs=state.dcs, ground_truth=truth)
     cells_flagged = store.mark_dirty(dirty.cells())
     probe_cells = len(scope.probe) * n_attrs
     state.cum_probe_cells += probe_cells
@@ -251,12 +273,15 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     # -- statistics ----------------------------------------------------------
     started = time.perf_counter()
-    if kind in (StrategyKind.IHC, StrategyKind.IHC_RE):
+    if kind.incremental:
         delta = state.stats.ingest(batch.rows)
         apply_delta(state.entropy, state.stats, delta)
     else:
-        stats_tids = incoming if kind == StrategyKind.HC_SEP else everything
-        state.stats, state.entropy = _rebuild_stats(store, stats_tids)
+        state.stats = StatsStore(n_attrs)
+        state.stats.ingest(
+            [list(store.tuple_values(tid)) for tid in (incoming if isolated else everything)]
+        )
+        state.entropy = scratch_accumulator(state.stats)
     correlations = correlation_matrix(state.stats, state.entropy)
     featurizer = Featurizer(
         state.stats, correlations, strategy.omega, strategy.domain_cap
@@ -265,13 +290,10 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     # -- training ------------------------------------------------------------
     started = time.perf_counter()
-    if kind in (StrategyKind.HC_SEP, StrategyKind.HC_ACC):
+    if not kind.incremental:
         state.models = [AttributeModel.fresh(attr, n_attrs) for attr in range(n_attrs)]
-    train_tids = incoming if kind == StrategyKind.HC_SEP else None
 
-    use_skipper = (
-        kind in (StrategyKind.IHC, StrategyKind.IHC_RE) and strategy.skip != "none"
-    )
+    use_skipper = strategy.skip != "none"
     current_joints: dict[int, dict[int, dict]] = {}
     if use_skipper:
         canonical = {
@@ -289,24 +311,17 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     to_train: list[int] = []
     for attr in range(n_attrs):
         if not use_skipper:
-            to_train.append(attr)
+            fire = True
         elif strategy.skip == "ikl":
             fire, _ = should_retrain_ikl(
-                state.skipper, attr, current_joints[attr], strategy.epsilon_kl, strategy.kl_floor
+                state.skipper, attr, current_joints[attr], strategy.epsilon_kl
             )
-            if fire:
-                to_train.append(attr)
         else:
             fire, _ = should_retrain_wkl(
-                state.skipper,
-                attr,
-                current_joints[attr],
-                correlations,
-                strategy.epsilon_kl,
-                strategy.kl_floor,
+                state.skipper, attr, current_joints[attr], correlations, strategy.epsilon_kl
             )
-            if fire:
-                to_train.append(attr)
+        if fire:
+            to_train.append(attr)
 
     training_instances = 0
     peak_transient = 0
@@ -314,7 +329,12 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     for attr in to_train:
         rng = _training_rng(strategy.seed, batch.k, attr)
         examples = build_training_set(
-            store, attr, featurizer, strategy.train_limit, rng, tids=train_tids
+            store,
+            attr,
+            featurizer,
+            strategy.train_limit,
+            rng,
+            tids=incoming if isolated else None,
         )
         if not examples:
             continue
@@ -334,49 +354,30 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     # -- repair ----------------------------------------------------------------
     started = time.perf_counter()
-    if kind in (StrategyKind.HC_SEP, StrategyKind.IHC):
-        pool = store.dirty_cells(incoming)
-    else:
-        pool = store.dirty_cells()
+    pool = store.dirty_cells() if kind.revisit else store.dirty_cells(incoming)
     proposals, skipped_singleton = repair_cells(state.models, pool, store, featurizer)
 
     repairs_correct: int | None = None
-    if state.ground_truth is not None:
+    if truth is not None:
         repairs_correct = 0
-        for cell, vid in proposals:
-            if vid != store.value(cell.tid, cell.attr):
-                truth = state.ground_truth[cell.tid][cell.attr]
-                if _canonical_value(store, cell.attr, vid) == truth:
-                    repairs_correct += 1
+        for (tid, attr), vid in proposals:
+            if vid != store.value(tid, attr):
+                expected = ground_truth_row(truth, tid, n_attrs)[attr]
+                was_wrong = store.canonical(tid, attr) != expected
+                now_wrong = store.canonical_value(attr, vid) != expected
+                repairs_correct += not now_wrong
+                state.remaining_errors += now_wrong - was_wrong
+        state.cum_repairs_correct += repairs_correct
     repairs_changed = store.apply_repairs(proposals)
     state.cum_repairs_changed += repairs_changed
-    if repairs_correct is not None:
-        state.cum_repairs_correct += repairs_correct
     timings["repair"] = time.perf_counter() - started
-
-    # -- evaluation against ground truth --------------------------------------
-    started = time.perf_counter()
-    remaining_errors: int | None = None
-    true_errors: int | None = None
-    if state.ground_truth is not None:
-        remaining_errors = 0
-        true_errors = 0
-        for tid in everything:
-            truth_row = state.ground_truth[tid]
-            for attr in range(n_attrs):
-                truth = truth_row[attr]
-                if store.canonical(tid, attr) != truth:
-                    remaining_errors += 1
-                if store.original_canonical(tid, attr) != truth:
-                    true_errors += 1
-    timings["evaluate"] = time.perf_counter() - started
 
     state.batches_done = batch.k
     models_bytes = sum(model.weights.nbytes + 96 for model in state.models)
     skipper_bytes = 96 * sum(
         len(dist) for dists in state.skipper.saved.values() for dist in dists.values()
     )
-    report = BatchReport(
+    return BatchReport(
         batch=batch.k,
         tuples_seen=store.n_tuples,
         cells_flagged=cells_flagged,
@@ -388,11 +389,9 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         repairs_skipped_singleton=skipped_singleton,
         repairs_correct=repairs_correct,
         cum_repairs_changed=state.cum_repairs_changed,
-        cum_repairs_correct=(
-            state.cum_repairs_correct if state.ground_truth is not None else None
-        ),
-        true_errors_so_far=true_errors,
-        remaining_errors=remaining_errors,
+        cum_repairs_correct=state.cum_repairs_correct if truth is not None else None,
+        true_errors_so_far=state.true_errors,
+        remaining_errors=state.remaining_errors,
         attrs_retrained=tuple(store.schema.attributes[attr] for attr in retrained),
         training_instances=training_instances,
         cum_training_instances=state.cum_training_instances,
@@ -402,7 +401,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         + peak_transient,
         timings_s=timings,
     )
-    return report
 
 
 def run_stream(
@@ -422,34 +420,25 @@ def run_stream(
     return reports
 
 
-def evaluate(store: RelationStore, ground_truth: GroundTruth) -> dict:
-    """Net repair quality of the store's current contents against ground truth.
+def score(
+    current: Iterable[Sequence[str | None]],
+    original: Iterable[Sequence[str | None]],
+    truth: Iterable[Sequence[str | None]],
+) -> dict:
+    """Repair quality over aligned rows of current, pre-repair and true values.
 
     A cell counts as a changed repair when its current value differs from its
-    pre-repair original, and as correct when it now matches the truth.  Recall
-    is measured against every cell whose original value was wrong.
+    original, and as correct when it now matches the truth.  Recall is
+    measured against every cell whose original value was wrong.
     """
-    if len(ground_truth) != store.n_tuples:
-        raise DataError(
-            f"ground truth has {len(ground_truth)} rows, store has {store.n_tuples}"
-        )
     changed = correct = true_errors = remaining = 0
-    for tid in range(store.n_tuples):
-        truth_row = ground_truth[tid]
-        if len(truth_row) != store.n_attrs:
-            raise DataError(f"ground truth row {tid} has {len(truth_row)} fields")
-        for attr in range(store.n_attrs):
-            truth = truth_row[attr]
-            current = store.canonical(tid, attr)
-            original = store.original_canonical(tid, attr)
-            if original != truth:
-                true_errors += 1
-            if current != truth:
-                remaining += 1
-            if current != original:
+    for current_row, original_row, truth_row in zip(current, original, truth):
+        for value, before, expected in zip(current_row, original_row, truth_row):
+            true_errors += before != expected
+            remaining += value != expected
+            if value != before:
                 changed += 1
-                if current == truth:
-                    correct += 1
+                correct += value == expected
     precision = correct / changed if changed else 0.0
     recall = correct / true_errors if true_errors else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -462,3 +451,22 @@ def evaluate(store: RelationStore, ground_truth: GroundTruth) -> dict:
         "repairs_changed": changed,
         "repairs_correct": correct,
     }
+
+
+def _score_tuples(store: RelationStore, ground_truth: GroundTruth, tids: range) -> dict:
+    """`score` over the given tuples of the store."""
+    attrs = range(store.n_attrs)
+    return score(
+        ([store.canonical(tid, attr) for attr in attrs] for tid in tids),
+        ([store.original_canonical(tid, attr) for attr in attrs] for tid in tids),
+        (ground_truth_row(ground_truth, tid, store.n_attrs) for tid in tids),
+    )
+
+
+def evaluate(store: RelationStore, ground_truth: GroundTruth) -> dict:
+    """Net repair quality (`score`) of the store's current contents."""
+    if len(ground_truth) != store.n_tuples:
+        raise DataError(
+            f"ground truth has {len(ground_truth)} rows, store has {store.n_tuples}"
+        )
+    return _score_tuples(store, ground_truth, range(store.n_tuples))

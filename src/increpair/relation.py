@@ -260,10 +260,13 @@ class RelationStore:
     def display(self, tid: int, attr: int) -> str:
         return self.interner.resolve(attr, self._rows[tid][attr])
 
+    def canonical_value(self, attr: int, vid: int) -> str | None:
+        """A value id as a string, with None standing in for null."""
+        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
+
     def canonical(self, tid: int, attr: int) -> str | None:
         """Current value as a string, with None standing in for null."""
-        vid = self._rows[tid][attr]
-        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
+        return self.canonical_value(attr, self._rows[tid][attr])
 
     def status(self, tid: int, attr: int) -> CellStatus:
         return CellStatus(self._status[tid][attr])
@@ -273,8 +276,7 @@ class RelationStore:
         return self._original.get(CellRef(tid, attr), self._rows[tid][attr])
 
     def original_canonical(self, tid: int, attr: int) -> str | None:
-        vid = self.original_value(tid, attr)
-        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
+        return self.canonical_value(attr, self.original_value(tid, attr))
 
     def ever_repaired(self, tid: int, attr: int) -> bool:
         return CellRef(tid, attr) in self._original

@@ -21,7 +21,15 @@ from .models import AttributeModel
 
 FORMAT_NAME = "increpair-snapshot"
 STORE_VERSION = 1
-RUN_VERSION = 1
+RUN_VERSION = 2
+# RunState counters carried across a snapshot, by attribute name.
+PROGRESS_KEYS = (
+    "batches_done",
+    "cum_probe_cells",
+    "cum_training_instances",
+    "cum_repairs_changed",
+    "cum_repairs_correct",
+)
 
 
 def _dump(payload: dict, path: str | Path) -> None:
@@ -29,7 +37,13 @@ def _dump(payload: dict, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _load(path: str | Path, expected_kind: str) -> dict:
+def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise DataError(f"{where} lacks {', '.join(missing)}")
+
+
+def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, ...]) -> dict:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -42,6 +56,11 @@ def _load(path: str | Path, expected_kind: str) -> dict:
         raise DataError(
             f"snapshot {path} holds a {payload.get('kind')!r}, expected {expected_kind!r}"
         )
+    if payload.get("version") != version:
+        raise DataError(
+            f"unsupported {expected_kind} snapshot version {payload.get('version')!r}"
+        )
+    _require(payload, keys, f"snapshot {path}")
     return payload
 
 
@@ -58,9 +77,7 @@ def save_store(store: RelationStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> RelationStore:
-    payload = _load(path, "store")
-    if payload["version"] != STORE_VERSION:
-        raise DataError(f"unsupported store snapshot version {payload['version']}")
+    payload = _load(path, "store", STORE_VERSION, ("store",))
     return RelationStore.from_dict(payload["store"])
 
 
@@ -77,13 +94,7 @@ def save_run(state: RunState, path: str | Path, config: dict | None = None) -> N
             "entropy": state.entropy.to_dict(),
             "models": [model.to_dict() for model in state.models],
             "skipper": state.skipper.to_dict(),
-            "progress": {
-                "batches_done": state.batches_done,
-                "cum_probe_cells": state.cum_probe_cells,
-                "cum_training_instances": state.cum_training_instances,
-                "cum_repairs_changed": state.cum_repairs_changed,
-                "cum_repairs_correct": state.cum_repairs_correct,
-            },
+            "progress": {key: getattr(state, key) for key in PROGRESS_KEYS},
             "config": config or {},
         },
         path,
@@ -96,24 +107,24 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     Constraints and ground truth are not serialized: callers re-attach them
     via `RunState.attach_inputs` before resuming.
     """
-    payload = _load(path, "run")
-    if payload["version"] != RUN_VERSION:
-        raise DataError(f"unsupported run snapshot version {payload['version']}")
+    payload = _load(
+        path,
+        "run",
+        RUN_VERSION,
+        ("store", "strategy", "stats", "entropy", "models", "skipper", "progress", "config"),
+    )
+    _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
     store = RelationStore.from_dict(payload["store"])
-    strategy = Strategy.from_dict(payload["strategy"])
-    state = RunState.__new__(RunState)
-    state.store = store
-    state.strategy = strategy
-    state.dcs = ()
-    state.ground_truth = None
+    if len(payload["models"]) != store.n_attrs:
+        raise DataError(
+            f"snapshot {path} holds {len(payload['models'])} models"
+            f" for {store.n_attrs} attributes"
+        )
+    state = RunState(store, Strategy.from_dict(payload["strategy"]), attach=False)
     state.stats = StatsStore.from_dict(payload["stats"])
     state.entropy = EntropyAccumulator.from_dict(payload["entropy"])
     state.models = [AttributeModel.from_dict(entry) for entry in payload["models"]]
     state.skipper = SkipperState.from_dict(payload["skipper"])
-    progress = payload["progress"]
-    state.batches_done = progress["batches_done"]
-    state.cum_probe_cells = progress["cum_probe_cells"]
-    state.cum_training_instances = progress["cum_training_instances"]
-    state.cum_repairs_changed = progress["cum_repairs_changed"]
-    state.cum_repairs_correct = progress["cum_repairs_correct"]
+    for key in PROGRESS_KEYS:
+        setattr(state, key, payload["progress"][key])
     return state, payload["config"]

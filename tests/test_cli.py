@@ -219,3 +219,28 @@ class TestResume:
         assert run(
             ["clean", "--input", truth, "--resume", snap, "--batches", "4"]
         ) == 2
+
+
+def drop_progress(payload):
+    del payload["progress"]
+
+
+def truncate_models(payload):
+    payload["models"] = payload["models"][:1]
+
+
+def as_version_1(payload):
+    payload["version"] = 1
+    payload["strategy"]["kl_floor"] = 1e-6
+    payload["strategy"]["hyperparams"]["seed"] = 0
+
+
+@pytest.mark.parametrize("mangle", [drop_progress, truncate_models, as_version_1])
+def test_resume_from_malformed_snapshot_is_data_error(tmp_path, clean_csv, mangle):
+    snap = tmp_path / "snap.json"
+    base = ["clean", "--input", clean_csv, "--batches", "4"]
+    assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+    payload = json.loads(snap.read_text())
+    mangle(payload)
+    snap.write_text(json.dumps(payload))
+    assert run(base + ["--resume", snap]) == 2

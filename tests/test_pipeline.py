@@ -71,6 +71,15 @@ class TestStrategyConfig:
         strategy = strategy_for(StrategyKind.IHC_RE, skip="wkl", epsilon_kl=0.2)
         assert Strategy.from_dict(strategy.to_dict()) == strategy
 
+    def test_kinds_fill_the_grid(self):
+        grid = {(kind.incremental, kind.revisit): kind for kind in StrategyKind}
+        assert grid == {
+            (False, False): StrategyKind.HC_SEP,
+            (False, True): StrategyKind.HC_ACC,
+            (True, False): StrategyKind.IHC,
+            (True, True): StrategyKind.IHC_RE,
+        }
+
     def test_detector_companion_validation(self):
         with pytest.raises(ConfigError, match="ground truth"):
             new_state(Strategy(kind=StrategyKind.IHC, detectors=("perfect",)))
@@ -288,6 +297,15 @@ class TestEvaluate:
             evaluate(store, [])
         with pytest.raises(DataError):
             evaluate(store, [("a",)])
+
+
+class TestGroundTruthShape:
+    @pytest.mark.parametrize("truth", [[("k", "v")] * 2, [("k",)] * 4])
+    def test_mis_sized_truth_is_data_error(self, truth):
+        strategy = Strategy(kind=StrategyKind.IHC, detectors=("null",))
+        state = new_state(strategy, truth)
+        with pytest.raises(DataError, match="ground truth"):
+            run_stream(state, strategy, make_batches([("k", "v")] * 4, count=2))
 
 
 class TestRepairedCellsBecomeTrainable:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from increpair.errors import DataError
+from increpair.errors import ConfigError, DataError
 from increpair.models import Hyperparams
 from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
 from increpair.relation import (
@@ -145,3 +145,62 @@ class TestRunSnapshots:
             assert mine.trained_at_batch == theirs.trained_at_batch
             assert list(mine.weights) == list(theirs.weights)
         assert restored.cum_probe_cells == state.cum_probe_cells
+
+
+class TestRunSnapshotValidation:
+    def saved(self, tmp_path):
+        strategy = TestRunSnapshots.strategy
+        state = fresh_run(strategy)
+        run_stream(state, strategy, make_batches(STREAM_ROWS, count=2))
+        path = tmp_path / "run.json"
+        save_run(state, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "key", ["version", "stats", "entropy", "models", "skipper", "progress"]
+    )
+    def test_missing_section_is_data_error(self, tmp_path, key):
+        path, payload = self.saved(tmp_path)
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=key):
+            load_run(path)
+
+    def test_missing_progress_counter_is_data_error(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        del payload["progress"]["cum_probe_cells"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="cum_probe_cells"):
+            load_run(path)
+
+    def test_models_must_cover_every_attribute(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        payload["models"] = payload["models"][:1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="1 models for 2 attributes"):
+            load_run(path)
+
+    def test_version_1_snapshot_is_rejected(self, tmp_path):
+        # v1 strategies carried kl_floor and hyperparams.seed
+        path, payload = self.saved(tmp_path)
+        payload["version"] = 1
+        payload["strategy"]["kl_floor"] = 1e-6
+        payload["strategy"]["hyperparams"]["seed"] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version 1"):
+            load_run(path)
+
+    def test_restored_run_needs_its_inputs(self, tmp_path):
+        strategy = Strategy(kind=StrategyKind.IHC, detectors=("perfect",))
+        truth = [("k", "v1")] * 3
+        state = RunState(RelationStore(Schema(("ctx", "val"))), strategy, ground_truth=truth)
+        run_stream(state, strategy, [RawBatch(1, (("k", "v1"), ("k", "v2")))])
+        save_run(state, tmp_path / "run.json")
+        restored, _ = load_run(tmp_path / "run.json")
+        with pytest.raises(ConfigError, match="ground truth"):
+            restored.attach_inputs()
+        restored.attach_inputs(ground_truth=truth)
+        assert (restored.true_errors, restored.remaining_errors) == (
+            state.true_errors,
+            state.remaining_errors,
+        )
