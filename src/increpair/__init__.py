@@ -13,9 +13,9 @@ distribution has barely moved.
 from .detectors import DETECTOR_NAMES, DetectionScope, DirtySet, run_detectors
 from .dc import DenialConstraint, parse_dc, parse_dc_file, violations
 from .errors import CleaningError, ConfigError, DataError, ParseError
-from .featurize import Featurizer, generate_domain, generate_feature_vector
+from .featurize import Featurizer
 from .inject import ERROR_KINDS, inject_errors
-from .models import AttributeModel, Hyperparams, TrainingExample, predict, train
+from .models import AttributeModel, Hyperparams, predict, train
 from .pipeline import (
     BatchReport,
     RunState,
@@ -75,14 +75,11 @@ __all__ = [
     "StatsStore",
     "Strategy",
     "StrategyKind",
-    "TrainingExample",
     "apply_delta",
     "cond_entropy_scratch",
     "correlation",
     "correlation_matrix",
     "evaluate",
-    "generate_domain",
-    "generate_feature_vector",
     "inject_errors",
     "kl_divergence",
     "load_csv",

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -136,24 +137,45 @@ def cmd_inject(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _clean_strategy(ns: argparse.Namespace) -> Strategy:
-    kind = _resolve(ns.strategy, "STRATEGY", str, None)
-    if kind is None:
+def _tuning(ns: argparse.Namespace) -> dict:
+    """Strategy fields set by a flag or an INCREPAIR_ variable; unset ones are left out."""
+    detectors = _resolve(ns.detectors, "DETECTORS", str, None)
+    fields = {
+        "kind": _resolve(ns.strategy, "STRATEGY", str, None),
+        "detectors": None if detectors is None else _parse_detectors(detectors),
+        "skip": _resolve(ns.skip, "SKIP", str, None),
+        "epsilon_kl": _resolve(ns.epsilon, "EPSILON", float, None),
+        "omega": _resolve(ns.omega, "OMEGA", float, None),
+        "domain_cap": _resolve(ns.domain_cap, "DOMAIN_CAP", int, None),
+        "train_limit": _resolve(ns.train_limit, "TRAIN_LIMIT", int, None),
+        "epochs": _resolve(ns.epochs, "EPOCHS", int, None),
+        "learning_rate": _resolve(ns.lr, "LR", float, None),
+        "seed": _resolve(ns.seed, "SEED", int, None),
+    }
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _clean_strategy(tuning: dict) -> Strategy:
+    """A fresh run's strategy: the fields set, `Strategy` defaults for the rest."""
+    if "kind" not in tuning:
         raise ConfigError("--strategy is required")
-    return Strategy(
-        kind=StrategyKind(kind),
-        detectors=_parse_detectors(_resolve(ns.detectors, "DETECTORS", str, "null")),
-        skip=_resolve(ns.skip, "SKIP", str, "none"),
-        epsilon_kl=_resolve(ns.epsilon, "EPSILON", float, 0.05),
-        omega=_resolve(ns.omega, "OMEGA", float, 0.05),
-        domain_cap=_resolve(ns.domain_cap, "DOMAIN_CAP", int, 50),
-        train_limit=_resolve(ns.train_limit, "TRAIN_LIMIT", int, 1000),
-        hyperparams=Hyperparams(
-            epochs=_resolve(ns.epochs, "EPOCHS", int, 30),
-            learning_rate=_resolve(ns.lr, "LR", float, 0.1),
-        ),
-        seed=_resolve(ns.seed, "SEED", int, 0),
-    )
+    fields = dict(tuning)
+    try:
+        fields["kind"] = StrategyKind(fields["kind"])
+    except ValueError:
+        raise ConfigError(f"unknown strategy {fields['kind']!r}") from None
+    hyper = {key: fields.pop(key) for key in ("epochs", "learning_rate") if key in fields}
+    return Strategy(**fields, hyperparams=Hyperparams(**hyper))
+
+
+def _check_resumable(tuning: dict, strategy: Strategy) -> None:
+    """Reject any field set for this run that differs from the snapshot's strategy."""
+    saved = {**asdict(strategy), **asdict(strategy.hyperparams), "kind": strategy.kind.value}
+    for key, value in tuning.items():
+        if value != saved[key]:
+            raise ConfigError(
+                f"snapshot was built with {key}={saved[key]!r}, cannot resume with {value!r}"
+            )
 
 
 def cmd_clean(ns: argparse.Namespace) -> int:
@@ -162,6 +184,7 @@ def cmd_clean(ns: argparse.Namespace) -> int:
     batch_size = _resolve(ns.batch_size, "BATCH_SIZE", int, None)
     if (batches_count is None) == (batch_size is None):
         raise ConfigError("exactly one of --batches or --batch-size is required")
+    tuning = _tuning(ns)
 
     schema, rows = load_csv(ns.input, tokens)
     ground_truth = None
@@ -192,11 +215,7 @@ def cmd_clean(ns: argparse.Namespace) -> int:
     if ns.resume:
         state, saved_config = load_run(ns.resume)
         strategy = state.strategy
-        if ns.strategy is not None and ns.strategy != strategy.kind.value:
-            raise ConfigError(
-                f"snapshot was built with strategy {strategy.kind.value},"
-                f" cannot resume as {ns.strategy}"
-            )
+        _check_resumable(tuning, strategy)
         for key in ("batches", "batch_size"):
             if saved_config.get(key) != config_echo[key]:
                 raise ConfigError(
@@ -219,7 +238,7 @@ def cmd_clean(ns: argparse.Namespace) -> int:
                     )
         remaining = batches[done:]
     else:
-        strategy = _clean_strategy(ns)
+        strategy = _clean_strategy(tuning)
         store = RelationStore(schema, tokens)
         state = RunState(store, strategy, dcs, ground_truth)
         remaining = batches

@@ -1,4 +1,5 @@
-"""Candidate domains and co-occurrence feature tensors for individual cells.
+"""Candidate domains and co-occurrence feature tensors, built for all of one
+attribute's cells at a time.
 
 A cell's candidate domain is its observed value plus every value of its
 attribute that co-occurs, anywhere in the data counted so far, with this
@@ -6,11 +7,19 @@ tuple's value in some sufficiently correlated other attribute.  The feature
 tensor prices each candidate against each context attribute as the ratio
 `co_occurrences(candidate, context value) / frequency(context value)`, which
 by construction lies in [0, 1].
+
+`Featurizer.block` does this with numpy for a whole set of cells: per context
+attribute it converts only the co-occurrence rows of the context values the
+cells hold, merges the candidates into one sorted union of (cell, value) keys
+context by context, cuts each domain to its heaviest values and fills the
+stacked tensor with one float64 division per context.  `Featurizer.domain`
+and `Featurizer.tensor` run the same code on a single cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +30,10 @@ from .stats import StatsStore
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
+
+# A (cell, value id) pair packed into one int64 sort key, the cell in the high bits.
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
 
 
 @dataclass(frozen=True)
@@ -53,86 +66,115 @@ class FeatureTensor:
     domain: CellDomain
 
 
+@dataclass(frozen=True)
+class FeatureBlock:
+    """Stacked feature tensors of one attribute's cells, one leading row per cell.
+
+    Only cells whose domain holds at least two values are kept: a singleton
+    leaves nothing to choose or learn.  Cell i is tuple `tids[i]`; its
+    candidates are `candidates[i, :sizes[i]]` in ascending value-id order,
+    its observed value sits at `observed_index[i]`, and `values[i]`/`mask[i]`
+    are its `FeatureTensor` fields.  Dead slots hold null and mask False.
+    """
+
+    tids: np.ndarray
+    candidates: np.ndarray
+    sizes: np.ndarray
+    observed_index: np.ndarray
+    values: np.ndarray
+    mask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+
 def tensor_slots(stats: StatsStore, attr: int, cap: int = DEFAULT_DOMAIN_CAP) -> int:
     """Row allocation for an attribute's tensors: its distinct-value count, capped."""
     return max(1, min(stats.distinct_count(attr), cap))
 
 
-def generate_domain(
-    cell: CellRef,
-    tuple_values: Sequence[int],
-    stats: StatsStore,
-    correlations: Sequence[Sequence[float]],
-    omega: float = DEFAULT_OMEGA,
-    cap: int = DEFAULT_DOMAIN_CAP,
-) -> CellDomain:
-    """Candidate domain of one cell given its tuple's current values.
+@dataclass(frozen=True)
+class _Context:
+    """The co-occurrence rows, toward the cells' attribute, of the distinct
+    values the cells hold in one context attribute.
 
-    A context attribute qualifies when the cell's attribute is sufficiently
-    predictable from it, i.e. their correlation (normalized over the cell
-    attribute's domain) exceeds omega.  Null is never proposed as a candidate,
-    though a null observed value stays in its own domain.  When the union
-    exceeds `cap`, the candidates with the highest summed co-occurrence counts
-    are kept (observed value always retained; ties broken toward lower value
-    ids).
+    Cell i holds value id `vids[row[i]]`, counted `frequency[row[i]]` times.
+    `keys` packs every row's (row, target value id) pairs, sorted, with
+    `counts` alongside; row r's pairs are keys[starts[r] : starts[r] + lengths[r]].
     """
-    if not 0.0 <= omega < 1.0:
-        raise DataError(f"omega must lie in [0, 1), got {omega}")
-    if cap < 1:
-        raise DataError(f"domain cap must be >= 1, got {cap}")
-    attr = cell.attr
-    observed = tuple_values[attr]
-    weights: dict[int, int] = {}
-    for context_attr, context_vid in enumerate(tuple_values):
-        if context_attr == attr or correlations[attr][context_attr] <= omega:
-            continue
-        for vid, count in stats.cooccurring(attr, context_attr, context_vid).items():
-            if vid != NULL_ID:
-                weights[vid] = weights.get(vid, 0) + count
-    weights.pop(observed, None)
-    if len(weights) + 1 > cap:
-        ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-        chosen = {vid for vid, _ in ranked[: cap - 1]}
-    else:
-        chosen = set(weights)
-    chosen.add(observed)
-    candidates = tuple(sorted(chosen))
-    return CellDomain(cell, candidates, candidates.index(observed))
+
+    row: np.ndarray
+    vids: np.ndarray
+    frequency: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
 
 
-def generate_feature_vector(
-    domain: CellDomain,
-    tuple_values: Sequence[int],
-    stats: StatsStore,
-    slots: int | None = None,
-) -> FeatureTensor:
-    """Feature tensor for one cell over its candidate domain."""
-    attr = domain.cell.attr
-    n_attrs = stats.n_attrs
-    if slots is None:
-        slots = domain.size
-    if domain.size > slots:
-        raise DataError(
-            f"domain of size {domain.size} does not fit {slots} tensor slots"
-        )
-    values = np.zeros((slots, n_attrs), dtype=np.float64)
-    mask = np.zeros(slots, dtype=bool)
-    mask[: domain.size] = True
-    for context_attr, context_vid in enumerate(tuple_values):
-        if context_attr == attr:
-            continue
-        frequency = stats.frequency(context_attr, context_vid)
-        if frequency <= 0:
-            raise DataError(
-                f"statistics hold no count for attribute {context_attr}"
-                f" value id {context_vid}; counts are out of step with the store"
-            )
-        cooccurrences = stats.cooccurring(attr, context_attr, context_vid)
-        for row, candidate in enumerate(domain.candidates):
-            count = cooccurrences.get(candidate, 0)
-            if count:
-                values[row, context_attr] = count / frequency
-    return FeatureTensor(values, mask, domain)
+def _context(
+    stats: StatsStore, attr: int, context_attr: int, context_vids: np.ndarray
+) -> _Context:
+    present = np.zeros(int(context_vids.max(initial=-1)) + 1, dtype=bool)
+    present[context_vids] = True
+    row = (np.cumsum(present) - 1)[context_vids]
+    vids = np.flatnonzero(present)
+    distinct = vids.tolist()
+    tables = [stats.cooccurring(attr, context_attr, vid) for vid in distinct]
+    frequency = np.fromiter(
+        (stats.frequency(context_attr, vid) for vid in distinct),
+        dtype=np.int64,
+        count=len(distinct),
+    )
+    lengths = np.fromiter(map(len, tables), dtype=np.int64, count=len(tables))
+    total = int(lengths.sum())
+    targets = np.fromiter(chain.from_iterable(tables), dtype=np.int64, count=total)
+    counts = np.fromiter(
+        chain.from_iterable(table.values() for table in tables), dtype=np.int64, count=total
+    )
+    keys = (np.repeat(np.arange(len(tables), dtype=np.int64), lengths) << _SHIFT) | targets
+    order = np.argsort(keys)
+    return _Context(
+        row,
+        vids,
+        frequency,
+        keys[order],
+        counts[order],
+        np.cumsum(lengths) - lengths,
+        lengths,
+    )
+
+
+def _gather(ctx: _Context) -> tuple[np.ndarray, np.ndarray]:
+    """Every (cell, position in `ctx.keys`) of the cells' co-occurrence rows."""
+    lengths = ctx.lengths[ctx.row]
+    cells = np.repeat(np.arange(len(ctx.row), dtype=np.int64), lengths)
+    shift = ctx.starts[ctx.row] - (np.cumsum(lengths) - lengths)
+    positions = np.arange(len(cells), dtype=np.int64) + np.repeat(shift, lengths)
+    return cells, positions
+
+
+def _merge(
+    union: np.ndarray, weights: np.ndarray, keys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted union of two sorted key arrays, with the counts of equal keys summed."""
+    merged = np.empty(len(union) + len(keys), dtype=np.int64)
+    summed = np.empty(len(merged), dtype=np.int64)
+    new = np.searchsorted(union, keys) + np.arange(len(keys))
+    old = np.searchsorted(keys, union, side="right") + np.arange(len(union))
+    merged[new], summed[new] = keys, counts
+    merged[old], summed[old] = union, weights
+    if not len(merged):
+        return merged, summed
+    starts = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
+    return merged[starts], np.add.reduceat(summed, starts)
+
+
+def _runs(keys: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell, per-cell count and per-cell start of packed keys grouped by cell."""
+    cells = keys >> _SHIFT
+    sizes = np.bincount(cells, minlength=n_cells)
+    return cells, sizes, np.cumsum(sizes) - sizes
 
 
 class Featurizer:
@@ -145,16 +187,139 @@ class Featurizer:
         omega: float = DEFAULT_OMEGA,
         cap: int = DEFAULT_DOMAIN_CAP,
     ):
+        if not 0.0 <= omega < 1.0:
+            raise DataError(f"omega must lie in [0, 1), got {omega}")
+        if cap < 1:
+            raise DataError(f"domain cap must be >= 1, got {cap}")
         self.stats = stats
         self.correlations = correlations
         self.omega = omega
         self.cap = cap
 
+    def _contexts(self, attr: int, rows: np.ndarray) -> list[_Context | None]:
+        """Every other attribute's `_Context` for the cells of `attr` in `rows`."""
+        return [
+            None if context_attr == attr
+            else _context(self.stats, attr, context_attr, rows[:, context_attr])
+            for context_attr in range(self.stats.n_attrs)
+        ]
+
+    def _domains(
+        self, attr: int, observed: np.ndarray, contexts: list[_Context | None]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's candidate domain, as packed (cell, value) keys sorted
+        ascending, plus each cell's observed index.
+
+        A context attribute qualifies when the cell's attribute is sufficiently
+        predictable from it, i.e. their correlation (normalized over the cell
+        attribute's domain) exceeds omega.  Null is never proposed, though a null
+        observed value stays in its own domain.  Beyond `cap` values, the
+        candidates with the highest summed co-occurrence counts are kept
+        (observed value always retained; ties broken toward lower value ids).
+        """
+        n_cells = len(observed)
+        union = weights = np.empty(0, dtype=np.int64)
+        for context_attr, ctx in enumerate(contexts):
+            if ctx is None or self.correlations[attr][context_attr] <= self.omega:
+                continue
+            # each cell's row is sorted, so the gathered keys are sorted too
+            cells, positions = _gather(ctx)
+            vids = ctx.keys[positions] & _LOW
+            keep = (vids != NULL_ID) & (vids != observed[cells])
+            union, weights = _merge(
+                union,
+                weights,
+                (cells[keep] << _SHIFT) | vids[keep],
+                ctx.counts[positions[keep]],
+            )
+            del cells, positions, vids, keep
+        cells, sizes, starts = _runs(union, n_cells)
+        if sizes.max(initial=0) > self.cap - 1:
+            over = np.flatnonzero(sizes[cells] > self.cap - 1)
+            # lexsort is stable, so equal weights keep ascending value order
+            ranked = over[np.lexsort((-weights[over], cells[over]))]
+            _, group_sizes, group_starts = _runs(union[ranked], n_cells)
+            rank = np.arange(len(ranked)) - np.repeat(group_starts, group_sizes)
+            kept = np.ones(len(union), dtype=bool)
+            kept[ranked[rank >= self.cap - 1]] = False
+            union = union[kept]
+        own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
+        keys, _ = _merge(union, np.zeros(len(union), dtype=np.int64), own, own)
+        _, _, starts = _runs(keys, n_cells)
+        return keys, np.searchsorted(keys, own) - starts
+
+    def _tensors(
+        self, attr: int, n_cells: int, keys: np.ndarray, contexts: list[_Context | None]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Candidates, sizes, feature values and mask of cells whose candidate
+        slots are the packed (cell, value) `keys`, grouped by cell in slot order.
+        """
+        n_attrs = self.stats.n_attrs
+        slots = tensor_slots(self.stats, attr, self.cap)
+        cells, sizes, starts = _runs(keys, n_cells)
+        if sizes.max(initial=0) > slots:
+            raise DataError(
+                f"domain of size {sizes.max()} does not fit {slots} tensor slots"
+            )
+        slot = np.arange(len(keys)) - np.repeat(starts, sizes)
+        vids = keys & _LOW
+        candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
+        candidates[cells, slot] = vids
+        mask = np.zeros((n_cells, slots), dtype=bool)
+        mask[cells, slot] = True
+        values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
+        for context_attr, ctx in enumerate(contexts):
+            if ctx is None:
+                continue
+            frequency = ctx.frequency[ctx.row]
+            stale = np.flatnonzero(frequency <= 0)
+            if len(stale):
+                raise DataError(
+                    f"statistics hold no count for attribute {context_attr}"
+                    f" value id {ctx.vids[ctx.row[stale[0]]]};"
+                    " counts are out of step with the store"
+                )
+            if not len(ctx.keys):
+                continue
+            query = (ctx.row[cells] << _SHIFT) | vids
+            found = np.minimum(np.searchsorted(ctx.keys, query), len(ctx.keys) - 1)
+            counts = np.where(ctx.keys[found] == query, ctx.counts[found], 0)
+            values[cells, slot, context_attr] = counts / frequency[cells]
+            del query, found, counts
+        return candidates, sizes, values, mask
+
+    def block(self, attr: int, tids: Sequence[int], rows) -> FeatureBlock:
+        """Feature block of the cells of `attr` in tuples `tids`, whose current
+        values are the matching rows of `rows` (one per tid, all attributes)."""
+        tids = np.asarray(tids, dtype=np.int64).reshape(-1)
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
+        contexts = self._contexts(attr, rows)
+        keys, observed_index = self._domains(attr, rows[:, attr], contexts)
+        _, sizes, _ = _runs(keys, len(rows))
+        multi = sizes >= 2
+        if not multi.all():
+            renumber = np.cumsum(multi) - 1
+            keys = keys[multi[keys >> _SHIFT]]
+            keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
+            tids, observed_index = tids[multi], observed_index[multi]
+            contexts = [
+                None if ctx is None else replace(ctx, row=ctx.row[multi]) for ctx in contexts
+            ]
+        candidates, sizes, values, mask = self._tensors(attr, len(tids), keys, contexts)
+        return FeatureBlock(tids, candidates, sizes, observed_index, values, mask)
+
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
-        return generate_domain(
-            cell, tuple_values, self.stats, self.correlations, self.omega, self.cap
+        """Candidate domain of one cell given its tuple's current values."""
+        rows = np.asarray([tuple_values], dtype=np.int64)
+        keys, observed_index = self._domains(
+            cell.attr, rows[:, cell.attr], self._contexts(cell.attr, rows)
         )
+        return CellDomain(cell, tuple((keys & _LOW).tolist()), int(observed_index[0]))
 
     def tensor(self, domain: CellDomain, tuple_values: Sequence[int]) -> FeatureTensor:
-        slots = tensor_slots(self.stats, domain.cell.attr, self.cap)
-        return generate_feature_vector(domain, tuple_values, self.stats, slots)
+        """Feature tensor of one cell over its candidate domain."""
+        rows = np.asarray([tuple_values], dtype=np.int64)
+        keys = np.asarray(domain.candidates, dtype=np.int64).reshape(-1)
+        contexts = self._contexts(domain.cell.attr, rows)
+        _, _, values, mask = self._tensors(domain.cell.attr, 1, keys, contexts)
+        return FeatureTensor(values[0], mask[0], domain)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .featurize import Featurizer, FeatureTensor
+from .featurize import FeatureBlock, Featurizer, FeatureTensor
 from .relation import CellRef, RelationStore
 
 
@@ -61,12 +61,6 @@ class AttributeModel:
 
 
 @dataclass(frozen=True)
-class TrainingExample:
-    tensor: FeatureTensor
-    label: int
-
-
-@dataclass(frozen=True)
 class TrainReport:
     n_examples: int
     epochs: int
@@ -97,13 +91,6 @@ def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, i
     return probs, int(np.argmax(probs))
 
 
-def _stack(examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tensors = np.stack([example.tensor.values for example in examples])
-    masks = np.stack([example.tensor.mask for example in examples])
-    labels = np.array([example.label for example in examples], dtype=np.intp)
-    return tensors, masks, labels
-
-
 def _loss_and_grad(
     weights: np.ndarray, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -119,16 +106,18 @@ def _loss_and_grad(
     return loss, grad
 
 
-def train(
-    model: AttributeModel, examples: Sequence[TrainingExample], hp: Hyperparams
-) -> TrainReport:
-    """Full-batch gradient descent on mean cross-entropy; deterministic."""
-    if not examples:
+def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainReport:
+    """Full-batch gradient descent on mean cross-entropy; deterministic.
+
+    Each cell of the block is one weakly labeled example: its label is the
+    observed value's index.
+    """
+    if not len(block):
         raise DataError("cannot train on an empty example set")
-    tensors, masks, labels = _stack(examples)
-    for example in examples:
-        if not 0 <= example.label < example.tensor.domain.size:
-            raise DataError(f"label {example.label} outside the candidate domain")
+    tensors, masks, labels = block.values, block.mask, block.observed_index
+    outside = (labels < 0) | (labels >= block.sizes)
+    if outside.any():
+        raise DataError(f"label {labels[outside][0]} outside the candidate domain")
     weights = model.weights.astype(np.float64, copy=True)
     history: list[float] = []
     for epoch in range(hp.epochs):
@@ -144,12 +133,18 @@ def train(
     model.weights = weights
     model.loss_history = history
     return TrainReport(
-        n_examples=len(examples),
+        n_examples=len(block),
         epochs=hp.epochs,
         initial_loss=history[0],
         final_loss=final_loss,
         improved=final_loss <= history[0],
     )
+
+
+def _rows(store: RelationStore, tids: Sequence[int]) -> np.ndarray:
+    """Current values of the given tuples, one row each."""
+    rows = [store.tuple_values(tid) for tid in tids]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), store.n_attrs)
 
 
 def build_training_set(
@@ -159,11 +154,11 @@ def build_training_set(
     limit: int | None = None,
     rng: random.Random | None = None,
     tids: Sequence[int] | None = None,
-) -> list[TrainingExample]:
+) -> FeatureBlock:
     """Weakly labeled examples from cells of `attr` that are not currently Dirty.
 
     When more than `limit` cells are eligible by status, a uniform random
-    sample of `limit` is featurized (so the returned list can be shorter when
+    sample of `limit` is featurized (so the block can hold fewer cells when
     sampled cells turn out to have singleton domains).
     """
     eligible = store.trainable_tids(attr, tids)
@@ -172,16 +167,7 @@ def build_training_set(
             raise DataError(f"training limit must be >= 1, got {limit}")
         sampler = rng if rng is not None else random.Random(0)
         eligible = sorted(sampler.sample(eligible, limit))
-    examples: list[TrainingExample] = []
-    for tid in eligible:
-        row = store.tuple_values(tid)
-        domain = featurizer.domain(CellRef(tid, attr), row)
-        if domain.size < 2:
-            continue
-        examples.append(
-            TrainingExample(featurizer.tensor(domain, row), domain.observed_index)
-        )
-    return examples
+    return featurizer.block(attr, eligible, _rows(store, eligible))
 
 
 def repair_cells(
@@ -190,21 +176,20 @@ def repair_cells(
     store: RelationStore,
     featurizer: Featurizer,
 ) -> tuple[list[tuple[CellRef, int]], int]:
-    """Most-probable-value proposals for flagged cells.
+    """Most-probable-value proposals for flagged cells, in the order given.
 
     Returns (proposals, skipped) where skipped counts cells whose candidate
     domain was a singleton: there is nothing to choose from, so they stay
     Dirty and unrepaired.
     """
-    proposals: list[tuple[CellRef, int]] = []
-    skipped = 0
-    for cell in cells:
-        row = store.tuple_values(cell.tid)
-        domain = featurizer.domain(cell, row)
-        if domain.size < 2:
-            skipped += 1
-            continue
-        tensor = featurizer.tensor(domain, row)
-        _, best = predict(models[cell.attr], tensor)
-        proposals.append((cell, domain.candidates[best]))
-    return proposals, skipped
+    best: dict[CellRef, int] = {}
+    for attr in sorted({cell.attr for cell in cells}):
+        tids = [cell.tid for cell in cells if cell.attr == attr]
+        block = featurizer.block(attr, tids, _rows(store, tids))
+        probs = _masked_probs(block.values @ models[attr].weights, block.mask)
+        picked = block.candidates[np.arange(len(block)), np.argmax(probs, axis=1)]
+        best.update(
+            (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
+        )
+    proposals = [(cell, best[cell]) for cell in cells if cell in best]
+    return proposals, len(cells) - len(proposals)

@@ -338,10 +338,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         )
         if not examples:
             continue
-        transient = sum(
-            example.tensor.values.nbytes + example.tensor.mask.nbytes
-            for example in examples
-        )
+        transient = examples.values.nbytes + examples.mask.nbytes
         peak_transient = max(peak_transient, transient)
         train(state.models[attr], examples, strategy.hyperparams)
         state.models[attr].trained_at_batch = batch.k
@@ -349,6 +346,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         retrained.append(attr)
         if use_skipper:
             record_training(state.skipper, attr, current_joints[attr], batch.k)
+        del examples  # free this attribute's block before featurizing the next one
     state.cum_training_instances += training_instances
     timings["train"] = time.perf_counter() - started
 

@@ -15,6 +15,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 NULL_ID = 0
@@ -204,6 +206,8 @@ class RelationStore:
     Cells move Clean -> Dirty (a detector flagged them) -> Repaired (a repair
     was applied).  Revisiting strategies may re-flag a Repaired cell back to
     Dirty; the first pre-repair value is kept as provenance either way.
+    The tuples whose cell is Dirty are also indexed per attribute, so the
+    Dirty cells are found without scanning every status byte.
     """
 
     def __init__(self, schema: Schema, null_tokens: Iterable[str] = DEFAULT_NULL_TOKENS):
@@ -212,6 +216,7 @@ class RelationStore:
         self.interner = ValueInterner(schema.n_attrs)
         self._rows: list[list[int]] = []
         self._status: list[bytearray] = []
+        self._dirty: list[set[int]] = [set() for _ in range(schema.n_attrs)]
         self._original: dict[CellRef, int] = {}
         # batch k spans tids [starts[k-1], starts[k])
         self._batch_starts: list[int] = [0]
@@ -289,34 +294,37 @@ class RelationStore:
                 raise DataError(f"cell {cell} is out of range")
             if self._status[cell.tid][cell.attr] != CellStatus.DIRTY:
                 self._status[cell.tid][cell.attr] = CellStatus.DIRTY
+                self._dirty[cell.attr].add(cell.tid)
                 flagged += 1
         return flagged
 
     def reset_dirty(self) -> int:
         """Revert every Dirty cell to Clean, for strategies that re-detect from scratch."""
         reverted = 0
-        for status_row in self._status:
-            for attr, status in enumerate(status_row):
-                if status == CellStatus.DIRTY:
-                    status_row[attr] = CellStatus.CLEAN
-                    reverted += 1
+        for attr, dirty in enumerate(self._dirty):
+            for tid in dirty:
+                self._status[tid][attr] = CellStatus.CLEAN
+            reverted += len(dirty)
+            dirty.clear()
         return reverted
 
     def dirty_cells(self, tids: Iterable[int] | None = None) -> list[CellRef]:
         """Dirty cells in (tid, attr) order, optionally restricted to given tuples."""
-        scope = range(self.n_tuples) if tids is None else sorted(set(tids))
-        out: list[CellRef] = []
-        for tid in scope:
-            status_row = self._status[tid]
-            for attr in range(self.n_attrs):
-                if status_row[attr] == CellStatus.DIRTY:
-                    out.append(CellRef(tid, attr))
-        return out
+        scope = None if tids is None else set(tids)
+        return sorted(
+            CellRef(tid, attr)
+            for attr, dirty in enumerate(self._dirty)
+            for tid in (dirty if scope is None else dirty.intersection(scope))
+        )
 
     def trainable_tids(self, attr: int, tids: Iterable[int] | None = None) -> list[int]:
         """Tuples whose cell at `attr` is not currently Dirty (Repaired counts as clean)."""
-        scope = range(self.n_tuples) if tids is None else sorted(set(tids))
-        return [tid for tid in scope if self._status[tid][attr] != CellStatus.DIRTY]
+        dirty = self._dirty[attr]
+        if tids is not None:
+            return [tid for tid in sorted(set(tids)) if tid not in dirty]
+        if not dirty:
+            return list(range(self.n_tuples))
+        return np.delete(np.arange(self.n_tuples), sorted(dirty)).tolist()
 
     def apply_repairs(self, repairs: Iterable[tuple[CellRef, int]]) -> int:
         """Set repaired values on currently-Dirty cells; returns how many changed value.
@@ -339,6 +347,7 @@ class RelationStore:
                 self._rows[cell.tid][cell.attr] = vid
                 changed += 1
             self._status[cell.tid][cell.attr] = CellStatus.REPAIRED
+            self._dirty[cell.attr].discard(cell.tid)
         return changed
 
     def status_counts(self) -> dict[CellStatus, int]:
@@ -382,6 +391,11 @@ class RelationStore:
                 store.interner.intern(attr, text)
         store._rows = [list(row) for row in payload["rows"]]
         store._status = [bytearray(row) for row in payload["status"]]
+        for tid, status_row in enumerate(store._status):
+            if CellStatus.DIRTY in status_row:
+                for attr, status in enumerate(status_row):
+                    if status == CellStatus.DIRTY:
+                        store._dirty[attr].add(tid)
         store._original = {
             CellRef(tid, attr): vid for tid, attr, vid in payload["original"]
         }

@@ -10,7 +10,9 @@ them re-attached from the recorded configuration.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import DataError
 from .pipeline import RunState, Strategy
@@ -31,13 +33,28 @@ PROGRESS_KEYS = (
     "cum_repairs_correct",
 )
 
+T = TypeVar("T")
+
 
 def _dump(payload: dict, path: str | Path) -> None:
+    """Write the payload beside the target, then move it over the target, so
+    a failure part-way leaves any earlier snapshot there whole."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text, encoding="utf-8")
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(payload, dict):
+        raise DataError(f"{where} is a {type(payload).__name__}, not an object")
     missing = [key for key in keys if key not in payload]
     if missing:
         raise DataError(f"{where} lacks {', '.join(missing)}")
@@ -50,6 +67,7 @@ def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, .
         raise DataError(f"cannot open snapshot {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"snapshot {path} is not valid JSON: {exc}") from exc
+    _require(payload, (), f"snapshot {path}")
     if payload.get("format") != FORMAT_NAME:
         raise DataError(f"snapshot {path} has unknown format {payload.get('format')!r}")
     if payload.get("kind") != expected_kind:
@@ -62,6 +80,14 @@ def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, .
         )
     _require(payload, keys, f"snapshot {path}")
     return payload
+
+
+def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload) -> T:
+    """Restore one snapshot section, reporting any malformed content as a DataError."""
+    try:
+        return restore(payload)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"snapshot {path} has a malformed {name} section: {exc!r}") from exc
 
 
 def save_store(store: RelationStore, path: str | Path) -> None:
@@ -78,7 +104,7 @@ def save_store(store: RelationStore, path: str | Path) -> None:
 
 def load_store(path: str | Path) -> RelationStore:
     payload = _load(path, "store", STORE_VERSION, ("store",))
-    return RelationStore.from_dict(payload["store"])
+    return _section(path, "store", RelationStore.from_dict, payload["store"])
 
 
 def save_run(state: RunState, path: str | Path, config: dict | None = None) -> None:
@@ -114,17 +140,20 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
         ("store", "strategy", "stats", "entropy", "models", "skipper", "progress", "config"),
     )
     _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
-    store = RelationStore.from_dict(payload["store"])
-    if len(payload["models"]) != store.n_attrs:
-        raise DataError(
-            f"snapshot {path} holds {len(payload['models'])} models"
-            f" for {store.n_attrs} attributes"
-        )
-    state = RunState(store, Strategy.from_dict(payload["strategy"]), attach=False)
-    state.stats = StatsStore.from_dict(payload["stats"])
-    state.entropy = EntropyAccumulator.from_dict(payload["entropy"])
-    state.models = [AttributeModel.from_dict(entry) for entry in payload["models"]]
-    state.skipper = SkipperState.from_dict(payload["skipper"])
+    store = _section(path, "store", RelationStore.from_dict, payload["store"])
+    models = payload["models"]
+    if not isinstance(models, list) or len(models) != store.n_attrs:
+        count = len(models) if isinstance(models, list) else type(models).__name__
+        raise DataError(f"snapshot {path} holds {count} models for {store.n_attrs} attributes")
+    strategy = _section(path, "strategy", Strategy.from_dict, payload["strategy"])
+    state = RunState(store, strategy, attach=False)
+    state.stats = _section(path, "stats", StatsStore.from_dict, payload["stats"])
+    state.entropy = _section(path, "entropy", EntropyAccumulator.from_dict, payload["entropy"])
+    state.models = [
+        _section(path, f"models[{i}]", AttributeModel.from_dict, entry)
+        for i, entry in enumerate(models)
+    ]
+    state.skipper = _section(path, "skipper", SkipperState.from_dict, payload["skipper"])
     for key in PROGRESS_KEYS:
         setattr(state, key, payload["progress"][key])
     return state, payload["config"]

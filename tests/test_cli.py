@@ -209,6 +209,22 @@ class TestResume:
             ["clean", "--input", dirty, "--resume", snap, "--batches", "5"]
         ) == 1
 
+    def test_resume_rejects_conflicting_tuning_flag(self, tmp_path, clean_csv):
+        base = ["clean", "--input", clean_csv, "--batch-size", "10"]
+        snap = tmp_path / "snap.json"
+        assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+        assert run(base + ["--resume", snap, "--omega", "0.2"]) == 1
+        assert run(base + ["--resume", snap, "--omega", "0.05", "--skip", "none"]) == 0
+
+    def test_resume_rejects_conflicting_environment(self, tmp_path, clean_csv, monkeypatch):
+        base = ["clean", "--input", clean_csv, "--batch-size", "10"]
+        snap = tmp_path / "snap.json"
+        assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+        monkeypatch.setenv("INCREPAIR_EPOCHS", "5")
+        assert run(base + ["--resume", snap]) == 1
+        monkeypatch.setenv("INCREPAIR_EPOCHS", "30")
+        assert run(base + ["--resume", snap]) == 0
+
     def test_resume_rejects_different_stream(self, tmp_path, clean_csv):
         dirty, truth = self.prepare(tmp_path, clean_csv)
         snap = tmp_path / "snap.json"
@@ -235,12 +251,22 @@ def as_version_1(payload):
     payload["strategy"]["hyperparams"]["seed"] = 0
 
 
-@pytest.mark.parametrize("mangle", [drop_progress, truncate_models, as_version_1])
+def drop_stats_n(payload):
+    del payload["stats"]["n"]
+
+
+def as_list(payload):
+    return [payload]
+
+
+@pytest.mark.parametrize(
+    "mangle", [drop_progress, truncate_models, as_version_1, drop_stats_n, as_list]
+)
 def test_resume_from_malformed_snapshot_is_data_error(tmp_path, clean_csv, mangle):
     snap = tmp_path / "snap.json"
     base = ["clean", "--input", clean_csv, "--batches", "4"]
     assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
     payload = json.loads(snap.read_text())
-    mangle(payload)
-    snap.write_text(json.dumps(payload))
+    mangled = mangle(payload)
+    snap.write_text(json.dumps(payload if mangled is None else mangled))
     assert run(base + ["--resume", snap]) == 2

@@ -7,17 +7,16 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from increpair.errors import DataError
-from increpair.featurize import (
-    Featurizer,
-    generate_domain,
-    generate_feature_vector,
-    tensor_slots,
-)
+from increpair.featurize import Featurizer, tensor_slots
 from increpair.relation import NULL_ID, CellRef, RawBatch, RelationStore, Schema
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
 from conftest import GOLDEN_ATTRS, GOLDEN_ROWS, build_store
+from featurize_oracle import generate_domain, generate_feature_vector
 
 REGION, CODE = 0, 1
 
@@ -107,6 +106,12 @@ class TestDomain:
             generate_domain(CellRef(0, CODE), values, stats, corr, omega=-0.1)
         with pytest.raises(DataError):
             generate_domain(CellRef(0, CODE), values, stats, corr, cap=0)
+        with pytest.raises(DataError):
+            Featurizer(stats, corr, omega=1.0)
+        with pytest.raises(DataError):
+            Featurizer(stats, corr, omega=-0.1)
+        with pytest.raises(DataError):
+            Featurizer(stats, corr, cap=0)
 
     def test_candidates_sorted_ascending(self, golden):
         store, stats, corr = golden
@@ -192,3 +197,86 @@ class TestTensorSlots:
         domain = featurizer.domain(CellRef(0, CODE), store.tuple_values(0))
         tensor = featurizer.tensor(domain, store.tuple_values(0))
         assert tensor.values.shape == (4, 2)  # 4 distinct codes
+
+
+VALUES = (None, "a", "b", "c", "d", "e")
+
+
+@st.composite
+def featurize_cases(draw):
+    """A random relation, statistics over a prefix of it (so later rows can
+    hold values the counts have never seen), thresholds and a cell pool."""
+    n_attrs = draw(st.integers(2, 4))
+    columns = [st.sampled_from(VALUES[: draw(st.integers(1, 6))]) for _ in range(n_attrs)]
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=30))
+    counted = draw(st.integers(1, len(rows)))
+    correlations = [
+        [1.0 if i == j else draw(st.floats(0.0, 1.0)) for j in range(n_attrs)]
+        for i in range(n_attrs)
+    ]
+    omega = draw(st.floats(0.0, 1.0, exclude_max=True))
+    cap = draw(st.integers(1, 6))
+    attr = draw(st.integers(0, n_attrs - 1))
+    tids = draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
+    return rows, counted, correlations, omega, cap, attr, tids
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBatchedMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(featurize_cases())
+    def test_block_domain_and_tensor_equal_scalar_oracle(self, case):
+        rows, counted, correlations, omega, cap, attr, tids = case
+        store = build_store(rows, [f"c{i}" for i in range(len(rows[0]))])
+        stats = StatsStore(store.n_attrs)
+        stats.ingest([list(store.tuple_values(t)) for t in range(counted)])
+        featurizer = Featurizer(stats, correlations, omega, cap)
+        slots = tensor_slots(stats, attr, cap)
+
+        expected = []  # (tid, domain, tensor) of every multi-candidate cell
+        stale = False
+        for tid in tids:
+            values = store.tuple_values(tid)
+            cell = CellRef(tid, attr)
+            domain = generate_domain(cell, values, stats, correlations, omega, cap)
+            assert featurizer.domain(cell, values) == domain
+            try:
+                tensor = generate_feature_vector(domain, values, stats, slots)
+            except DataError:
+                with pytest.raises(DataError):
+                    featurizer.tensor(domain, values)
+                stale |= domain.size >= 2
+                continue
+            one = featurizer.tensor(domain, values)
+            assert same_bits(one.values, tensor.values)
+            assert np.array_equal(one.mask, tensor.mask)
+            if domain.size >= 2:
+                expected.append((tid, domain, tensor))
+
+        cell_rows = [store.tuple_values(tid) for tid in tids]
+        if stale:
+            with pytest.raises(DataError):
+                featurizer.block(attr, tids, cell_rows)
+            return
+        block = featurizer.block(attr, tids, cell_rows)
+        assert len(block) == len(expected)
+        assert block.tids.tolist() == [tid for tid, _, _ in expected]
+        assert block.values.shape == (len(expected), slots, store.n_attrs)
+        assert block.values.flags.c_contiguous
+        for i, (_, domain, tensor) in enumerate(expected):
+            size = int(block.sizes[i])
+            assert size == domain.size
+            assert tuple(block.candidates[i, :size].tolist()) == domain.candidates
+            assert not block.candidates[i, size:].any()
+            assert block.observed_index[i] == domain.observed_index
+            assert same_bits(block.values[i], tensor.values)
+            assert np.array_equal(block.mask[i], tensor.mask)
+
+    def test_empty_pool(self, golden):
+        store, stats, corr = golden
+        block = Featurizer(stats, corr, omega=0.0).block(CODE, [], [])
+        assert len(block) == 0
+        assert block.values.shape == (0, 4, 2)

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from increpair.errors import DataError
-from increpair.featurize import CellDomain, FeatureTensor, Featurizer
+from increpair.featurize import CellDomain, FeatureBlock, FeatureTensor, Featurizer
 from increpair.models import (
     AttributeModel,
     Hyperparams,
-    TrainingExample,
     _loss_and_grad,
     build_training_set,
     predict,
@@ -36,6 +35,18 @@ def make_tensor(values, mask=None, attr=0, observed_index=0):
     size = int(mask.sum())
     domain = CellDomain(CellRef(0, attr), tuple(range(1, size + 1)), observed_index)
     return FeatureTensor(values, mask, domain)
+
+
+def make_block(tensors, labels, n_attrs=2, slots=2):
+    """A feature block whose cells are the given tensors, labeled as given."""
+    return FeatureBlock(
+        tids=np.arange(len(tensors)),
+        candidates=np.zeros((len(tensors), slots), dtype=np.int32),
+        sizes=np.array([t.domain.size for t in tensors], dtype=np.intp),
+        observed_index=np.array(labels, dtype=np.intp),
+        values=np.stack([t.values for t in tensors]) if tensors else np.zeros((0, slots, n_attrs)),
+        mask=np.stack([t.mask for t in tensors]) if tensors else np.zeros((0, slots), dtype=bool),
+    )
 
 
 class TestHyperparams:
@@ -92,10 +103,10 @@ class TestPredict:
 
 class TestTrain:
     def test_uniform_start_loss_is_log_domain_size(self):
-        examples = [
-            TrainingExample(make_tensor([[0.9, 0.0], [0.1, 0.0]]), 0),
-            TrainingExample(make_tensor([[0.8, 0.0], [0.3, 0.0]]), 0),
-        ]
+        examples = make_block(
+            [make_tensor([[0.9, 0.0], [0.1, 0.0]]), make_tensor([[0.8, 0.0], [0.3, 0.0]])],
+            [0, 0],
+        )
         model = AttributeModel.fresh(0, 2)
         report = train(model, examples, Hyperparams(epochs=1, learning_rate=0.1))
         assert report.initial_loss == pytest.approx(math.log(2), abs=1e-12)
@@ -103,22 +114,22 @@ class TestTrain:
     def test_learns_separable_fixture(self):
         # observed candidate always carries the larger co-occurrence ratio
         rng = random.Random(0)
-        examples = []
+        tensors, labels = [], []
         for _ in range(40):
             high, low = 0.6 + 0.3 * rng.random(), 0.2 * rng.random()
-            examples.append(TrainingExample(make_tensor([[high, 0.0], [low, 0.0]]), 0))
+            tensors.append(make_tensor([[high, 0.0], [low, 0.0]]))
+            labels.append(0)
         model = AttributeModel.fresh(0, 2)
-        report = train(model, examples, Hyperparams(epochs=200, learning_rate=0.5))
+        hp = Hyperparams(epochs=200, learning_rate=0.5)
+        report = train(model, make_block(tensors, labels), hp)
         assert report.improved
         assert report.final_loss < report.initial_loss
-        hits = sum(
-            predict(model, example.tensor)[1] == example.label for example in examples
-        )
-        assert hits == len(examples)
+        hits = sum(predict(model, tensor)[1] == label for tensor, label in zip(tensors, labels))
+        assert hits == len(tensors)
         assert model.weights[0] > 0.0
 
     def test_loss_history_and_report_shape(self):
-        examples = [TrainingExample(make_tensor([[0.9, 0.0], [0.1, 0.0]]), 0)]
+        examples = make_block([make_tensor([[0.9, 0.0], [0.1, 0.0]])], [0])
         model = AttributeModel.fresh(0, 2)
         report = train(model, examples, Hyperparams(epochs=5, learning_rate=0.1))
         assert len(model.loss_history) == 6  # per-epoch plus final
@@ -126,10 +137,10 @@ class TestTrain:
         assert report.epochs == 5
 
     def test_deterministic(self):
-        examples = [
-            TrainingExample(make_tensor([[0.9, 0.2], [0.1, 0.6]]), 0),
-            TrainingExample(make_tensor([[0.3, 0.8], [0.6, 0.1]]), 1),
-        ]
+        examples = make_block(
+            [make_tensor([[0.9, 0.2], [0.1, 0.6]]), make_tensor([[0.3, 0.8], [0.6, 0.1]])],
+            [0, 1],
+        )
         one = AttributeModel.fresh(0, 2)
         other = AttributeModel.fresh(0, 2)
         train(one, examples, Hyperparams())
@@ -138,16 +149,16 @@ class TestTrain:
 
     def test_empty_examples_rejected(self):
         with pytest.raises(DataError):
-            train(AttributeModel.fresh(0, 2), [], Hyperparams())
+            train(AttributeModel.fresh(0, 2), make_block([], []), Hyperparams())
 
     def test_label_outside_domain_rejected(self):
-        examples = [TrainingExample(make_tensor([[0.9, 0.0], [0.1, 0.0]]), 5)]
+        examples = make_block([make_tensor([[0.9, 0.0], [0.1, 0.0]])], [5])
         with pytest.raises(DataError, match="label"):
             train(AttributeModel.fresh(0, 2), examples, Hyperparams())
 
     def test_nonfinite_loss_names_epoch(self):
         # a feature value beyond float range turns the logits non-finite at once
-        examples = [TrainingExample(make_tensor([[1e308, 1e308], [0.0, 0.0]]), 1)]
+        examples = make_block([make_tensor([[1e308, 1e308], [0.0, 0.0]])], [1])
         with pytest.raises(DataError, match="epoch 0"):
             train(AttributeModel(0, np.array([1e308, 1e308])), examples, Hyperparams())
 
@@ -199,8 +210,11 @@ class TestBuildTrainingSet:
         examples = build_training_set(store, 1, featurizer)
         # region-h rows have multi-candidate code domains; region-i rows are singleton d
         assert len(examples) == 4
-        for example in examples:
-            assert example.label == example.tensor.domain.observed_index
+        assert examples.tids.tolist() == [0, 1, 3, 4]
+        for i, tid in enumerate(examples.tids.tolist()):
+            domain = featurizer.domain(CellRef(tid, 1), store.tuple_values(tid))
+            assert examples.observed_index[i] == domain.observed_index
+            assert examples.candidates[i, examples.observed_index[i]] == store.value(tid, 1)
 
     def test_dirty_cells_excluded(self, trainable_world):
         store, featurizer = trainable_world
@@ -212,15 +226,14 @@ class TestBuildTrainingSet:
         one = build_training_set(store, 1, featurizer, limit=2, rng=random.Random(9))
         two = build_training_set(store, 1, featurizer, limit=2, rng=random.Random(9))
         assert len(one) <= 2
-        assert [e.label for e in one] == [e.label for e in two]
-        assert all(
-            np.array_equal(a.tensor.values, b.tensor.values) for a, b in zip(one, two)
-        )
+        assert one.tids.tolist() == two.tids.tolist()
+        assert one.observed_index.tolist() == two.observed_index.tolist()
+        assert np.array_equal(one.values, two.values)
 
     def test_scoped_to_given_tids(self, trainable_world):
         store, featurizer = trainable_world
         examples = build_training_set(store, 1, featurizer, tids=[2, 5])
-        assert examples == []  # both are singleton-domain cells
+        assert len(examples) == 0  # both are singleton-domain cells
 
 
 class TestRepairCells:
@@ -246,3 +259,29 @@ class TestRepairCells:
         )
         (_, vid), = proposals
         assert store.interner.resolve(1, vid) == "b"
+
+    def test_matches_one_cell_prediction_in_pool_order(self):
+        rng = random.Random(3)
+        rows = [
+            (f"r{rng.randint(0, 3)}", f"c{rng.randint(0, 5)}", f"d{rng.randint(0, 2)}")
+            for _ in range(60)
+        ]
+        store = build_store(rows, ("p", "q", "r"))
+        stats = StatsStore(3)
+        stats.ingest([list(store.tuple_values(t)) for t in range(store.n_tuples)])
+        featurizer = Featurizer(stats, correlation_matrix(stats, scratch_accumulator(stats)), 0.0)
+        weights = np.random.default_rng(3).normal(size=(3, 3))
+        models = [AttributeModel(attr, weights[attr]) for attr in range(3)]
+        cells = [CellRef(tid, attr) for tid in range(store.n_tuples) for attr in range(3)]
+        rng.shuffle(cells)
+        expected = []
+        for cell in cells:
+            values = store.tuple_values(cell.tid)
+            domain = featurizer.domain(cell, values)
+            if domain.size >= 2:
+                _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
+                expected.append((cell, domain.candidates[best]))
+        proposals, skipped = repair_cells(models, cells, store, featurizer)
+        assert proposals == expected
+        assert all(type(vid) is int for _, vid in proposals)
+        assert skipped == len(cells) - len(expected)

@@ -295,3 +295,60 @@ class TestExportAndSerialization:
             [clone.canonical(tid, attr) for attr in range(2)] for tid in range(clone.n_tuples)
         ]
         assert current == [[r[0], r[1]] for r in rows]
+
+
+def scanned_dirty(store, tids=None):
+    """Dirty cells found by reading every status byte, the reference for the index."""
+    scope = range(store.n_tuples) if tids is None else sorted(set(tids))
+    return [
+        CellRef(tid, attr)
+        for tid in scope
+        for attr in range(store.n_attrs)
+        if store.status(tid, attr) is CellStatus.DIRTY
+    ]
+
+
+def check_dirty_index(store, tids):
+    assert store.dirty_cells() == scanned_dirty(store)
+    assert store.dirty_cells(tids) == scanned_dirty(store, tids)
+    for attr in range(store.n_attrs):
+        dirty = {cell.tid for cell in scanned_dirty(store) if cell.attr == attr}
+        expected = [tid for tid in range(store.n_tuples) if tid not in dirty]
+        assert store.trainable_tids(attr) == expected
+        assert store.trainable_tids(attr, tids) == [t for t in sorted(set(tids)) if t not in dirty]
+
+
+N_ROWS, N_ATTRS = 12, 3
+cells = st.builds(CellRef, st.integers(0, N_ROWS - 1), st.integers(0, N_ATTRS - 1))
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("mark"), st.lists(cells, max_size=8)),
+        st.tuples(st.just("repair"), st.lists(st.integers(0, 50), max_size=6)),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("round_trip"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+class TestDirtyIndex:
+    @given(operations, st.lists(st.integers(0, N_ROWS - 1), max_size=6))
+    def test_index_equals_status_scan(self, ops, tids):
+        rows = [
+            tuple(f"v{(tid * 7 + attr) % 4}" for attr in range(N_ATTRS)) for tid in range(N_ROWS)
+        ]
+        store = build_store(rows, [f"a{attr}" for attr in range(N_ATTRS)])
+        for op, arg in ops:
+            if op == "mark":
+                store.mark_dirty(arg)
+            elif op == "repair":
+                dirty = scanned_dirty(store)
+                picked = sorted({dirty[i % len(dirty)] for i in arg}) if dirty else []
+                values = [1 + cell.tid % (store.interner.size(cell.attr) - 1) for cell in picked]
+                store.apply_repairs(zip(picked, values))
+            elif op == "reset":
+                expected = len(scanned_dirty(store))
+                assert store.reset_dirty() == expected
+            else:
+                store = RelationStore.from_dict(store.to_dict())
+            check_dirty_index(store, tids)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,41 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError, match="1 models for 2 attributes"):
             load_run(path)
 
+    @pytest.mark.parametrize(
+        "section, inner",
+        [
+            ("stats", "n"),
+            ("entropy", "h"),
+            ("models", "weights"),
+            ("skipper", "saved"),
+            ("store", "rows"),
+            ("strategy", "kind"),
+        ],
+    )
+    def test_section_missing_inner_key_is_data_error(self, tmp_path, section, inner):
+        path, payload = self.saved(tmp_path)
+        where = payload[section][1] if section == "models" else payload[section]
+        del where[inner]
+        path.write_text(json.dumps(payload))
+        name = "models[1]" if section == "models" else section
+        with pytest.raises(DataError, match=rf"malformed {re.escape(name)} section"):
+            load_run(path)
+
+    @pytest.mark.parametrize("section", ["stats", "entropy", "skipper", "store", "progress"])
+    def test_section_of_wrong_type_is_data_error(self, tmp_path, section):
+        path, payload = self.saved(tmp_path)
+        payload[section] = [1, 2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_run(path)
+
+    @pytest.mark.parametrize("loader", [load_run, load_store])
+    def test_payload_that_is_not_an_object_is_data_error(self, tmp_path, loader):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"format": "increpair-snapshot"}]))
+        with pytest.raises(DataError, match="not an object"):
+            loader(path)
+
     def test_version_1_snapshot_is_rejected(self, tmp_path):
         # v1 strategies carried kl_floor and hyperparams.seed
         path, payload = self.saved(tmp_path)
@@ -204,3 +242,48 @@ class TestRunSnapshotValidation:
             state.true_errors,
             state.remaining_errors,
         )
+
+
+class HalfWriter:
+    """A file handle whose write stores half the text, then fails as a full disk would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        strategy = TestRunSnapshots.strategy
+        state = fresh_run(strategy)
+        batches = make_batches(STREAM_ROWS, count=4)
+        run_stream(state, strategy, batches[:2])
+        path = tmp_path / "run.json"
+        save_run(state, path)
+        before = path.read_bytes()
+
+        run_stream(state, strategy, batches[2:])
+        real_open = Path.open
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return HalfWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        with pytest.raises(OSError, match="No space"):
+            save_run(state, path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        restored, _ = load_run(path)
+        assert restored.batches_done == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
