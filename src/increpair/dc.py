@@ -78,6 +78,31 @@ class DenialConstraint:
                 keys.append((first.attr, second.attr))
         return tuple(sorted(set(keys)))
 
+    @cached_property
+    def fd_shape(self) -> tuple[tuple[int, ...], int] | None:
+        """(key attrs, right-hand attr) when the rule is the FD `keys -> rhs`.
+
+        That is: every predicate compares t1.a with t2.a on one attribute a,
+        at least one is EQ, exactly one is NEQ, and the NEQ attribute is not a
+        key.  Any other rule gives None.
+        """
+        keys: set[int] = set()
+        rhs: list[int] = []
+        for pred in self.predicates:
+            if not (
+                isinstance(pred.rhs, TupleRef)
+                and pred.lhs.var != pred.rhs.var
+                and pred.lhs.attr == pred.rhs.attr
+            ):
+                return None
+            if pred.op == "EQ":
+                keys.add(pred.lhs.attr)
+            else:
+                rhs.append(pred.lhs.attr)
+        if not keys or len(rhs) != 1 or rhs[0] in keys:
+            return None
+        return tuple(sorted(keys)), rhs[0]
+
 
 class _Scanner:
     def __init__(self, text: str, line: int | None = None):
@@ -228,6 +253,39 @@ def _group(dc: DenialConstraint, t1: int, t2: int | None) -> frozenset[CellRef]:
     return frozenset(cells)
 
 
+def _fd_violations(
+    dc: DenialConstraint,
+    store: RelationStore,
+    probe_tids: list[int],
+    reference_tids: list[int],
+) -> set[frozenset[CellRef]]:
+    """`violations` for an FD-shaped rule: bucket by key, then by right-hand value.
+
+    A null key or right-hand cell takes no part, as in the pairwise path.  The
+    rule is symmetric in t1 and t2, so each violating pair is one group.
+    """
+    keys, rhs = dc.fd_shape
+    buckets: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    for tid in probe_tids + reference_tids:
+        row = store.tuple_values(tid)
+        key = tuple(row[attr] for attr in keys)
+        if row[rhs] != NULL_ID and NULL_ID not in key:
+            buckets.setdefault(key, {}).setdefault(row[rhs], []).append(tid)
+    probe = set(probe_tids)
+    groups: set[frozenset[CellRef]] = set()
+    for classes in buckets.values():
+        if len(classes) < 2:
+            continue
+        for value, members in classes.items():
+            for t in members:
+                if t not in probe:
+                    continue
+                for other, others in classes.items():
+                    if other != value:
+                        groups.update(_group(dc, t, u) for u in others)
+    return groups
+
+
 def violations(
     dc: DenialConstraint,
     store: RelationStore,
@@ -238,8 +296,16 @@ def violations(
 
     Pair constraints consider every unordered pair with at least one tuple in
     `probe` and the other in `probe` or `reference`; the probe tuple may play
-    either role.  Cross-tuple EQ predicates are used as hash-join keys, so the
-    quadratic pair scan only happens within matching buckets.
+    either role.
+
+    An FD-shaped rule (see `DenialConstraint.fd_shape`) takes one pass that
+    buckets the tuples by key and then by right-hand value; only a key
+    holding two or more right-hand values emits groups.  That costs
+    O(|probe| + |reference| + violating pairs) and gives the same groups as
+    the pairwise path.  Every other rule takes the pairwise path:
+    cross-tuple EQ predicates are used as hash-join keys, and each pair in a
+    matching bucket is tested in both orders, so it costs O(sum of squared
+    bucket sizes).
     """
     probe_tids = sorted(set(probe))
     for tid in probe_tids:
@@ -256,6 +322,8 @@ def violations(
     for tid in reference_tids:
         if not 0 <= tid < store.n_tuples:
             raise DataError(f"tuple id {tid} is out of range")
+    if dc.fd_shape is not None:
+        return _fd_violations(dc, store, probe_tids, reference_tids)
     groups: set[frozenset[CellRef]] = set()
     decided: set[tuple[int, int]] = set()
 
@@ -274,19 +342,27 @@ def violations(
     if keys:
         t1_attrs = [pair[0] for pair in keys]
         t2_attrs = [pair[1] for pair in keys]
+        # value ids are interned per attribute, so a key joining two different
+        # attributes compares strings
+        cross = [first != second for first, second in keys]
 
-        def key_of(tid: int, attrs: list[int]) -> tuple[int, ...] | None:
+        def key_of(tid: int, attrs: list[int]) -> tuple[int | str, ...] | None:
             row = store.tuple_values(tid)
             values = tuple(row[attr] for attr in attrs)
-            return None if NULL_ID in values else values
+            if NULL_ID in values:
+                return None
+            return tuple(
+                store.interner.resolve(attr, vid) if by_string else vid
+                for attr, vid, by_string in zip(attrs, values, cross)
+            )
 
         # bucket everything by its key in the t2 role
-        by_t2: dict[tuple[int, ...], list[int]] = {}
+        by_t2: dict[tuple[int | str, ...], list[int]] = {}
         for tid in probe_tids + reference_tids:
             key = key_of(tid, t2_attrs)
             if key is not None:
                 by_t2.setdefault(key, []).append(tid)
-        by_t1_ref: dict[tuple[int, ...], list[int]] = {}
+        by_t1_ref: dict[tuple[int | str, ...], list[int]] = {}
         for tid in reference_tids:
             key = key_of(tid, t1_attrs)
             if key is not None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .featurize import FeatureBlock, Featurizer, FeatureTensor
 from .relation import CellRef, RelationStore
 
@@ -28,9 +28,9 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise DataError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .pipeline import RunState, Strategy
 from .relation import RelationStore
 from .skipper import SkipperState
@@ -83,10 +83,14 @@ def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, .
 
 
 def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload) -> T:
-    """Restore one snapshot section, reporting any malformed content as a DataError."""
+    """Restore one snapshot section, reporting any malformed content as a DataError.
+
+    A setting the section holds but the engine rejects (say `epochs: 0`) is
+    malformed snapshot content too, so a ConfigError becomes a DataError here.
+    """
     try:
         return restore(payload)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise DataError(f"snapshot {path} has a malformed {name} section: {exc!r}") from exc
 
 

@@ -118,6 +118,19 @@ class TestErrorsAndExitCodes:
              "--batches", "2", "--detectors", "perfect"]
         ) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1")])
+    def test_bad_training_setting_is_config_error(self, clean_csv, flag, value):
+        assert run(
+            ["clean", "--input", clean_csv, "--strategy", "ihc",
+             "--batches", "2", flag, value]
+        ) == 1
+
+    def test_bad_training_setting_from_env_is_config_error(self, clean_csv, monkeypatch):
+        monkeypatch.setenv("INCREPAIR_EPOCHS", "0")
+        assert run(
+            ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"]
+        ) == 1
+
 
 class TestEnvironmentOverrides:
     def test_env_supplies_strategy(self, tmp_path, clean_csv, monkeypatch):
@@ -259,8 +272,25 @@ def as_list(payload):
     return [payload]
 
 
+def zero_train_limit(payload):
+    payload["strategy"]["train_limit"] = 0
+
+
+def zero_epochs(payload):
+    payload["strategy"]["hyperparams"]["epochs"] = 0
+
+
 @pytest.mark.parametrize(
-    "mangle", [drop_progress, truncate_models, as_version_1, drop_stats_n, as_list]
+    "mangle",
+    [
+        drop_progress,
+        truncate_models,
+        as_version_1,
+        drop_stats_n,
+        as_list,
+        zero_train_limit,
+        zero_epochs,
+    ],
 )
 def test_resume_from_malformed_snapshot_is_data_error(tmp_path, clean_csv, mangle):
     snap = tmp_path / "snap.json"

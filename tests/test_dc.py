@@ -6,7 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from increpair import dc as dc_module
 from increpair.dc import (
     Const,
     DenialConstraint,
@@ -17,6 +20,7 @@ from increpair.dc import (
     violations,
     _satisfies,
 )
+from increpair.detectors import DetectionScope, detect_dc
 from increpair.errors import DataError, ParseError
 from increpair.relation import CellRef, Schema
 
@@ -196,6 +200,19 @@ class TestViolations:
         with pytest.raises(DataError):
             violations(self.pair_dc, self.store, [0], reference=[99])
 
+    def test_cross_attribute_join_compares_strings(self):
+        # "mercy" is a different value id under hospital_name than under facility_type
+        dc = parse_dc(
+            "EQ(t1.hospital_name,t2.facility_type)&NEQ(t1.zip_code,t2.zip_code)", SCHEMA
+        )
+        store = build_store(
+            [("grace", "1", "mercy"), ("mercy", "2", "clinic")], SCHEMA.attributes
+        )
+        assert violations(dc, store, range(2)) == {
+            frozenset({CellRef(1, 0), CellRef(1, 1), CellRef(0, 1), CellRef(0, 2)})
+        }
+        assert violations(dc, store, [0], reference=[1]) == brute_force(dc, store, [0], [1])
+
     def test_constraint_without_join_key(self):
         dc = parse_dc("NEQ(t1.zip_code,t2.zip_code)", SCHEMA)
         groups = violations(dc, self.store, range(self.store.n_tuples))
@@ -244,3 +261,126 @@ def test_symmetric_constraint_is_role_invariant():
     for tid in range(30):
         union |= violations(dc, store, [tid], reference=set(range(30)) - {tid})
     assert union == full
+
+
+# --- the FD pass: FD-shaped rules against the pairwise oracle ---------------
+
+FD_SCHEMA = Schema(("p", "q", "r", "s"))
+FD_VALUES = (None, "v0", "v1", "v2", "v3")
+
+
+@st.composite
+def fd_cases(draw):
+    """A random FD-shaped rule, relation, probe/reference split and repairs."""
+    keys = draw(st.lists(st.sampled_from("prs"), min_size=1, max_size=2, unique=True))
+    terms = [("EQ", key) for key in keys] + [("NEQ", "q")]
+    terms = draw(st.permutations(terms))
+    text = "&".join(
+        f"{op}(t2.{attr},t1.{attr})" if draw(st.booleans()) else f"{op}(t1.{attr},t2.{attr})"
+        for op, attr in terms
+    )
+    width = draw(st.integers(1, len(FD_VALUES)))
+    row = st.tuples(*[st.sampled_from(FD_VALUES[:width])] * len(FD_SCHEMA.attributes))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    # each tuple is probe, reference, or neither
+    roles = draw(st.lists(st.sampled_from("prn"), min_size=len(rows), max_size=len(rows)))
+    repairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(rows) - 1),
+                st.integers(0, len(FD_SCHEMA.attributes) - 1),
+                st.integers(0, width - 1),
+            ),
+            max_size=10,
+        )
+    )
+    return text, rows, roles, repairs
+
+
+def expected_flags(groups, probe, flag_reference):
+    return {
+        cell
+        for group in groups
+        for cell in group
+        if cell.tid in probe or flag_reference
+    }
+
+
+class TestFdPass:
+    @settings(max_examples=300, deadline=None)
+    @given(fd_cases())
+    def test_matches_pairwise_oracle(self, case):
+        text, rows, roles, repairs = case
+        dc = parse_dc(text, FD_SCHEMA, dc_id="fd")
+        assert dc.fd_shape is not None
+        store = build_store(rows, FD_SCHEMA.attributes)
+        probe = [tid for tid, role in enumerate(roles) if role == "p"]
+        reference = [tid for tid, role in enumerate(roles) if role == "r"]
+
+        def check():
+            want = brute_force(dc, store, probe, reference)
+            assert violations(dc, store, probe, reference) == want
+            for flag_reference in (False, True):
+                scope = DetectionScope.over(probe, reference, flag_reference)
+                dirty = detect_dc(store, [dc], scope)
+                assert set(dirty.cells()) == expected_flags(want, set(probe), flag_reference)
+                assert all(dirty.tags(cell) == {"fd"} for cell in dirty.cells())
+
+        check()
+        # detection reads post-repair values
+        # a cell repaired twice keeps its last value
+        fixes = {
+            CellRef(tid, attr): store.interner.intern(attr, FD_VALUES[vid])
+            for tid, attr, vid in repairs
+        }
+        store.mark_dirty(fixes)
+        store.apply_repairs(fixes.items())
+        check()
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)", ((0,), 1)),
+            ("NEQ(t2.q,t1.q)&EQ(t2.r,t1.r)&EQ(t1.p,t2.p)", ((0, 2), 1)),
+            ("EQ(t1.p,t2.p)&EQ(t2.p,t1.p)&NEQ(t1.s,t2.s)", ((0,), 3)),
+            ("EQ(t1.p,t2.p)&NEQ(t1.p,t2.p)", None),  # NEQ on a key attribute
+            ("EQ(t1.p,t2.q)&NEQ(t1.r,t2.r)", None),  # cross-attribute comparison
+            ('EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)&EQ(t1.r,"v0")', None),  # constant
+            ("EQ(t1.p,t2.p)&NEQ(t1.p,t1.q)", None),  # one-tuple predicate
+            ("NEQ(t1.q,t2.q)", None),  # no EQ key
+            ("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)&NEQ(t1.r,t2.r)", None),  # two NEQs
+            ('EQ(t1.p,"v0")', None),
+        ],
+    )
+    def test_fd_shape_classification(self, text, shape):
+        dc = parse_dc(text, FD_SCHEMA)
+        assert dc.fd_shape == shape
+        rng = random.Random(text)
+        for trial in range(30):
+            n = rng.randint(2, 20)
+            rows = [tuple(rng.choice(FD_VALUES[:4]) for _ in range(4)) for _ in range(n)]
+            store = build_store(rows, FD_SCHEMA.attributes)
+            roles = [rng.choice("prn") for _ in range(n)]
+            probe = [tid for tid in range(n) if roles[tid] == "p"]
+            reference = [tid for tid in range(n) if roles[tid] == "r"]
+            got = violations(dc, store, probe, reference)
+            assert got == brute_force(dc, store, probe, reference), (trial, rows, roles)
+
+    def test_single_bucket_never_evaluates_pairs(self, monkeypatch):
+        rows = [("k", f"v{tid % 5}", "x", "y") for tid in range(200)]
+        store = build_store(rows, FD_SCHEMA.attributes)
+        fd = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)", FD_SCHEMA)
+        general = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
+        want = brute_force(fd, store, range(200))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _satisfies(*args)
+
+        monkeypatch.setattr(dc_module, "_satisfies", counting)
+        assert violations(fd, store, range(200)) == want
+        assert len(want) == 200 * 160 // 2
+        assert calls == []
+        violations(general, store, range(200))
+        assert calls  # the wrapper does see the pairwise path

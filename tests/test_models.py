@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from increpair.errors import DataError
+from increpair.errors import ConfigError, DataError
 from increpair.featurize import CellDomain, FeatureBlock, FeatureTensor, Featurizer
 from increpair.models import (
     AttributeModel,
@@ -56,9 +56,9 @@ class TestHyperparams:
         assert hp.learning_rate == 0.1
 
     def test_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             Hyperparams(epochs=0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             Hyperparams(learning_rate=0.0)
 
 
