@@ -10,7 +10,7 @@ batches, optionally skipping retraining when an attribute's value
 distribution has barely moved.
 """
 
-from .detectors import DETECTOR_NAMES, DetectionScope, DirtySet, run_detectors
+from .detectors import DETECTOR_NAMES, DetectionScope, run_detectors
 from .dc import DenialConstraint, parse_dc, parse_dc_file, violations
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .featurize import Featurizer
@@ -61,7 +61,6 @@ __all__ = [
     "DataError",
     "DenialConstraint",
     "DetectionScope",
-    "DirtySet",
     "ERROR_KINDS",
     "EntropyAccumulator",
     "Featurizer",

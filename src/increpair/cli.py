@@ -184,6 +184,9 @@ def cmd_clean(ns: argparse.Namespace) -> int:
     batch_size = _resolve(ns.batch_size, "BATCH_SIZE", int, None)
     if (batches_count is None) == (batch_size is None):
         raise ConfigError("exactly one of --batches or --batch-size is required")
+    for flag, value in (("--batches", batches_count), ("--batch-size", batch_size)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     tuning = _tuning(ns)
 
     schema, rows = load_csv(ns.input, tokens)

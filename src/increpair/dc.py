@@ -1,5 +1,6 @@
 """Denial constraints: a small conjunction language of EQ/NEQ predicates over
-one or two tuples, plus an evaluator that finds every violating tuple group.
+one or two tuples, plus an evaluator that finds the cells of the inspected
+tuples that take part in a violation.
 
 A constraint is violated when ALL of its predicates hold simultaneously for
 some tuple (single-tuple constraints) or some tuple pair.  Null cells never
@@ -9,6 +10,7 @@ satisfy is EQ against a constant that is itself a configured null token.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -204,6 +206,8 @@ def parse_dc_file(path, schema: Schema) -> list[DenialConstraint]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open constraint file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"constraint file {path} is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,11 +250,8 @@ def _satisfies(dc: DenialConstraint, store: RelationStore, t1: int, t2: int | No
     return all(_eval_predicate(pred, row1, row2, store) for pred in dc.predicates)
 
 
-def _group(dc: DenialConstraint, t1: int, t2: int | None) -> frozenset[CellRef]:
-    cells = {CellRef(t1, attr) for attr in dc.var_attrs[T1]}
-    if t2 is not None:
-        cells.update(CellRef(t2, attr) for attr in dc.var_attrs[T2])
-    return frozenset(cells)
+def _cells(dc: DenialConstraint, role: int, tid: int) -> list[CellRef]:
+    return [CellRef(tid, attr) for attr in dc.var_attrs[role]]
 
 
 def _fd_violations(
@@ -258,32 +259,80 @@ def _fd_violations(
     store: RelationStore,
     probe_tids: list[int],
     reference_tids: list[int],
-) -> set[frozenset[CellRef]]:
-    """`violations` for an FD-shaped rule: bucket by key, then by right-hand value.
+) -> set[CellRef]:
+    """`violations` for an FD-shaped rule: one pass that buckets by key.
 
-    A null key or right-hand cell takes no part, as in the pairwise path.  The
-    rule is symmetric in t1 and t2, so each violating pair is one group.
+    A null key or right-hand cell takes no part, as in the pairwise path.  A
+    probe tuple in a key holding two or more right-hand values has a partner
+    with another value, and the rule is symmetric in t1 and t2, so its cells
+    are flagged.
     """
     keys, rhs = dc.fd_shape
-    buckets: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    probe = set(probe_tids)
+    values: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
+    members: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
     for tid in probe_tids + reference_tids:
         row = store.tuple_values(tid)
         key = tuple(row[attr] for attr in keys)
-        if row[rhs] != NULL_ID and NULL_ID not in key:
-            buckets.setdefault(key, {}).setdefault(row[rhs], []).append(tid)
-    probe = set(probe_tids)
-    groups: set[frozenset[CellRef]] = set()
-    for classes in buckets.values():
-        if len(classes) < 2:
+        if row[rhs] == NULL_ID or NULL_ID in key:
             continue
-        for value, members in classes.items():
-            for t in members:
-                if t not in probe:
-                    continue
-                for other, others in classes.items():
-                    if other != value:
-                        groups.update(_group(dc, t, u) for u in others)
-    return groups
+        values[key].add(row[rhs])
+        if tid in probe:
+            members[key].append(tid)
+    return {
+        cell
+        for key, tids in members.items()
+        if len(values[key]) > 1
+        for tid in tids
+        for cell in _cells(dc, T1, tid)
+    }
+
+
+def _pair_violations(
+    dc: DenialConstraint,
+    store: RelationStore,
+    probe_tids: list[int],
+    reference_tids: list[int],
+) -> set[CellRef]:
+    """`violations` for any other pair rule: a hash join on the cross-tuple EQ keys.
+
+    Every tuple is bucketed by its key in the t1 role and in the t2 role; a
+    rule without such a key puts every tuple in one bucket under the empty
+    key.  A tuple with a null key cell joins nothing.
+    """
+    keys = dc.join_keys
+    t1_attrs = [first for first, _ in keys]
+    t2_attrs = [second for _, second in keys]
+    # value ids are interned per attribute, so a key joining two different
+    # attributes compares strings
+    cross = [first != second for first, second in keys]
+
+    def key_of(tid: int, attrs: list[int]) -> tuple[int | str, ...] | None:
+        row = store.tuple_values(tid)
+        values = tuple(row[attr] for attr in attrs)
+        if NULL_ID in values:
+            return None
+        return tuple(
+            store.interner.resolve(attr, vid) if by_string else vid
+            for attr, vid, by_string in zip(attrs, values, cross)
+        )
+
+    by_t1: defaultdict[tuple[int | str, ...], list[int]] = defaultdict(list)
+    by_t2: defaultdict[tuple[int | str, ...], list[int]] = defaultdict(list)
+    for tid in probe_tids + reference_tids:
+        for attrs, buckets in ((t1_attrs, by_t1), (t2_attrs, by_t2)):
+            key = key_of(tid, attrs)
+            if key is not None:
+                buckets[key].append(tid)
+    flagged: set[CellRef] = set()
+    for tid in probe_tids:
+        partners = by_t2.get(key_of(tid, t1_attrs), ())
+        if any(u != tid and _satisfies(dc, store, tid, u) for u in partners):
+            flagged.update(_cells(dc, T1, tid))
+        partners = by_t1.get(key_of(tid, t2_attrs), ())
+        if any(u != tid and _satisfies(dc, store, u, tid) for u in partners):
+            flagged.update(_cells(dc, T2, tid))
+    return flagged
 
 
 def violations(
@@ -291,21 +340,22 @@ def violations(
     store: RelationStore,
     probe: Iterable[int],
     reference: Iterable[int] = (),
-) -> set[frozenset[CellRef]]:
-    """Groups of cells jointly violating `dc`.
+) -> set[CellRef]:
+    """Cells of `probe` tuples that take part in a violation of `dc`.
 
-    Pair constraints consider every unordered pair with at least one tuple in
-    `probe` and the other in `probe` or `reference`; the probe tuple may play
-    either role.
+    A one-tuple rule flags the cells it reads in each probe tuple that
+    satisfies it.  For a pair rule, a probe tuple that plays t1 in a
+    violating ordered pair has its t1 cells flagged, and one that plays t2
+    has its t2 cells flagged.  The partner may come from `probe` or
+    `reference`; a reference tuple's own cells are never flagged.
 
     An FD-shaped rule (see `DenialConstraint.fd_shape`) takes one pass that
-    buckets the tuples by key and then by right-hand value; only a key
-    holding two or more right-hand values emits groups.  That costs
-    O(|probe| + |reference| + violating pairs) and gives the same groups as
-    the pairwise path.  Every other rule takes the pairwise path:
-    cross-tuple EQ predicates are used as hash-join keys, and each pair in a
-    matching bucket is tested in both orders, so it costs O(sum of squared
-    bucket sizes).
+    buckets the tuples by key and keeps each key's right-hand values, so it
+    costs O(|probe| + |reference|).  Every other rule takes the pairwise
+    search: it buckets the tuples by the rule's cross-tuple EQ keys and tests
+    each probe tuple against the partners in its buckets, stopping at the
+    first violating one in each role.  A probe tuple without a violating
+    partner is tested against its whole bucket.
     """
     probe_tids = sorted(set(probe))
     for tid in probe_tids:
@@ -313,9 +363,10 @@ def violations(
             raise DataError(f"tuple id {tid} is out of range")
     if dc.arity == 1:
         return {
-            _group(dc, tid, None)
+            cell
             for tid in probe_tids
             if _satisfies(dc, store, tid, None)
+            for cell in _cells(dc, T1, tid)
         }
 
     reference_tids = sorted(set(reference) - set(probe_tids))
@@ -324,64 +375,4 @@ def violations(
             raise DataError(f"tuple id {tid} is out of range")
     if dc.fd_shape is not None:
         return _fd_violations(dc, store, probe_tids, reference_tids)
-    groups: set[frozenset[CellRef]] = set()
-    decided: set[tuple[int, int]] = set()
-
-    def consider(t: int, u: int) -> None:
-        key = (t, u) if t < u else (u, t)
-        if key in decided:
-            return
-        decided.add(key)
-        # both orderings can violate independently, with different cell groups
-        if _satisfies(dc, store, t, u):
-            groups.add(_group(dc, t, u))
-        if _satisfies(dc, store, u, t):
-            groups.add(_group(dc, u, t))
-
-    keys = dc.join_keys
-    if keys:
-        t1_attrs = [pair[0] for pair in keys]
-        t2_attrs = [pair[1] for pair in keys]
-        # value ids are interned per attribute, so a key joining two different
-        # attributes compares strings
-        cross = [first != second for first, second in keys]
-
-        def key_of(tid: int, attrs: list[int]) -> tuple[int | str, ...] | None:
-            row = store.tuple_values(tid)
-            values = tuple(row[attr] for attr in attrs)
-            if NULL_ID in values:
-                return None
-            return tuple(
-                store.interner.resolve(attr, vid) if by_string else vid
-                for attr, vid, by_string in zip(attrs, values, cross)
-            )
-
-        # bucket everything by its key in the t2 role
-        by_t2: dict[tuple[int | str, ...], list[int]] = {}
-        for tid in probe_tids + reference_tids:
-            key = key_of(tid, t2_attrs)
-            if key is not None:
-                by_t2.setdefault(key, []).append(tid)
-        by_t1_ref: dict[tuple[int | str, ...], list[int]] = {}
-        for tid in reference_tids:
-            key = key_of(tid, t1_attrs)
-            if key is not None:
-                by_t1_ref.setdefault(key, []).append(tid)
-        for tid in probe_tids:
-            key = key_of(tid, t1_attrs)
-            if key is not None:
-                for other in by_t2.get(key, ()):
-                    if other != tid:
-                        consider(tid, other)
-            # reference tuples may also take the t1 role against this probe tuple
-            key = key_of(tid, t2_attrs)
-            if key is not None:
-                for other in by_t1_ref.get(key, ()):
-                    consider(tid, other)
-    else:
-        everyone = probe_tids + reference_tids
-        for tid in probe_tids:
-            for other in everyone:
-                if other != tid:
-                    consider(tid, other)
-    return groups
+    return _pair_violations(dc, store, probe_tids, reference_tids)

@@ -9,7 +9,8 @@ The four strategies are the cells of a 2x2 grid over one engine:
 * incremental -- statistics advance by the batch's count delta, models carry
   over, and the drift skipper (when enabled) decides which attribute models
   retrain.  Otherwise statistics are rebuilt from current (post-repair)
-  values and every model retrains from nothing.
+  values, as one delta applied to empty counts, and every model retrains
+  from nothing.
 * revisit -- detection probes, and repair reaches, every tuple seen so far.
   Otherwise only incoming tuples are detected and repaired; an incremental
   kind still lets prior tuples witness constraint violations.
@@ -60,7 +61,6 @@ from .stats import (
     apply_delta,
     correlation_matrix,
     joint_distribution,
-    scratch_accumulator,
 )
 
 
@@ -266,22 +266,22 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         store.reset_dirty()
     scope = _scope_for(kind, incoming, everything)
     dirty = run_detectors(store, scope, strategy.detectors, dcs=state.dcs, ground_truth=truth)
-    cells_flagged = store.mark_dirty(dirty.cells())
+    cells_flagged = store.mark_dirty(dirty)
     probe_cells = len(scope.probe) * n_attrs
     state.cum_probe_cells += probe_cells
     timings["detect"] = time.perf_counter() - started
 
     # -- statistics ----------------------------------------------------------
     started = time.perf_counter()
-    if kind.incremental:
-        delta = state.stats.ingest(batch.rows)
-        apply_delta(state.entropy, state.stats, delta)
-    else:
+    rows = batch.rows
+    if not kind.incremental:
+        # rebuilt from empty counts along the same delta path; hc-acc
+        # recounts every tuple's current value
         state.stats = StatsStore(n_attrs)
-        state.stats.ingest(
-            [list(store.tuple_values(tid)) for tid in (incoming if isolated else everything)]
-        )
-        state.entropy = scratch_accumulator(state.stats)
+        state.entropy = EntropyAccumulator(n_attrs)
+        if kind.revisit:
+            rows = [store.tuple_values(tid) for tid in everything]
+    apply_delta(state.entropy, state.stats, state.stats.ingest(rows))
     correlations = correlation_matrix(state.stats, state.entropy)
     featurizer = Featurizer(
         state.stats, correlations, strategy.omega, strategy.domain_cap

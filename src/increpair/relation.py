@@ -118,10 +118,6 @@ class Batch:
     k: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.rows)
-
 
 def load_csv(
     path: str | Path,
@@ -135,29 +131,30 @@ def load_csv(
     path = Path(path)
     tokens = frozenset(null_tokens)
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            schema = Schema(tuple(name.strip() for name in header))
+            rows: list[list[str | None]] = []
+            for record in reader:
+                if not record:
+                    continue
+                if len(record) != schema.n_attrs:
+                    raise DataError(
+                        f"{path}: row at line {reader.line_num} has {len(record)} fields,"
+                        f" expected {schema.n_attrs}"
+                    )
+                parsed: list[str | None] = []
+                for field in record:
+                    text = field.strip()
+                    parsed.append(None if text in tokens else text)
+                rows.append(parsed)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        schema = Schema(tuple(name.strip() for name in header))
-        rows: list[list[str | None]] = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != schema.n_attrs:
-                raise DataError(
-                    f"{path}: row at line {reader.line_num} has {len(record)} fields,"
-                    f" expected {schema.n_attrs}"
-                )
-            parsed: list[str | None] = []
-            for field in record:
-                text = field.strip()
-                parsed.append(None if text in tokens else text)
-            rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     return schema, rows
 
 

@@ -65,6 +65,8 @@ def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, .
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot open snapshot {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"snapshot {path} is not valid JSON: {exc}") from exc
     _require(payload, (), f"snapshot {path}")

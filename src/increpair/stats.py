@@ -174,11 +174,6 @@ class EntropyAccumulator:
             raise DataError("conditional entropy needs two distinct attributes")
         return self._h[(x_attr, y_attr)]
 
-    def set_value(self, x_attr: int, y_attr: int, entropy: float) -> None:
-        if x_attr == y_attr:
-            raise DataError("conditional entropy needs two distinct attributes")
-        self._h[(x_attr, y_attr)] = entropy
-
     def to_dict(self) -> dict:
         return {
             "n_attrs": self.n_attrs,

@@ -131,6 +131,41 @@ class TestErrorsAndExitCodes:
             ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"]
         ) == 1
 
+    @pytest.mark.parametrize("flag", ["--batches", "--batch-size"])
+    def test_zero_batches_is_config_error(self, clean_csv, flag):
+        assert run(["clean", "--input", clean_csv, "--strategy", "ihc", flag, "0"]) == 1
+
+    def test_zero_batches_from_env_is_config_error(self, clean_csv, monkeypatch):
+        monkeypatch.setenv("INCREPAIR_BATCHES", "0")
+        assert run(["clean", "--input", clean_csv, "--strategy", "ihc"]) == 1
+
+    def test_more_batches_than_rows_is_data_error(self, clean_csv):
+        # whether a count fits depends on the data, so this one stays exit 2
+        assert run(["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "61"]) == 2
+
+    @pytest.mark.parametrize("role", ["clean-input", "clean-truth", "eval", "inject"])
+    def test_non_utf8_csv_is_data_error(self, tmp_path, clean_csv, role):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(clean_csv.read_bytes().replace(b"city3", b"caf\xe9", 1))
+        argv = {
+            "clean-input": ["clean", "--input", latin, "--strategy", "ihc", "--batches", "2"],
+            "clean-truth": ["clean", "--input", clean_csv, "--ground-truth", latin,
+                            "--strategy", "ihc", "--batches", "2"],
+            "eval": ["eval", "--repaired", clean_csv, "--ground-truth", clean_csv,
+                     "--dirty", latin],
+            "inject": ["inject", "--input", latin, "--out-dirty", tmp_path / "d.csv",
+                       "--out-truth", tmp_path / "t.csv"],
+        }[role]
+        assert run(argv) == 2
+
+    def test_non_utf8_constraint_file_is_parse_error(self, tmp_path, clean_csv):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"EQ(t1.city,t2.city)&NEQ(t1.zip,t2.zip) # caf\xe9\n")
+        assert run(
+            ["clean", "--input", clean_csv, "--strategy", "ihc",
+             "--batches", "2", "--dcs", rules, "--detectors", "null,dc"]
+        ) == 2
+
 
 class TestEnvironmentOverrides:
     def test_env_supplies_strategy(self, tmp_path, clean_csv, monkeypatch):
@@ -299,4 +334,12 @@ def test_resume_from_malformed_snapshot_is_data_error(tmp_path, clean_csv, mangl
     payload = json.loads(snap.read_text())
     mangled = mangle(payload)
     snap.write_text(json.dumps(payload if mangled is None else mangled))
+    assert run(base + ["--resume", snap]) == 2
+
+
+def test_resume_from_non_utf8_snapshot_is_data_error(tmp_path, clean_csv):
+    snap = tmp_path / "snap.json"
+    base = ["clean", "--input", clean_csv, "--batches", "4"]
+    assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+    snap.write_bytes(snap.read_bytes().replace(b'"format"', b'"form\xffat"', 1))
     assert run(base + ["--resume", snap]) == 2

@@ -1,4 +1,8 @@
-"""Constraint language: parsing with positions, evaluation against a brute-force oracle."""
+"""Constraint language: parsing with positions, evaluation against a brute-force oracle.
+
+The oracle lists every violating tuple group; `violations` reports the probe
+tuples' cells in those groups, so every check goes through `probe_cells`.
+"""
 
 from __future__ import annotations
 
@@ -131,6 +135,12 @@ def brute_force(dc: DenialConstraint, store, probe, reference=()):
     return groups
 
 
+def probe_cells(groups, probe):
+    """The cells of the oracle's groups that belong to probe tuples."""
+    probe = set(probe)
+    return {cell for group in groups for cell in group if cell.tid in probe}
+
+
 FIXTURE_ROWS = [
     ("mercy", "10001", "clinic"),
     ("mercy", "10002", "clinic"),   # same name, different zip -> violates the pair rule
@@ -148,20 +158,22 @@ class TestViolations:
         )
 
     def test_pair_violation_flags_four_cells(self):
-        groups = violations(self.pair_dc, self.store, range(self.store.n_tuples))
+        everyone = range(self.store.n_tuples)
+        groups = brute_force(self.pair_dc, self.store, everyone)
         expected_pairs = {(0, 1), (1, 4)}  # tuples 0 and 4 share name AND zip: no violation
         assert len(groups) == len(expected_pairs)
         for group in groups:
             assert len(group) == 4  # name + zip in both tuples
-        assert groups == brute_force(self.pair_dc, self.store, range(self.store.n_tuples))
+        cells = violations(self.pair_dc, self.store, everyone)
+        assert cells == {CellRef(tid, attr) for tid in (0, 1, 4) for attr in (0, 1)}
+        assert cells == probe_cells(groups, everyone)
 
     def test_empty_probe_empty_result(self):
         assert violations(self.pair_dc, self.store, []) == set()
 
     def test_null_constant_flags_single_cell(self):
         dc = parse_dc('EQ(t1.facility_type,"empty")', SCHEMA)
-        groups = violations(dc, self.store, range(self.store.n_tuples))
-        assert groups == {frozenset({CellRef(3, 2)})}
+        assert violations(dc, self.store, range(self.store.n_tuples)) == {CellRef(3, 2)}
 
     def test_null_never_joins_across_tuples(self):
         dc = parse_dc("EQ(t1.facility_type,t2.facility_type)&NEQ(t1.zip_code,t2.zip_code)", SCHEMA)
@@ -173,8 +185,8 @@ class TestViolations:
 
     def test_neq_on_null_cell_is_false(self):
         dc = parse_dc('NEQ(t1.facility_type,"clinic")', SCHEMA)
-        groups = violations(dc, self.store, range(self.store.n_tuples))
-        flagged_tids = {next(iter(g)).tid for g in groups}
+        cells = violations(dc, self.store, range(self.store.n_tuples))
+        flagged_tids = {cell.tid for cell in cells}
         assert 3 not in flagged_tids  # the NULL cell abstains
         assert flagged_tids == {2, 4}
 
@@ -182,17 +194,17 @@ class TestViolations:
         probe = [1]
         reference = [0, 2, 3, 4]
         scoped = violations(self.pair_dc, self.store, probe, reference)
-        assert scoped == brute_force(self.pair_dc, self.store, probe, reference)
-        # every group touches the probe tuple
-        for group in scoped:
-            assert any(cell.tid == 1 for cell in group)
+        assert scoped == probe_cells(brute_force(self.pair_dc, self.store, probe, reference), probe)
+        # only the probe tuple's cells are reported
+        assert scoped == {CellRef(1, 0), CellRef(1, 1)}
 
     def test_probe_tuple_may_take_either_role(self):
         # constraint is asymmetric: only (t1=0-ish, t2=1-ish) ordering satisfies it
         dc = parse_dc('EQ(t1.facility_type,"clinic")&NEQ(t1.zip_code,t2.zip_code)&EQ(t1.hospital_name,t2.hospital_name)', SCHEMA)
-        all_groups = violations(dc, self.store, range(self.store.n_tuples))
+        all_cells = violations(dc, self.store, range(self.store.n_tuples))
         probe_only = violations(dc, self.store, [1], reference=[0, 2, 3, 4])
-        assert probe_only == {g for g in all_groups if any(c.tid == 1 for c in g)}
+        assert probe_only == {cell for cell in all_cells if cell.tid == 1}
+        assert probe_only == probe_cells(brute_force(dc, self.store, [1], [0, 2, 3, 4]), [1])
 
     def test_out_of_range_probe(self):
         with pytest.raises(DataError):
@@ -208,15 +220,20 @@ class TestViolations:
         store = build_store(
             [("grace", "1", "mercy"), ("mercy", "2", "clinic")], SCHEMA.attributes
         )
+        # tuple 1 plays t1 (name, zip), tuple 0 plays t2 (zip, facility_type)
         assert violations(dc, store, range(2)) == {
-            frozenset({CellRef(1, 0), CellRef(1, 1), CellRef(0, 1), CellRef(0, 2)})
+            CellRef(1, 0), CellRef(1, 1), CellRef(0, 1), CellRef(0, 2)
         }
-        assert violations(dc, store, [0], reference=[1]) == brute_force(dc, store, [0], [1])
+        assert violations(dc, store, [0], reference=[1]) == {CellRef(0, 1), CellRef(0, 2)}
+        assert violations(dc, store, [0], reference=[1]) == probe_cells(
+            brute_force(dc, store, [0], [1]), [0]
+        )
 
     def test_constraint_without_join_key(self):
         dc = parse_dc("NEQ(t1.zip_code,t2.zip_code)", SCHEMA)
-        groups = violations(dc, self.store, range(self.store.n_tuples))
-        assert groups == brute_force(dc, self.store, range(self.store.n_tuples))
+        everyone = range(self.store.n_tuples)
+        cells = violations(dc, self.store, everyone)
+        assert cells == probe_cells(brute_force(dc, self.store, everyone), everyone)
 
 
 class TestRandomizedOracle:
@@ -245,7 +262,7 @@ class TestRandomizedOracle:
             probe, reference = tids[split:], tids[:split]
             for dc in rules:
                 got = violations(dc, store, probe, reference)
-                want = brute_force(dc, store, probe, reference)
+                want = probe_cells(brute_force(dc, store, probe, reference), probe)
                 assert got == want, (trial, dc.dc_id, rows)
 
 
@@ -263,22 +280,45 @@ def test_symmetric_constraint_is_role_invariant():
     assert union == full
 
 
-# --- the FD pass: FD-shaped rules against the pairwise oracle ---------------
+# --- both search paths against the pairwise oracle ---------------------------
 
 FD_SCHEMA = Schema(("p", "q", "r", "s"))
 FD_VALUES = (None, "v0", "v1", "v2", "v3")
 
 
 @st.composite
-def fd_cases(draw):
-    """A random FD-shaped rule, relation, probe/reference split and repairs."""
+def fd_rules(draw):
+    """An FD-shaped rule with one or two keys, in random variable and predicate order."""
     keys = draw(st.lists(st.sampled_from("prs"), min_size=1, max_size=2, unique=True))
     terms = [("EQ", key) for key in keys] + [("NEQ", "q")]
     terms = draw(st.permutations(terms))
-    text = "&".join(
+    return "&".join(
         f"{op}(t2.{attr},t1.{attr})" if draw(st.booleans()) else f"{op}(t1.{attr},t2.{attr})"
         for op, attr in terms
     )
+
+
+@st.composite
+def general_rules(draw):
+    """Any rule: cross-attribute keys, constants, one-tuple predicates, no key, many NEQs."""
+    ref = st.tuples(st.sampled_from(("t1", "t2")), st.sampled_from(FD_SCHEMA.attributes))
+    # "" is a null token, so EQ against it matches null cells
+    const = st.sampled_from(("v0", "v1", ""))
+    predicates = []
+    for index in range(draw(st.integers(1, 3))):
+        var, attr = draw(ref)
+        if index == 0:
+            var = "t1"  # a rule must reference t1
+        other = draw(const) if draw(st.integers(0, 3)) == 0 else draw(ref)
+        rhs = f'"{other}"' if isinstance(other, str) else f"{other[0]}.{other[1]}"
+        predicates.append(f"{draw(st.sampled_from(('EQ', 'NEQ')))}({var}.{attr},{rhs})")
+    return "&".join(predicates)
+
+
+@st.composite
+def dc_cases(draw, rules):
+    """A rule drawn from `rules`, a random relation, probe/reference split and repairs."""
+    text = draw(rules)
     width = draw(st.integers(1, len(FD_VALUES)))
     row = st.tuples(*[st.sampled_from(FD_VALUES[:width])] * len(FD_SCHEMA.attributes))
     rows = draw(st.lists(row, min_size=1, max_size=30))
@@ -297,45 +337,43 @@ def fd_cases(draw):
     return text, rows, roles, repairs
 
 
-def expected_flags(groups, probe, flag_reference):
-    return {
-        cell
-        for group in groups
-        for cell in group
-        if cell.tid in probe or flag_reference
+def check_against_oracle(case):
+    """`violations` and `detect_dc` equal the oracle's probe cells, before and after repairs."""
+    text, rows, roles, repairs = case
+    dc = parse_dc(text, FD_SCHEMA, dc_id="rule")
+    store = build_store(rows, FD_SCHEMA.attributes)
+    probe = [tid for tid, role in enumerate(roles) if role == "p"]
+    reference = [tid for tid, role in enumerate(roles) if role == "r"]
+
+    def check():
+        want = probe_cells(brute_force(dc, store, probe, reference), probe)
+        assert violations(dc, store, probe, reference) == want
+        assert detect_dc(store, [dc], DetectionScope.over(probe, reference)) == want
+
+    check()
+    # detection reads post-repair values
+    # a cell repaired twice keeps its last value
+    fixes = {
+        CellRef(tid, attr): store.interner.intern(attr, FD_VALUES[vid])
+        for tid, attr, vid in repairs
     }
+    store.mark_dirty(fixes)
+    store.apply_repairs(fixes.items())
+    check()
+    return dc
+
+
+@settings(max_examples=300, deadline=None)
+@given(dc_cases(general_rules()))
+def test_general_rules_match_pairwise_oracle(case):
+    check_against_oracle(case)
 
 
 class TestFdPass:
     @settings(max_examples=300, deadline=None)
-    @given(fd_cases())
+    @given(dc_cases(fd_rules()))
     def test_matches_pairwise_oracle(self, case):
-        text, rows, roles, repairs = case
-        dc = parse_dc(text, FD_SCHEMA, dc_id="fd")
-        assert dc.fd_shape is not None
-        store = build_store(rows, FD_SCHEMA.attributes)
-        probe = [tid for tid, role in enumerate(roles) if role == "p"]
-        reference = [tid for tid, role in enumerate(roles) if role == "r"]
-
-        def check():
-            want = brute_force(dc, store, probe, reference)
-            assert violations(dc, store, probe, reference) == want
-            for flag_reference in (False, True):
-                scope = DetectionScope.over(probe, reference, flag_reference)
-                dirty = detect_dc(store, [dc], scope)
-                assert set(dirty.cells()) == expected_flags(want, set(probe), flag_reference)
-                assert all(dirty.tags(cell) == {"fd"} for cell in dirty.cells())
-
-        check()
-        # detection reads post-repair values
-        # a cell repaired twice keeps its last value
-        fixes = {
-            CellRef(tid, attr): store.interner.intern(attr, FD_VALUES[vid])
-            for tid, attr, vid in repairs
-        }
-        store.mark_dirty(fixes)
-        store.apply_repairs(fixes.items())
-        check()
+        assert check_against_oracle(case).fd_shape is not None
 
     @pytest.mark.parametrize(
         "text, shape",
@@ -364,14 +402,15 @@ class TestFdPass:
             probe = [tid for tid in range(n) if roles[tid] == "p"]
             reference = [tid for tid in range(n) if roles[tid] == "r"]
             got = violations(dc, store, probe, reference)
-            assert got == brute_force(dc, store, probe, reference), (trial, rows, roles)
+            want = probe_cells(brute_force(dc, store, probe, reference), probe)
+            assert got == want, (trial, rows, roles)
 
     def test_single_bucket_never_evaluates_pairs(self, monkeypatch):
         rows = [("k", f"v{tid % 5}", "x", "y") for tid in range(200)]
         store = build_store(rows, FD_SCHEMA.attributes)
         fd = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)", FD_SCHEMA)
         general = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
-        want = brute_force(fd, store, range(200))
+        want = probe_cells(brute_force(fd, store, range(200)), range(200))
         calls = []
 
         def counting(*args):
@@ -380,7 +419,27 @@ class TestFdPass:
 
         monkeypatch.setattr(dc_module, "_satisfies", counting)
         assert violations(fd, store, range(200)) == want
-        assert len(want) == 200 * 160 // 2
+        assert len(want) == 200 * 2  # every tuple's p and q cells
         assert calls == []
         violations(general, store, range(200))
         assert calls  # the wrapper does see the pairwise path
+
+
+def test_pairwise_search_stops_at_first_violation(monkeypatch):
+    # one key bucket in which every ordered pair violates the general rule
+    rows = [("k", "a", "b", f"s{tid}") for tid in range(200)]
+    store = build_store(rows, FD_SCHEMA.attributes)
+    dc = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
+    assert dc.fd_shape is None
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _satisfies(*args)
+
+    monkeypatch.setattr(dc_module, "_satisfies", counting)
+    flagged = violations(dc, store, range(200))
+    # one partner per role is enough
+    assert len(calls) <= 2 * 200
+    # every tuple plays t1 (p, q) and t2 (p, r)
+    assert flagged == {CellRef(tid, attr) for tid in range(200) for attr in (0, 1, 2)}
