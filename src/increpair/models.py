@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,35 +29,27 @@ class Hyperparams:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 @dataclass
 class AttributeModel:
     attr: int
     weights: np.ndarray
-    trained_at_batch: int = 0
-    loss_history: list[float] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, attr: int, n_attrs: int) -> "AttributeModel":
         return cls(attr, np.zeros(n_attrs, dtype=np.float64))
 
     def to_dict(self) -> dict:
-        return {
-            "attr": self.attr,
-            "weights": [float(w) for w in self.weights],
-            "trained_at_batch": self.trained_at_batch,
-        }
+        return {"attr": self.attr, "weights": [float(w) for w in self.weights]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AttributeModel":
-        return cls(
-            payload["attr"],
-            np.array(payload["weights"], dtype=np.float64),
-            payload["trained_at_batch"],
-        )
+        return cls(payload["attr"], np.array(payload["weights"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -119,25 +111,24 @@ def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainR
     if outside.any():
         raise DataError(f"label {labels[outside][0]} outside the candidate domain")
     weights = model.weights.astype(np.float64, copy=True)
-    history: list[float] = []
+    initial_loss = math.nan
     for epoch in range(hp.epochs):
         loss, grad = _loss_and_grad(weights, tensors, masks, labels)
         if not math.isfinite(loss):
             raise DataError(f"training loss became non-finite at epoch {epoch}")
-        history.append(loss)
+        if epoch == 0:
+            initial_loss = loss
         weights -= hp.learning_rate * grad
     final_loss, _ = _loss_and_grad(weights, tensors, masks, labels)
     if not math.isfinite(final_loss):
         raise DataError(f"training loss became non-finite at epoch {hp.epochs}")
-    history.append(final_loss)
     model.weights = weights
-    model.loss_history = history
     return TrainReport(
         n_examples=len(block),
         epochs=hp.epochs,
-        initial_loss=history[0],
+        initial_loss=initial_loss,
         final_loss=final_loss,
-        improved=final_loss <= history[0],
+        improved=final_loss <= initial_loss,
     )
 
 

@@ -110,7 +110,7 @@ class Strategy:
                 raise ConfigError(f"unknown detector {name!r}")
         if not 0.0 <= self.omega < 1.0:
             raise ConfigError(f"omega must lie in [0, 1), got {self.omega}")
-        if self.epsilon_kl < 0:
+        if not self.epsilon_kl >= 0:  # NaN too; inf stays legal
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon_kl}")
         if self.domain_cap < 1:
             raise ConfigError(f"domain cap must be >= 1, got {self.domain_cap}")
@@ -341,7 +341,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         transient = examples.values.nbytes + examples.mask.nbytes
         peak_transient = max(peak_transient, transient)
         train(state.models[attr], examples, strategy.hyperparams)
-        state.models[attr].trained_at_batch = batch.k
         training_instances += len(examples)
         retrained.append(attr)
         if use_skipper:

@@ -10,10 +10,11 @@ load time and render back as the empty string on export.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,6 +159,21 @@ def load_csv(
     return schema, rows
 
 
+def write_atomic(path: str | Path, write: Callable[[IO[str]], None]) -> None:
+    """Let `write` fill a file beside the target, then move it over the target,
+    so a failure part-way leaves any earlier file there whole."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="", encoding="utf-8") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def make_batches(
     rows: Sequence[Sequence[str | None]],
     *,
@@ -280,9 +296,6 @@ class RelationStore:
     def original_canonical(self, tid: int, attr: int) -> str | None:
         return self.canonical_value(attr, self.original_value(tid, attr))
 
-    def ever_repaired(self, tid: int, attr: int) -> bool:
-        return CellRef(tid, attr) in self._original
-
     def mark_dirty(self, cells: Iterable[CellRef]) -> int:
         """Flag cells for repair; returns how many were not already Dirty."""
         flagged = 0
@@ -347,23 +360,16 @@ class RelationStore:
             self._dirty[cell.attr].discard(cell.tid)
         return changed
 
-    def status_counts(self) -> dict[CellStatus, int]:
-        counts = {status: 0 for status in CellStatus}
-        for status_row in self._status:
-            for status in status_row:
-                counts[CellStatus(status)] += 1
-        return counts
-
     def export_csv(self, path: str | Path) -> None:
-        """Write the current relation (repairs included) as RFC-4180 CSV."""
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as handle:
+        """Write the current relation (repairs included) as RFC-4180 CSV, atomically."""
+
+        def write(handle: IO[str]) -> None:
             writer = csv.writer(handle)
             writer.writerow(self.schema.attributes)
-            for tid in range(self.n_tuples):
-                writer.writerow(
-                    [self.interner.resolve(attr, vid) for attr, vid in enumerate(self._rows[tid])]
-                )
+            for row in self._rows:
+                writer.writerow([self.interner.resolve(attr, vid) for attr, vid in enumerate(row)])
+
+        write_atomic(path, write)
 
     # -- serialization ------------------------------------------------------
 

@@ -10,20 +10,20 @@ them re-attached from the recorded configuration.
 from __future__ import annotations
 
 import json
-import os
+import math
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from .errors import ConfigError, DataError
 from .pipeline import RunState, Strategy
-from .relation import RelationStore
+from .relation import RelationStore, write_atomic
 from .skipper import SkipperState
 from .stats import EntropyAccumulator, StatsStore
 from .models import AttributeModel
 
 FORMAT_NAME = "increpair-snapshot"
 STORE_VERSION = 1
-RUN_VERSION = 2
+RUN_VERSION = 3
 # RunState counters carried across a snapshot, by attribute name.
 PROGRESS_KEYS = (
     "batches_done",
@@ -37,19 +37,8 @@ T = TypeVar("T")
 
 
 def _dump(payload: dict, path: str | Path) -> None:
-    """Write the payload beside the target, then move it over the target, so
-    a failure part-way leaves any earlier snapshot there whole."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with partial.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    write_atomic(path, lambda handle: handle.write(text))
 
 
 def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
@@ -88,11 +77,14 @@ def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload)
     """Restore one snapshot section, reporting any malformed content as a DataError.
 
     A setting the section holds but the engine rejects (say `epochs: 0`) is
-    malformed snapshot content too, so a ConfigError becomes a DataError here.
+    malformed snapshot content too, so a ConfigError becomes a DataError here,
+    and a DataError is raised again naming the file and the section.
     """
     try:
         return restore(payload)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+    except (
+        KeyError, IndexError, TypeError, ValueError, AttributeError, ConfigError, DataError
+    ) as exc:
         raise DataError(f"snapshot {path} has a malformed {name} section: {exc!r}") from exc
 
 
@@ -136,8 +128,10 @@ def save_run(state: RunState, path: str | Path, config: dict | None = None) -> N
 def load_run(path: str | Path) -> tuple[RunState, dict]:
     """Restore a run snapshot; returns the state and the recorded configuration.
 
-    Constraints and ground truth are not serialized: callers re-attach them
-    via `RunState.attach_inputs` before resuming.
+    Each section is restored on its own, then the sections are checked against
+    the schema and each other.  Constraints and ground truth are not
+    serialized: callers re-attach them via `RunState.attach_inputs` before
+    resuming.
     """
     payload = _load(
         path,
@@ -162,4 +156,31 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     state.skipper = _section(path, "skipper", SkipperState.from_dict, payload["skipper"])
     for key in PROGRESS_KEYS:
         setattr(state, key, payload["progress"][key])
+    problem = _section(path, "run", _inconsistency, state)
+    if problem:
+        raise DataError(f"snapshot {path} is inconsistent: {problem}")
     return state, payload["config"]
+
+
+def _inconsistency(state: RunState) -> str | None:
+    """The first way the restored sections disagree with the schema or each other."""
+    n_attrs = state.store.n_attrs
+    stats, skipper = state.stats, state.skipper
+    for attr, model in enumerate(state.models):
+        finite = all(map(math.isfinite, model.weights.flat))
+        if model.attr != attr or model.weights.shape != (n_attrs,) or not finite:
+            return f"model {attr} is not {n_attrs} finite weights for attribute {attr}"
+    if stats.n_attrs != n_attrs or state.entropy.n_attrs != n_attrs:
+        return f"statistics or entropies are not over {n_attrs} attributes"
+    for attr, table in enumerate(stats.single):
+        if sum(table.values()) != stats.n:
+            return f"attribute {attr}'s value counts do not sum to n={stats.n}"
+    if state.entropy.n != stats.n:
+        return f"entropies at n={state.entropy.n}, statistics at n={stats.n}"
+    for attr, batch in skipper.last_trained.items():
+        if not (0 <= attr < n_attrs and 1 <= batch <= state.batches_done):
+            return f"attribute {attr} last trained at batch {batch} of {state.batches_done}"
+    for attr, dists in skipper.saved.items():
+        if not all(0 <= other < n_attrs for other in (attr, *dists)):
+            return f"saved joints of attribute {attr} name attributes outside the schema"
+    return None

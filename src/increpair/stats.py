@@ -6,25 +6,24 @@ frequency map and, for every ordered attribute pair, a nested co-occurrence
 map `{conditioning value: {target value: count}}` (both orientations are kept
 so either attribute can act as the context).
 
-Conditional entropy H(X|Y), in nats, is defined over the counts as
+Conditional entropy H(X|Y), in nats, with z the co-occurrence count and w the
+conditioning value's marginal count, is
 
-    H(X|Y) = - sum_xy (z_xy / n) * ln(z_xy / w_y)
+    n * H(X|Y) = - sum_xy z_xy ln(z_xy / w_y) = sum_y w_y ln w_y - sum_xy z_xy ln z_xy
 
-with z the co-occurrence count and w the marginal count of the conditioning
-value.  Because each value pair's contribution depends only on (z, w, n), the
-entropy after a batch of m tuples can be produced from the previous value
-without revisiting untouched counts: the old total re-scales by n/(n+m), and
-every pair whose z or whose conditioning marginal w changed swaps its old
-contribution for its new one.  `cond_entropy_scratch` is the from-scratch
-reference; `apply_delta` is the incremental path and must agree with it to
-float precision.
+so `EntropyAccumulator` keeps one sum of c ln c per attribute and one per
+unordered attribute pair, N + N(N-1)/2 floats.  A batch moves each sum by
+c ln c(new) - c ln c(old) over the counts it changed: `apply_delta` reads only
+the batch's `DeltaCounts`, and `math.fsum` makes each step independent of the
+order of the changes.  `cond_entropy_scratch` is the reference, evaluated from
+the definition; `apply_delta` must agree with it to float precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 
@@ -53,11 +52,9 @@ class StatsStore:
         self.n = 0
         self.single: list[dict[int, int]] = [{} for _ in range(n_attrs)]
         self._pairs: dict[tuple[int, int], dict[int, dict[int, int]]] = {
-            (i, j): {}
-            for i in range(n_attrs)
-            for j in range(n_attrs)
-            if i != j
+            (i, j): {} for i in range(n_attrs) for j in range(n_attrs) if i != j
         }
+        self._pair_entries = 0  # distinct value pairs, counted once per unordered key
 
     def ingest(self, rows: Sequence[Sequence[int]]) -> DeltaCounts:
         """Count a batch of value-id rows and report exactly what changed."""
@@ -67,9 +64,7 @@ class StatsStore:
         }
         for row in rows:
             if len(row) != self.n_attrs:
-                raise DataError(
-                    f"row has {len(row)} values, expected {self.n_attrs}"
-                )
+                raise DataError(f"row has {len(row)} values, expected {self.n_attrs}")
             for attr, vid in enumerate(row):
                 table = self.single[attr]
                 count = table.get(vid, 0)
@@ -85,14 +80,17 @@ class StatsStore:
                     forward[vj] = count + 1
                     self._pairs[(j, i)].setdefault(vj, {})[vi] = count + 1
         self.n += len(rows)
+        self._pair_entries += sum(
+            not old for changed in pair_old.values() for old in changed.values()
+        )
         marginals = tuple(
-            {vid: (old, self.single[attr][vid]) for vid, old in sorted(changed.items())}
+            {vid: (old, self.single[attr][vid]) for vid, old in changed.items()}
             for attr, changed in enumerate(marginal_old)
         )
         pairs = {
             key: {
                 pair: (old, self._pairs[key][pair[0]][pair[1]])
-                for pair, old in sorted(changed.items())
+                for pair, old in changed.items()
             }
             for key, changed in pair_old.items()
             if changed
@@ -119,13 +117,12 @@ class StatsStore:
                 yield va, vb, count
 
     def live_bytes(self) -> int:
-        """Deterministic rough estimate of resident size (CPython dict-entry costs)."""
-        single_entries = sum(len(table) for table in self.single)
-        pair_entries = sum(
-            len(row) for table in self._pairs.values() for row in table.values()
-        )
-        pair_rows = sum(len(table) for table in self._pairs.values())
-        return 96 * single_entries + 96 * pair_entries + 72 * pair_rows + 112 * len(self._pairs)
+        """Deterministic rough estimate of resident size (CPython dict-entry costs):
+        a value costs its frequency entry and the row it opens in each of the
+        N-1 tables it conditions, a value pair one entry per orientation."""
+        values = sum(len(table) for table in self.single)
+        per_value = 96 + 72 * (self.n_attrs - 1)
+        return per_value * values + 192 * self._pair_entries + 112 * len(self._pairs)
 
     # -- serialization ------------------------------------------------------
 
@@ -156,37 +153,46 @@ class StatsStore:
             for vi, vj, count in triples:
                 stats._pairs[(i, j)].setdefault(vi, {})[vj] = count
                 stats._pairs[(j, i)].setdefault(vj, {})[vi] = count
+            stats._pair_entries += len(triples)
         return stats
 
 
 class EntropyAccumulator:
-    """Conditional entropy H(X|Y), in nats, for every ordered attribute pair."""
+    """H(X|Y) in nats for every ordered attribute pair, from sums of c ln c over
+    each attribute's value counts (`marginal[y]`) and each unordered pair's
+    co-occurrence counts (`pair[(i, j)]`, i < j)."""
 
     def __init__(self, n_attrs: int):
         self.n_attrs = n_attrs
         self.n = 0
-        self._h: dict[tuple[int, int], float] = {
-            (i, j): 0.0 for i in range(n_attrs) for j in range(n_attrs) if i != j
+        self.marginal = [0.0] * n_attrs
+        self.pair: dict[tuple[int, int], float] = {
+            (i, j): 0.0 for i in range(n_attrs) for j in range(i + 1, n_attrs)
         }
 
     def value(self, x_attr: int, y_attr: int) -> float:
         if x_attr == y_attr:
             raise DataError("conditional entropy needs two distinct attributes")
-        return self._h[(x_attr, y_attr)]
+        if self.n == 0:
+            return 0.0
+        key = (x_attr, y_attr) if x_attr < y_attr else (y_attr, x_attr)
+        return (self.marginal[y_attr] - self.pair[key]) / self.n
 
     def to_dict(self) -> dict:
-        return {
-            "n_attrs": self.n_attrs,
-            "n": self.n,
-            "h": [[i, j, value] for (i, j), value in sorted(self._h.items())],
-        }
+        sums = {"marginal": list(self.marginal), "pair": list(self.pair.values())}
+        return {"n_attrs": self.n_attrs, "n": self.n, **sums}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EntropyAccumulator":
         acc = cls(payload["n_attrs"])
         acc.n = payload["n"]
-        for i, j, value in payload["h"]:
-            acc._h[(i, j)] = value
+        marginal, pair = list(payload["marginal"]), list(payload["pair"])
+        if (len(marginal), len(pair)) != (len(acc.marginal), len(acc.pair)):
+            raise DataError(f"wrong number of entropy sums for {acc.n_attrs} attributes")
+        if not all(math.isfinite(value) for value in marginal + pair):
+            raise DataError("entropy sums must be finite")
+        acc.marginal = [float(value) for value in marginal]
+        acc.pair = dict(zip(acc.pair, map(float, pair)))
         return acc
 
 
@@ -206,17 +212,23 @@ def cond_entropy_scratch(stats: StatsStore, x_attr: int, y_attr: int) -> float:
     return total
 
 
+def _c_ln_c(counts: Iterable[int]) -> float:
+    return math.fsum(c * math.log(c) for c in counts)
+
+
 def scratch_accumulator(stats: StatsStore) -> EntropyAccumulator:
     """Accumulator rebuilt from scratch over the store's current counts."""
     acc = EntropyAccumulator(stats.n_attrs)
     acc.n = stats.n
-    if stats.n == 0:
-        return acc
-    for i in range(stats.n_attrs):
-        for j in range(stats.n_attrs):
-            if i != j:
-                acc._h[(i, j)] = cond_entropy_scratch(stats, i, j)
+    acc.marginal = [_c_ln_c(table.values()) for table in stats.single]
+    for i, j in acc.pair:
+        acc.pair[(i, j)] = _c_ln_c(count for _, _, count in stats.iter_pairs(i, j))
     return acc
+
+
+def _c_ln_c_change(changes: Iterable[tuple[int, int]]) -> float:
+    """Change of sum(c ln c) when each count moves from old to new."""
+    return math.fsum(new * math.log(new) - old * math.log(old or 1) for old, new in changes)
 
 
 def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCounts) -> None:
@@ -224,10 +236,8 @@ def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCo
 
     The accumulator must be in step with the statistics: acc.n + delta.m must
     equal stats_after.n, and the delta's marginal changes must sum to m for
-    every attribute.  Only value pairs whose co-occurrence count changed, or
-    that sit under a conditioning value whose marginal changed, are re-priced;
-    every such pair necessarily lies in a changed-marginal column, so those
-    columns are exactly what gets walked.
+    every attribute.  Only the delta's changed counts are read, so the cost
+    is O(|delta|) whatever the history.
     """
     n_old = acc.n
     m = delta.m
@@ -242,27 +252,11 @@ def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCo
             raise DataError(
                 f"marginal deltas for attribute {attr} sum to {total}, expected {m}"
             )
-    if m == 0:
-        return
-    n_new = n_old + m
-    scale = n_old / n_new
-    for (x_attr, y_attr), h_old in acc._h.items():
-        canonical = (x_attr, y_attr) if x_attr < y_attr else (y_attr, x_attr)
-        pair_delta = delta.pairs.get(canonical, {})
-        x_first = x_attr < y_attr
-        columns = stats_after._pairs[(y_attr, x_attr)]
-        entropy = scale * h_old
-        for context_vid, (w_old, w_new) in delta.marginals[y_attr].items():
-            for target_vid, z_new in columns[context_vid].items():
-                key = (target_vid, context_vid) if x_first else (context_vid, target_vid)
-                changed = pair_delta.get(key)
-                z_old = changed[0] if changed is not None else z_new
-                if z_old > 0:
-                    entropy += (z_old / n_new) * math.log(z_old / w_old)
-                if z_new > 0:
-                    entropy -= (z_new / n_new) * math.log(z_new / w_new)
-        acc._h[(x_attr, y_attr)] = entropy
-    acc.n = n_new
+    for attr, changed in enumerate(delta.marginals):
+        acc.marginal[attr] += _c_ln_c_change(changed.values())
+    for key, changed in delta.pairs.items():
+        acc.pair[key] += _c_ln_c_change(changed.values())
+    acc.n = n_old + m
 
 
 def correlation(stats: StatsStore, acc: EntropyAccumulator, x_attr: int, y_attr: int) -> float:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from increpair.relation import RawBatch, RelationStore, Schema
@@ -25,6 +28,34 @@ def build_store(rows, attrs, null_tokens=("", "NULL", "empty")) -> RelationStore
     store = RelationStore(Schema(tuple(attrs)), null_tokens)
     store.append_batch(RawBatch(1, tuple(tuple(row) for row in rows)))
     return store
+
+
+class HalfWriter:
+    """A file handle whose write stores half the text, then fails as a full disk would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+def failing_writes(monkeypatch) -> None:
+    """Make every file opened for writing through `Path.open` fail half-way."""
+    real_open = Path.open
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return HalfWriter(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", failing_open)
 
 
 @pytest.fixture

@@ -343,3 +343,49 @@ def test_resume_from_non_utf8_snapshot_is_data_error(tmp_path, clean_csv):
     assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
     snap.write_bytes(snap.read_bytes().replace(b'"format"', b'"form\xffat"', 1))
     assert run(base + ["--resume", snap]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--epsilon", "nan"], ["--lr", "nan"], ["--lr", "inf"]]
+)
+def test_non_finite_setting_is_config_error(clean_csv, flags):
+    assert run(
+        ["clean", "--input", clean_csv, "--strategy", "ihc", "--skip", "ikl",
+         "--batches", "2"] + flags
+    ) == 1
+
+
+def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
+    monkeypatch.setenv("INCREPAIR_EPSILON", "nan")
+    assert run(
+        ["clean", "--input", clean_csv, "--strategy", "ihc", "--skip", "ikl",
+         "--batches", "2"]
+    ) == 1
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda p: p["models"][0].update(attr=9),
+        lambda p: p["models"][0].update(weights=[0.0]),
+        lambda p: p["stats"]["single"][0].append([999, 5]),
+        lambda p: p["skipper"].update(last_trained=[[0, 99]]),
+        lambda p: p["strategy"].update(epsilon_kl=float("nan")),
+    ],
+    ids=["model-attr", "weights-length", "extra-marginal", "skipper-batch", "epsilon-nan"],
+)
+def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):
+    rows = [(f"k{i % 2}", f"v{i % 3}", f"w{i % 2}") for i in range(6)]
+    head, full = tmp_path / "head.csv", tmp_path / "full.csv"
+    write_csv(head, ("a", "b", "c"), rows[:4])
+    write_csv(full, ("a", "b", "c"), rows)
+    snap = tmp_path / "snap.json"
+    shared = ["--batch-size", "2", "--omega", "0"]
+    assert run(
+        ["clean", "--input", head, "--strategy", "ihc", "--skip", "ikl",
+         "--snapshot", snap] + shared
+    ) == 0
+    payload = json.loads(snap.read_text())
+    mangle(payload)
+    snap.write_text(json.dumps(payload))
+    assert run(["clean", "--input", full, "--resume", snap] + shared) == 2

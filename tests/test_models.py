@@ -61,6 +61,11 @@ class TestHyperparams:
         with pytest.raises(ConfigError):
             Hyperparams(learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="finite"):
+            Hyperparams(learning_rate=rate)
+
 
 class TestPredict:
     def test_zero_weights_give_uniform(self):
@@ -128,11 +133,15 @@ class TestTrain:
         assert hits == len(tensors)
         assert model.weights[0] > 0.0
 
-    def test_loss_history_and_report_shape(self):
+    def test_report_shape_and_losses(self):
         examples = make_block([make_tensor([[0.9, 0.0], [0.1, 0.0]])], [0])
+        arrays = (examples.values, examples.mask, examples.observed_index)
         model = AttributeModel.fresh(0, 2)
+        start, _ = _loss_and_grad(model.weights, *arrays)
         report = train(model, examples, Hyperparams(epochs=5, learning_rate=0.1))
-        assert len(model.loss_history) == 6  # per-epoch plus final
+        assert report.initial_loss == start
+        assert report.final_loss == _loss_and_grad(model.weights, *arrays)[0]
+        assert report.improved
         assert report.n_examples == 1
         assert report.epochs == 5
 
@@ -163,11 +172,11 @@ class TestTrain:
             train(AttributeModel(0, np.array([1e308, 1e308])), examples, Hyperparams())
 
     def test_model_round_trip(self):
-        model = AttributeModel(1, np.array([0.25, -1.5]), trained_at_batch=3)
+        model = AttributeModel(1, np.array([0.25, -1.5]))
+        assert model.to_dict() == {"attr": 1, "weights": [0.25, -1.5]}
         clone = AttributeModel.from_dict(model.to_dict())
         assert clone.attr == 1
         assert clone.weights.tolist() == [0.25, -1.5]
-        assert clone.trained_at_batch == 3
 
 
 class TestGradient:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,12 @@ class TestStrategyConfig:
             Strategy(kind=StrategyKind.IHC, domain_cap=0)
         with pytest.raises(ConfigError):
             Strategy(kind=StrategyKind.IHC, train_limit=0)
+
+    def test_nan_epsilon_rejected_and_infinite_allowed(self):
+        with pytest.raises(ConfigError, match="epsilon"):
+            Strategy(kind=StrategyKind.IHC, skip="ikl", epsilon_kl=math.nan)
+        never = Strategy(kind=StrategyKind.IHC, skip="ikl", epsilon_kl=math.inf)
+        assert never.epsilon_kl == math.inf
 
     def test_round_trip(self):
         strategy = strategy_for(StrategyKind.IHC_RE, skip="wkl", epsilon_kl=0.2)

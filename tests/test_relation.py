@@ -19,7 +19,7 @@ from increpair.relation import (
     make_batches,
 )
 
-from conftest import build_store
+from conftest import build_store, failing_writes
 
 
 class TestSchema:
@@ -201,7 +201,7 @@ class TestStoreLifecycle:
         assert store.canonical(0, 0) == "z"
         assert store.status(0, 0) is CellStatus.REPAIRED
         assert store.original_canonical(0, 0) == "x"
-        assert store.ever_repaired(0, 0)
+        assert store.to_dict()["original"] == [[0, 0, store.interner.lookup(0, "x")]]
 
     def test_unchanged_repair_still_marks_repaired(self):
         store = build_store([("x", "y")], ("a", "b"))
@@ -249,13 +249,13 @@ class TestStoreLifecycle:
         assert store.trainable_tids(1) == [0, 1, 2]
         assert store.trainable_tids(0, [1, 2]) == [2]
 
-    def test_status_counts(self):
+    def test_mark_dirty_sets_status_per_cell(self):
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 1)])
-        counts = store.status_counts()
-        assert counts[CellStatus.CLEAN] == 1
-        assert counts[CellStatus.DIRTY] == 1
-        assert counts[CellStatus.REPAIRED] == 0
+        assert [store.status(0, attr) for attr in range(2)] == [
+            CellStatus.CLEAN,
+            CellStatus.DIRTY,
+        ]
 
 
 class TestExportAndSerialization:
@@ -266,6 +266,19 @@ class TestExportAndSerialization:
         schema, rows = load_csv(path)
         assert schema == store.schema
         assert rows == [["x", None], ["He, llo", "y"]]
+
+    def test_failed_export_keeps_previous_file(self, tmp_path, monkeypatch):
+        store = build_store([("x", "y")], ("a", "b"))
+        path = tmp_path / "out.csv"
+        store.export_csv(path)
+        before = path.read_bytes()
+        store.append_batch(RawBatch(2, tuple(("z", f"w{i}") for i in range(50))))
+        failing_writes(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            store.export_csv(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_dict_round_trip_preserves_everything(self):
         store = build_store([("x", "y"), ("z", "w")], ("a", "b"))

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import errno
 import json
+import math
 import re
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +20,8 @@ from increpair.relation import (
     make_batches,
 )
 from increpair.snapshot import load_run, load_store, save_run, save_store
+
+from conftest import failing_writes
 
 
 def seeded_store():
@@ -143,9 +144,8 @@ class TestRunSnapshots:
         restored, _ = load_run(path)
         assert restored.stats.n == state.stats.n
         assert restored.entropy.value(1, 0) == pytest.approx(state.entropy.value(1, 0))
-        assert restored.skipper.last_trained == state.skipper.last_trained
+        assert restored.skipper.last_trained == state.skipper.last_trained == {0: 2, 1: 2}
         for mine, theirs in zip(state.models, restored.models):
-            assert mine.trained_at_batch == theirs.trained_at_batch
             assert list(mine.weights) == list(theirs.weights)
         assert restored.cum_probe_cells == state.cum_probe_cells
 
@@ -187,7 +187,7 @@ class TestRunSnapshotValidation:
         "section, inner",
         [
             ("stats", "n"),
-            ("entropy", "h"),
+            ("entropy", "pair"),
             ("models", "weights"),
             ("skipper", "saved"),
             ("store", "rows"),
@@ -218,6 +218,33 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError, match="not an object"):
             loader(path)
 
+    def test_version_2_snapshot_is_rejected(self, tmp_path):
+        # v2 entropies held one value per ordered pair, models a trained_at_batch
+        path, payload = self.saved(tmp_path)
+        payload["version"] = 2
+        payload["entropy"]["h"] = [[0, 1, 0.0], [1, 0, 0.0]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version 2"):
+            load_run(path)
+
+    # more cases, each resumed through the command line, are in test_cli.py
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda p: p["models"][1]["weights"].__setitem__(0, math.nan),
+            lambda p: p["entropy"].update(n=p["entropy"]["n"] + 1),
+            lambda p: p["entropy"]["pair"].__setitem__(0, math.inf),
+            lambda p: p["skipper"]["last_trained"].append([7, 1]),
+        ],
+        ids=["weights-nan", "entropy-n", "entropy-inf", "skipper-attr"],
+    )
+    def test_inconsistent_content_is_data_error(self, tmp_path, mangle):
+        path, payload = self.saved(tmp_path)
+        mangle(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_run(path)
+
     def test_version_1_snapshot_is_rejected(self, tmp_path):
         # v1 strategies carried kl_floor and hyperparams.seed
         path, payload = self.saved(tmp_path)
@@ -244,23 +271,6 @@ class TestRunSnapshotValidation:
         )
 
 
-class HalfWriter:
-    """A file handle whose write stores half the text, then fails as a full disk would."""
-
-    def __init__(self, handle):
-        self.handle = handle
-
-    def write(self, text):
-        self.handle.write(text[: len(text) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.handle.close()
-
-
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         strategy = TestRunSnapshots.strategy
@@ -272,13 +282,7 @@ class TestAtomicWrites:
         before = path.read_bytes()
 
         run_stream(state, strategy, batches[2:])
-        real_open = Path.open
-
-        def failing_open(self, mode="r", *args, **kwargs):
-            handle = real_open(self, mode, *args, **kwargs)
-            return HalfWriter(handle) if "w" in mode else handle
-
-        monkeypatch.setattr(Path, "open", failing_open)
+        failing_writes(monkeypatch)
         with pytest.raises(OSError, match="No space"):
             save_run(state, path)
         monkeypatch.undo()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from increpair.errors import DataError
 from increpair.stats import (
+    DeltaCounts,
     EntropyAccumulator,
     StatsStore,
     apply_delta,
@@ -36,6 +38,60 @@ def golden_stats() -> StatsStore:
     stats = StatsStore(2)
     stats.ingest(GOLDEN_IDS)
     return stats
+
+
+def scanned_live_bytes(stats: StatsStore) -> int:
+    """`StatsStore.live_bytes` by its definition: a scan over every count."""
+    ordered = [(a, b) for a in range(stats.n_attrs) for b in range(stats.n_attrs) if a != b]
+    single_entries = sum(len(table) for table in stats.single)
+    pair_entries = sum(len(list(stats.iter_pairs(a, b))) for a, b in ordered)
+    pair_rows = sum(len({va for va, _, _ in stats.iter_pairs(a, b)}) for a, b in ordered)
+    return 96 * single_entries + 96 * pair_entries + 72 * pair_rows + 112 * len(ordered)
+
+
+def weighted_stats(tuple_counts: dict[tuple[int, ...], int], n_attrs: int) -> StatsStore:
+    """A store holding the given count of each distinct row, built from a payload."""
+    single = [Counter() for _ in range(n_attrs)]
+    pairs = {(i, j): Counter() for i in range(n_attrs) for j in range(i + 1, n_attrs)}
+    for row, count in tuple_counts.items():
+        for attr in range(n_attrs):
+            single[attr][row[attr]] += count
+        for (i, j), table in pairs.items():
+            table[(row[i], row[j])] += count
+    return StatsStore.from_dict(
+        {
+            "n_attrs": n_attrs,
+            "n": sum(tuple_counts.values()),
+            "single": [sorted(table.items()) for table in single],
+            "pairs": {
+                f"{i},{j}": [[vi, vj, c] for (vi, vj), c in table.items()]
+                for (i, j), table in pairs.items()
+            },
+        }
+    )
+
+
+def count_delta(before: StatsStore, after: StatsStore) -> DeltaCounts:
+    """The (old, new) changes between two stores, as `ingest` would report them."""
+    marginals = tuple(
+        {
+            vid: (before.frequency(attr, vid), new)
+            for vid, new in table.items()
+            if before.frequency(attr, vid) != new
+        }
+        for attr, table in enumerate(after.single)
+    )
+    pairs = {}
+    for i in range(after.n_attrs):
+        for j in range(i + 1, after.n_attrs):
+            changed = {
+                (vi, vj): (before.pair_count(i, vi, j, vj), new)
+                for vi, vj, new in after.iter_pairs(i, j)
+                if before.pair_count(i, vi, j, vj) != new
+            }
+            if changed:
+                pairs[(i, j)] = changed
+    return DeltaCounts(after.n - before.n, marginals, pairs)
 
 
 class TestCounts:
@@ -121,6 +177,28 @@ class TestCounts:
         empty = StatsStore(2).live_bytes()
         assert golden_stats().live_bytes() > empty
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n_attrs: st.lists(
+                st.lists(st.lists(st.integers(0, 5), min_size=n_attrs, max_size=n_attrs),
+                         max_size=10),
+                max_size=5,
+            ).map(lambda batches: (n_attrs, batches))
+        )
+    )
+    def test_live_bytes_counter_equals_scan(self, case):
+        n_attrs, batches = case
+        stats = StatsStore(n_attrs)
+        assert stats.live_bytes() == scanned_live_bytes(stats)
+        for rows in batches:
+            stats.ingest(rows)
+            assert stats.live_bytes() == scanned_live_bytes(stats)
+        clone = StatsStore.from_dict(stats.to_dict())
+        assert clone.live_bytes() == scanned_live_bytes(clone) == stats.live_bytes()
+        clone.ingest([[9] * n_attrs])
+        assert clone.live_bytes() == scanned_live_bytes(clone)
+
 
 class TestEntropy:
     def test_golden_values(self):
@@ -153,6 +231,26 @@ class TestEntropy:
         assert clone.value(0, 1) == acc.value(0, 1)
         assert clone.value(1, 0) == acc.value(1, 0)
 
+    def test_accumulator_keeps_one_sum_per_attribute_and_unordered_pair(self):
+        payload = scratch_accumulator(StatsStore(4)).to_dict()
+        assert payload == {"n_attrs": 4, "n": 0, "marginal": [0.0] * 4, "pair": [0.0] * 6}
+        assert EntropyAccumulator(4).value(2, 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("marginal", [0.0]),
+            ("pair", [0.0, 0.0]),
+            ("marginal", [0.0, math.nan]),
+            ("pair", [math.inf]),
+        ],
+    )
+    def test_accumulator_rejects_bad_sums(self, section, values):
+        payload = scratch_accumulator(golden_stats()).to_dict()
+        payload[section] = values
+        with pytest.raises(DataError, match="entropy sums"):
+            EntropyAccumulator.from_dict(payload)
+
 
 class TestApplyDelta:
     def test_matches_scratch_on_golden_extension(self):
@@ -184,6 +282,56 @@ class TestApplyDelta:
                 stats,
                 type(delta)(delta.m, (broken, delta.marginals[1]), delta.pairs),
             )
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+                     max_size=8),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_reads_only_the_delta(self, batches):
+        stats = StatsStore(3)
+        full, lean = EntropyAccumulator(3), EntropyAccumulator(3)
+        for rows in batches:
+            delta = stats.ingest(rows)
+            apply_delta(full, stats, delta)
+            bare = StatsStore(3)  # the right n and no counts at all
+            bare.n = stats.n
+            apply_delta(lean, bare, delta)
+        assert lean.to_dict() == full.to_dict()
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                st.one_of(st.integers(1, 3), st.integers(1, 10**6)),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_matches_scratch_on_long_skewed_counts(self, increments):
+        """Counts up to a million per batch, where n ln n dwarfs n * H."""
+        totals: Counter = Counter()
+        before = StatsStore(3)
+        acc = EntropyAccumulator(3)
+        for step in increments:
+            totals.update(step)
+            after = weighted_stats(totals, 3)
+            apply_delta(acc, after, count_delta(before, after))
+            for x in range(3):
+                for y in range(3):
+                    if x != y:
+                        assert acc.value(x, y) == pytest.approx(
+                            cond_entropy_scratch(after, x, y), abs=1e-9
+                        )
+            before = after
 
     def test_zero_row_delta_is_noop(self):
         stats = golden_stats()
