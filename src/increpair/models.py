@@ -152,13 +152,34 @@ def build_training_set(
     sample of `limit` is featurized (so the block can hold fewer cells when
     sampled cells turn out to have singleton domains).
     """
-    eligible = store.trainable_tids(attr, tids)
-    if limit is not None and len(eligible) > limit:
+    eligible = _training_tids(store, attr, limit, rng, tids)
+    return featurizer.block(attr, eligible, _rows(store, eligible))
+
+
+def _training_tids(
+    store: RelationStore,
+    attr: int,
+    limit: int | None,
+    rng: random.Random | None,
+    tids: Sequence[int] | None,
+) -> list[int]:
+    """The trainable tuples, or a sorted sample of `limit` of them.
+
+    `random.sample` picks positions from the population's length alone, so
+    sampling ranks and mapping them to tuples selects what sampling the
+    listed tuples would, without listing every tuple in the store.
+    """
+    scoped = None if tids is None else store.trainable_tids(attr, tids)
+    n_eligible = store.trainable_count(attr) if scoped is None else len(scoped)
+    ranks: Sequence[int] = range(n_eligible)
+    if limit is not None and n_eligible > limit:
         if limit < 1:
             raise DataError(f"training limit must be >= 1, got {limit}")
         sampler = rng if rng is not None else random.Random(0)
-        eligible = sorted(sampler.sample(eligible, limit))
-    return featurizer.block(attr, eligible, _rows(store, eligible))
+        ranks = sorted(sampler.sample(ranks, limit))
+    if scoped is None:
+        return store.trainable_at(attr, ranks)
+    return [scoped[rank] for rank in ranks]
 
 
 def repair_cells(

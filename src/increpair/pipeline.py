@@ -49,13 +49,19 @@ from .models import (
     train,
 )
 from .relation import RawBatch, RelationStore
-from .skipper import (
+# record_training, should_retrain_ikl/wkl and joint_distribution are the
+# gate's reference path; run_batch gates on count deltas instead.  They stay
+# importable from here for tools that patch the engine by name.
+from .skipper import (  # noqa: F401
     SkipperState,
+    record_counts,
     record_training,
+    should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
+    track_counts,
 )
-from .stats import (
+from .stats import (  # noqa: F401
     EntropyAccumulator,
     StatsStore,
     apply_delta,
@@ -281,48 +287,38 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         state.entropy = EntropyAccumulator(n_attrs)
         if kind.revisit:
             rows = [store.tuple_values(tid) for tid in everything]
-    apply_delta(state.entropy, state.stats, state.stats.ingest(rows))
+    delta = state.stats.ingest(rows)
+    apply_delta(state.entropy, state.stats, delta)
     correlations = correlation_matrix(state.stats, state.entropy)
     featurizer = Featurizer(
         state.stats, correlations, strategy.omega, strategy.domain_cap
     )
     timings["stats"] = time.perf_counter() - started
 
+    # -- drift gate ----------------------------------------------------------
+    started = time.perf_counter()
+    use_skipper = strategy.skip != "none"
+    to_train = list(range(n_attrs))
+    if use_skipper:
+        track_counts(state.skipper, delta)
+        to_train = [
+            attr
+            for attr in to_train
+            if should_retrain(
+                state.skipper,
+                state.stats,
+                attr,
+                strategy.skip,
+                correlations,
+                strategy.epsilon_kl,
+            )[0]
+        ]
+    timings["gate"] = time.perf_counter() - started
+
     # -- training ------------------------------------------------------------
     started = time.perf_counter()
     if not kind.incremental:
         state.models = [AttributeModel.fresh(attr, n_attrs) for attr in range(n_attrs)]
-
-    use_skipper = strategy.skip != "none"
-    current_joints: dict[int, dict[int, dict]] = {}
-    if use_skipper:
-        canonical = {
-            (i, j): joint_distribution(state.stats, i, j)
-            for i in range(n_attrs)
-            for j in range(i + 1, n_attrs)
-        }
-        for attr in range(n_attrs):
-            current_joints[attr] = {
-                other: canonical[(attr, other) if attr < other else (other, attr)]
-                for other in range(n_attrs)
-                if other != attr
-            }
-
-    to_train: list[int] = []
-    for attr in range(n_attrs):
-        if not use_skipper:
-            fire = True
-        elif strategy.skip == "ikl":
-            fire, _ = should_retrain_ikl(
-                state.skipper, attr, current_joints[attr], strategy.epsilon_kl
-            )
-        else:
-            fire, _ = should_retrain_wkl(
-                state.skipper, attr, current_joints[attr], correlations, strategy.epsilon_kl
-            )
-        if fire:
-            to_train.append(attr)
-
     training_instances = 0
     peak_transient = 0
     retrained: list[int] = []
@@ -344,7 +340,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         training_instances += len(examples)
         retrained.append(attr)
         if use_skipper:
-            record_training(state.skipper, attr, current_joints[attr], batch.k)
+            record_counts(state.skipper, attr, state.stats, batch.k)
         del examples  # free this attribute's block before featurizing the next one
     state.cum_training_instances += training_instances
     timings["train"] = time.perf_counter() - started
@@ -371,9 +367,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     state.batches_done = batch.k
     models_bytes = sum(model.weights.nbytes + 96 for model in state.models)
-    skipper_bytes = 96 * sum(
-        len(dist) for dists in state.skipper.saved.values() for dist in dists.values()
-    )
+    skipper_bytes = 96 * sum(state.skipper.support.values())
     return BatchReport(
         batch=batch.k,
         tuples_seen=store.n_tuples,

@@ -332,9 +332,21 @@ class RelationStore:
         dirty = self._dirty[attr]
         if tids is not None:
             return [tid for tid in sorted(set(tids)) if tid not in dirty]
-        if not dirty:
-            return list(range(self.n_tuples))
-        return np.delete(np.arange(self.n_tuples), sorted(dirty)).tolist()
+        return self.trainable_at(attr, range(self.trainable_count(attr)))
+
+    def trainable_count(self, attr: int) -> int:
+        """How many tuples `trainable_tids(attr)` lists."""
+        return self.n_tuples - len(self._dirty[attr])
+
+    def trainable_at(self, attr: int, ranks: Sequence[int]) -> list[int]:
+        """The tuples at the given ascending positions of `trainable_tids(attr)`,
+        found through the sorted Dirty index without listing the rest."""
+        dirty = np.sort(np.fromiter(self._dirty[attr], dtype=np.int64))
+        # the r-th trainable tuple is r plus the Dirty tuples before it, and
+        # dirty[i] - i trainable tuples precede the i-th Dirty one
+        ranks = np.asarray(ranks, dtype=np.int64)
+        before = np.searchsorted(dirty - np.arange(len(dirty)), ranks, side="right")
+        return (ranks + before).tolist()
 
     def apply_repairs(self, repairs: Iterable[tuple[CellRef, int]]) -> int:
         """Set repaired values on currently-Dirty cells; returns how many changed value.

@@ -1,33 +1,62 @@
 """Retraining decisions driven by drift in pairwise joint value distributions.
 
 When a model is (re)trained, the joint distributions of its attribute with
-every other attribute are saved.  Before the next training opportunity the
-divergence of the current joints from the saved ones decides whether the
-model is stale: either any single pairwise divergence exceeds the threshold
-(the per-pair rule) or the correlation-weighted mean over the pairs does
-(the weighted rule).  The weighted mean never exceeds the per-pair maximum,
-so on the same saved state the weighted rule fires no more often.
+every other attribute become its reference.  Before the next training
+opportunity the divergence of the current joints from the reference decides
+whether the model is stale: either any single pairwise divergence exceeds the
+threshold (the per-pair rule) or the correlation-weighted mean over the pairs
+does (the weighted rule).  The weighted mean never exceeds the per-pair
+maximum, so on the same reference the weighted rule fires no more often.
+
+Two paths compute the same divergences.  The reference path
+(`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
+joint distributions.  The engine's path (`record_counts`, `track_counts`,
+`count_divergence`, `should_retrain`) keeps, per trained attribute, the row
+count n' at training and the training-time count z'_k of each value pair k
+changed since (the set D), and evaluates
+
+    KL = sum_{k in D, z_k > 0} (z_k/n) log((z_k/n) / max(z'_k/n', floor))
+         + log(n'/n) (n - sum_{k in D} z_k) / n
+
+where z_k is the pair's current count.  Every pair outside D kept its count,
+so its term is (z/n) log(n'/n), and the second line sums those.  That holds
+only while z/n' is not below the floor, so pairs whose training mass was
+below it (possible once n' > 1/floor) join D when training is recorded.  The
+cost is O(|D|) per attribute pair, whatever the history.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .stats import DeltaCounts, StatsStore
 
 DEFAULT_KL_FLOOR = 1e-6
 
 JointDist = dict[tuple[int, int], float]
+# value pair, oriented as in the (lower attribute, higher attribute) table -> count
+PairCounts = dict[tuple[int, int], int]
 
 
 @dataclass
 class SkipperState:
-    """Last-trained batch ordinal and saved joint distributions, per attribute."""
+    """Per attribute: the batch its model last trained at and the drift reference.
+
+    `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
+    the training-time count z' of each value pair of the (a, b) joint in D,
+    and `support[a]` the number of value pairs in `a`'s joints at training.
+    `saved` holds whole joints for the reference rules only; it is not
+    persisted.
+    """
 
     last_trained: dict[int, int] = field(default_factory=dict)
     saved: dict[int, dict[int, JointDist]] = field(default_factory=dict)
+    trained_n: dict[int, int] = field(default_factory=dict)
+    baseline: dict[int, dict[int, PairCounts]] = field(default_factory=dict)
+    support: dict[int, int] = field(default_factory=dict)
 
     def trained_batch(self, attr: int) -> int:
         """Batch at which the attribute's model last trained; 0 means never."""
@@ -36,15 +65,17 @@ class SkipperState:
     def to_dict(self) -> dict:
         return {
             "last_trained": sorted([attr, k] for attr, k in self.last_trained.items()),
-            "saved": [
+            "trained_n": sorted([attr, n] for attr, n in self.trained_n.items()),
+            "support": sorted([attr, s] for attr, s in self.support.items()),
+            "baseline": [
                 [
                     attr,
                     [
-                        [other, sorted([va, vb, p] for (va, vb), p in dist.items())]
-                        for other, dist in sorted(dists.items())
+                        [other, sorted([va, vb, z] for (va, vb), z in counts.items())]
+                        for other, counts in sorted(partners.items())
                     ],
                 ]
-                for attr, dists in sorted(self.saved.items())
+                for attr, partners in sorted(self.baseline.items())
             ],
         }
 
@@ -52,9 +83,11 @@ class SkipperState:
     def from_dict(cls, payload: dict) -> "SkipperState":
         state = cls()
         state.last_trained = {attr: k for attr, k in payload["last_trained"]}
-        for attr, dists in payload["saved"]:
-            state.saved[attr] = {
-                other: {(va, vb): p for va, vb, p in entries} for other, entries in dists
+        state.trained_n = {attr: n for attr, n in payload["trained_n"]}
+        state.support = {attr: s for attr, s in payload["support"]}
+        for attr, partners in payload["baseline"]:
+            state.baseline[attr] = {
+                other: {(va, vb): z for va, vb, z in entries} for other, entries in partners
             }
         return state
 
@@ -78,6 +111,45 @@ def kl_divergence(
     return max(0.0, total)
 
 
+def _ikl_rule(
+    state: SkipperState,
+    attr: int,
+    partners: Iterable[int],
+    divergence: Callable[[int], float],
+    epsilon: float,
+) -> tuple[bool, int | None]:
+    if epsilon < 0:
+        raise DataError(f"epsilon must be >= 0, got {epsilon}")
+    if state.trained_batch(attr) == 0:
+        return True, None
+    for other in partners:
+        if divergence(other) > epsilon:
+            return True, other
+    return False, None
+
+
+def _wkl_rule(
+    state: SkipperState,
+    attr: int,
+    partners: Iterable[int],
+    divergence: Callable[[int], float],
+    correlations: Sequence[Sequence[float]],
+    epsilon: float,
+) -> tuple[bool, float]:
+    if epsilon < 0:
+        raise DataError(f"epsilon must be >= 0, got {epsilon}")
+    if state.trained_batch(attr) == 0:
+        return True, math.inf
+    n_attrs = len(correlations)
+    if n_attrs < 2:
+        raise DataError("weighted divergence needs at least two attributes")
+    total = 0.0
+    for other in partners:
+        total += divergence(other) * correlations[attr][other]
+    weighted = total / (n_attrs - 1)
+    return weighted > epsilon, weighted
+
+
 def should_retrain_ikl(
     state: SkipperState,
     attr: int,
@@ -90,15 +162,14 @@ def should_retrain_ikl(
     A never-trained attribute always trains.  Returns the first offending
     partner attribute (lowest index) when the rule fires.
     """
-    if epsilon < 0:
-        raise DataError(f"epsilon must be >= 0, got {epsilon}")
-    if state.trained_batch(attr) == 0:
-        return True, None
     saved = state.saved.get(attr, {})
-    for other in sorted(current):
-        if kl_divergence(current[other], saved.get(other, {}), floor) > epsilon:
-            return True, other
-    return False, None
+    return _ikl_rule(
+        state,
+        attr,
+        sorted(current),
+        lambda other: kl_divergence(current[other], saved.get(other, {}), floor),
+        epsilon,
+    )
 
 
 def should_retrain_wkl(
@@ -112,20 +183,15 @@ def should_retrain_wkl(
     """Weighted rule: retrain when the correlation-weighted mean divergence
     exceeds epsilon.  Returns the weighted value (inf for a never-trained
     attribute, which always trains)."""
-    if epsilon < 0:
-        raise DataError(f"epsilon must be >= 0, got {epsilon}")
-    if state.trained_batch(attr) == 0:
-        return True, math.inf
-    n_attrs = len(correlations)
-    if n_attrs < 2:
-        raise DataError("weighted divergence needs at least two attributes")
     saved = state.saved.get(attr, {})
-    total = 0.0
-    for other in sorted(current):
-        divergence = kl_divergence(current[other], saved.get(other, {}), floor)
-        total += divergence * correlations[attr][other]
-    weighted = total / (n_attrs - 1)
-    return weighted > epsilon, weighted
+    return _wkl_rule(
+        state,
+        attr,
+        sorted(current),
+        lambda other: kl_divergence(current[other], saved.get(other, {}), floor),
+        correlations,
+        epsilon,
+    )
 
 
 def record_training(
@@ -139,3 +205,108 @@ def record_training(
         raise DataError(f"batch ordinal must be >= 1, got {batch}")
     state.last_trained[attr] = batch
     state.saved[attr] = {other: dict(dist) for other, dist in current.items()}
+
+
+# -- the engine's path: divergences from count deltas --------------------------
+
+
+def _table(attr: int, other: int) -> tuple[int, int]:
+    return (attr, other) if attr < other else (other, attr)
+
+
+def record_counts(
+    state: SkipperState,
+    attr: int,
+    stats: StatsStore,
+    batch: int,
+    floor: float = DEFAULT_KL_FLOOR,
+) -> None:
+    """Make the current counts the attribute's drift reference.
+
+    D starts empty, except for value pairs whose mass is below `floor`: their
+    saved mass is floored, so the closed form must see them term by term.
+    """
+    if batch < 1:
+        raise DataError(f"batch ordinal must be >= 1, got {batch}")
+    n = stats.n
+    partners = [other for other in range(stats.n_attrs) if other != attr]
+    state.last_trained[attr] = batch
+    state.trained_n[attr] = n
+    state.support[attr] = sum(stats.pair_support(*_table(attr, other)) for other in partners)
+    state.baseline[attr] = {
+        other: (
+            {}
+            if 1 / n >= floor  # every mass is at least 1/n
+            else {
+                (va, vb): z
+                for va, vb, z in stats.iter_pairs(*_table(attr, other))
+                if z / n < floor
+            }
+        )
+        for other in partners
+    }
+
+
+def track_counts(state: SkipperState, delta: DeltaCounts) -> None:
+    """Add each value pair the batch changed to D, with its count before the batch.
+
+    A pair already in D keeps its training-time count.  Call once per ingested
+    batch, before the next `record_counts`.
+    """
+    for (i, j), changed in delta.pairs.items():
+        for attr, other in ((i, j), (j, i)):
+            partners = state.baseline.get(attr)
+            if partners is None:
+                continue
+            tracked = partners[other]
+            for pair in changed.keys() - tracked.keys():
+                tracked[pair] = changed[pair][0]
+
+
+def count_divergence(
+    state: SkipperState,
+    stats: StatsStore,
+    attr: int,
+    other: int,
+    floor: float = DEFAULT_KL_FLOOR,
+) -> float:
+    """KL of the current (attr, other) joint from the one `attr` trained on.
+
+    Equal to `kl_divergence` over `joint_distribution` joints up to rounding,
+    in O(|D|); a batch that repeats history proportionally gives exactly 0.
+    """
+    if floor <= 0:
+        raise DataError(f"probability floor must be positive, got {floor}")
+    n, n_trained = stats.n, state.trained_n[attr]
+    tracked = state.baseline[attr][other]
+    current = stats.pair_counts(*_table(attr, other), tracked)
+    terms = []
+    for z, z_trained in zip(current, tracked.values()):
+        if z > 0:
+            p = z / n
+            terms.append(p * math.log(p / max(z_trained / n_trained, floor)))
+    terms.append(math.log(n_trained / n) * (n - sum(current)) / n)
+    return max(0.0, math.fsum(terms))
+
+
+def should_retrain(
+    state: SkipperState,
+    stats: StatsStore,
+    attr: int,
+    rule: str,
+    correlations: Sequence[Sequence[float]],
+    epsilon: float,
+    floor: float = DEFAULT_KL_FLOOR,
+) -> tuple[bool, int | float | None]:
+    """The `ikl` or `wkl` verdict from count deltas, as `should_retrain_ikl` or
+    `should_retrain_wkl` would give it on `joint_distribution` joints."""
+    partners = [other for other in range(stats.n_attrs) if other != attr]
+
+    def divergence(other: int) -> float:
+        return count_divergence(state, stats, attr, other, floor)
+
+    if rule == "ikl":
+        return _ikl_rule(state, attr, partners, divergence, epsilon)
+    if rule == "wkl":
+        return _wkl_rule(state, attr, partners, divergence, correlations, epsilon)
+    raise DataError(f"unknown drift rule {rule!r}")

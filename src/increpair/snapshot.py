@@ -18,12 +18,12 @@ from .errors import ConfigError, DataError
 from .pipeline import RunState, Strategy
 from .relation import RelationStore, write_atomic
 from .skipper import SkipperState
-from .stats import EntropyAccumulator, StatsStore
+from .stats import EntropyAccumulator, StatsStore, scratch_accumulator
 from .models import AttributeModel
 
 FORMAT_NAME = "increpair-snapshot"
 STORE_VERSION = 1
-RUN_VERSION = 3
+RUN_VERSION = 4
 # RunState counters carried across a snapshot, by attribute name.
 PROGRESS_KEYS = (
     "batches_done",
@@ -164,23 +164,98 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
 
 def _inconsistency(state: RunState) -> str | None:
     """The first way the restored sections disagree with the schema or each other."""
-    n_attrs = state.store.n_attrs
-    stats, skipper = state.stats, state.skipper
+    store, stats, skipper = state.store, state.stats, state.skipper
+    n_attrs = store.n_attrs
     for attr, model in enumerate(state.models):
         finite = all(map(math.isfinite, model.weights.flat))
         if model.attr != attr or model.weights.shape != (n_attrs,) or not finite:
             return f"model {attr} is not {n_attrs} finite weights for attribute {attr}"
     if stats.n_attrs != n_attrs or state.entropy.n_attrs != n_attrs:
         return f"statistics or entropies are not over {n_attrs} attributes"
+    return (
+        _counts_problem(state)
+        or _entropy_problem(state)
+        or _skipper_problem(state)
+    )
+
+
+def _counts_problem(state: RunState) -> str | None:
+    """Counts that no stream of the store's tuples could have produced."""
+    store, stats = state.store, state.stats
+    if state.batches_done != store.batches_appended:
+        return f"{state.batches_done} batches done, {store.batches_appended} in the store"
+    if state.strategy.kind.incremental or state.strategy.kind.revisit:
+        rows = store.n_tuples  # every tuple, as first seen or as now repaired
+    else:
+        rows = len(store.batch_tids(state.batches_done)) if state.batches_done else 0
+    if stats.n != rows:
+        return f"statistics count n={stats.n}, the strategy counts {rows} of the store's rows"
     for attr, table in enumerate(stats.single):
         if sum(table.values()) != stats.n:
             return f"attribute {attr}'s value counts do not sum to n={stats.n}"
-    if state.entropy.n != stats.n:
-        return f"entropies at n={state.entropy.n}, statistics at n={stats.n}"
+        issued = store.interner.size(attr)
+        if any(not 0 <= vid < issued or count < 1 for vid, count in table.items()):
+            return f"attribute {attr} counts a value id the store never issued"
+    # each margin equals the marginal counts, so every table sums to n as well
+    for i in range(stats.n_attrs):
+        for j in range(i + 1, stats.n_attrs):
+            margin_i: dict[int, int] = {}
+            margin_j: dict[int, int] = {}
+            entries = 0
+            for vi, vj, count in stats.iter_pairs(i, j):
+                if count < 1:
+                    return f"pair ({i}, {j}) holds a count of {count}"
+                margin_i[vi] = margin_i.get(vi, 0) + count
+                margin_j[vj] = margin_j.get(vj, 0) + count
+                entries += 1
+            if (margin_i, margin_j) != (stats.single[i], stats.single[j]):
+                return f"pair ({i}, {j})'s counts disagree with the marginal counts"
+            if entries != stats.pair_support(i, j):
+                return f"pair ({i}, {j}) lists a value pair more than once"
+    return None
+
+
+def _entropy_problem(state: RunState) -> str | None:
+    entropy, stats = state.entropy, state.stats
+    if entropy.n != stats.n:
+        return f"entropies at n={entropy.n}, statistics at n={stats.n}"
+    # compared per row, in the units (nats) criteria 1 and 4 hold to 1e-9
+    scratch = scratch_accumulator(stats)
+    tolerance = 1e-9 * max(stats.n, 1)
+    kept = entropy.marginal + list(entropy.pair.values())
+    fresh = scratch.marginal + list(scratch.pair.values())
+    if any(abs(a - b) > tolerance for a, b in zip(kept, fresh)):
+        return "entropy sums differ from the statistics' by more than 1e-9 per row"
+    return None
+
+
+def _skipper_problem(state: RunState) -> str | None:
+    store, stats, skipper = state.store, state.stats, state.skipper
+    n_attrs = store.n_attrs
     for attr, batch in skipper.last_trained.items():
         if not (0 <= attr < n_attrs and 1 <= batch <= state.batches_done):
             return f"attribute {attr} last trained at batch {batch} of {state.batches_done}"
-    for attr, dists in skipper.saved.items():
-        if not all(0 <= other < n_attrs for other in (attr, *dists)):
-            return f"saved joints of attribute {attr} name attributes outside the schema"
+    trained = set(skipper.last_trained)
+    if not set(skipper.trained_n) == set(skipper.support) == set(skipper.baseline) == trained:
+        return "the drift gate's reference does not cover the trained attributes"
+    for attr in sorted(trained):
+        n_trained, support = skipper.trained_n[attr], skipper.support[attr]
+        if not (isinstance(n_trained, int) and 1 <= n_trained <= stats.n):
+            return f"attribute {attr} trained at n={n_trained!r}, statistics at n={stats.n}"
+        if not (isinstance(support, int) and support >= 0):
+            return f"attribute {attr}'s training support {support!r} is not a count"
+        partners = skipper.baseline[attr]
+        if set(partners) != set(range(n_attrs)) - {attr}:
+            return f"attribute {attr}'s drift reference does not name each other attribute"
+        for other, tracked in partners.items():
+            lo, hi = sorted((attr, other))
+            for (va, vb), z_trained in tracked.items():
+                if not (0 <= va < store.interner.size(lo) and 0 <= vb < store.interner.size(hi)):
+                    return f"attribute {attr}'s drift reference holds a value id never issued"
+                current = stats.pair_count(lo, va, hi, vb)
+                if not (isinstance(z_trained, int) and 0 <= z_trained <= current and current):
+                    return (
+                        f"attribute {attr} trained on count {z_trained!r} of a value pair"
+                        f" now counted {current}"
+                    )
     return None

@@ -54,7 +54,8 @@ class StatsStore:
         self._pairs: dict[tuple[int, int], dict[int, dict[int, int]]] = {
             (i, j): {} for i in range(n_attrs) for j in range(n_attrs) if i != j
         }
-        self._pair_entries = 0  # distinct value pairs, counted once per unordered key
+        # distinct value pairs per unordered key (i < j)
+        self._pair_support = {(i, j): 0 for i in range(n_attrs) for j in range(i + 1, n_attrs)}
 
     def ingest(self, rows: Sequence[Sequence[int]]) -> DeltaCounts:
         """Count a batch of value-id rows and report exactly what changed."""
@@ -80,9 +81,8 @@ class StatsStore:
                     forward[vj] = count + 1
                     self._pairs[(j, i)].setdefault(vj, {})[vi] = count + 1
         self.n += len(rows)
-        self._pair_entries += sum(
-            not old for changed in pair_old.values() for old in changed.values()
-        )
+        for key, changed in pair_old.items():
+            self._pair_support[key] += sum(not old for old in changed.values())
         marginals = tuple(
             {vid: (old, self.single[attr][vid]) for vid, old in changed.items()}
             for attr, changed in enumerate(marginal_old)
@@ -106,6 +106,17 @@ class StatsStore:
     def pair_count(self, attr_a: int, vid_a: int, attr_b: int, vid_b: int) -> int:
         return self._pairs[(attr_a, attr_b)].get(vid_a, {}).get(vid_b, 0)
 
+    def pair_counts(
+        self, attr_a: int, attr_b: int, pairs: Iterable[tuple[int, int]]
+    ) -> list[int]:
+        """Counts of the given (value_a, value_b) pairs, each of which must occur."""
+        table = self._pairs[(attr_a, attr_b)]
+        return [table[va][vb] for va, vb in pairs]
+
+    def pair_support(self, attr_a: int, attr_b: int) -> int:
+        """Distinct value pairs of an attribute pair (a < b) with a positive count."""
+        return self._pair_support[(attr_a, attr_b)]
+
     def cooccurring(self, target_attr: int, context_attr: int, context_vid: int) -> dict[int, int]:
         """Counts of target-attribute values co-occurring with one context value."""
         return self._pairs[(context_attr, target_attr)].get(context_vid, {})
@@ -122,7 +133,8 @@ class StatsStore:
         N-1 tables it conditions, a value pair one entry per orientation."""
         values = sum(len(table) for table in self.single)
         per_value = 96 + 72 * (self.n_attrs - 1)
-        return per_value * values + 192 * self._pair_entries + 112 * len(self._pairs)
+        pair_entries = sum(self._pair_support.values())
+        return per_value * values + 192 * pair_entries + 112 * len(self._pairs)
 
     # -- serialization ------------------------------------------------------
 
@@ -153,7 +165,7 @@ class StatsStore:
             for vi, vj, count in triples:
                 stats._pairs[(i, j)].setdefault(vi, {})[vj] = count
                 stats._pairs[(j, i)].setdefault(vj, {})[vi] = count
-            stats._pair_entries += len(triples)
+            stats._pair_support[(i, j)] += len(triples)
         return stats
 
 

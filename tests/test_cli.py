@@ -8,6 +8,7 @@ import json
 import pytest
 
 from increpair.cli import main
+from increpair.stats import StatsStore, scratch_accumulator
 
 
 def write_csv(path, header, rows):
@@ -363,6 +364,20 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
     ) == 1
 
 
+def _double_counts(payload):
+    """Statistics of every tuple counted twice, with entropies to match: self-
+    consistent, but not what the strategy counts from the store."""
+    stats = payload["stats"]
+    stats["n"] *= 2
+    for entries in stats["single"]:
+        for entry in entries:
+            entry[1] *= 2
+    for triples in stats["pairs"].values():
+        for triple in triples:
+            triple[2] *= 2
+    payload["entropy"] = scratch_accumulator(StatsStore.from_dict(stats)).to_dict()
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -371,8 +386,27 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
         lambda p: p["stats"]["single"][0].append([999, 5]),
         lambda p: p["skipper"].update(last_trained=[[0, 99]]),
         lambda p: p["strategy"].update(epsilon_kl=float("nan")),
+        lambda p: p["stats"]["pairs"]["0,1"].append([1, 99, 7]),
+        lambda p: p["skipper"]["trained_n"][0].__setitem__(1, p["stats"]["n"] + 1),
+        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 99, 0]),
+        # value pair (1, 1) of attributes 0 and 1 is counted once
+        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 1, 2]),
+        _double_counts,
+        lambda p: p["entropy"]["pair"].__setitem__(0, p["entropy"]["pair"][0] + 1.0),
     ],
-    ids=["model-attr", "weights-length", "extra-marginal", "skipper-batch", "epsilon-nan"],
+    ids=[
+        "model-attr",
+        "weights-length",
+        "extra-marginal",
+        "skipper-batch",
+        "epsilon-nan",
+        "extra-pair",
+        "gate-n",
+        "gate-value-id",
+        "gate-count",
+        "stats-n",
+        "entropy-sums",
+    ],
 )
 def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):
     rows = [(f"k{i % 2}", f"v{i % 3}", f"w{i % 2}") for i in range(6)]

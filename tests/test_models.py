@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from increpair.errors import ConfigError, DataError
 from increpair.featurize import CellDomain, FeatureBlock, FeatureTensor, Featurizer
@@ -14,6 +16,7 @@ from increpair.models import (
     AttributeModel,
     Hyperparams,
     _loss_and_grad,
+    _training_tids,
     build_training_set,
     predict,
     repair_cells,
@@ -243,6 +246,33 @@ class TestBuildTrainingSet:
         store, featurizer = trainable_world
         examples = build_training_set(store, 1, featurizer, tids=[2, 5])
         assert len(examples) == 0  # both are singleton-domain cells
+
+
+def listed_training_tids(store, attr, limit, rng, tids):
+    """The selection as made by listing every trainable tuple, then sampling."""
+    eligible = store.trainable_tids(attr, tids)
+    if len(eligible) > limit:
+        eligible = sorted(rng.sample(eligible, limit))
+    return eligible
+
+
+class TestTrainingSample:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_rows=st.integers(1, 60),
+        dirty=st.sets(st.integers(0, 59), max_size=30),
+        limit=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+        scoped=st.booleans(),
+    )
+    def test_sampled_ranks_pick_the_listed_sample(self, n_rows, dirty, limit, seed, scoped):
+        store = build_store([(f"r{i % 7}", f"v{i % 5}") for i in range(n_rows)], ("r", "v"))
+        store.mark_dirty([CellRef(tid, 1) for tid in dirty if tid < n_rows])
+        tids = range(n_rows // 3, n_rows) if scoped else None
+        for attr in range(2):  # attribute 0 has no Dirty cells
+            got = _training_tids(store, attr, limit, random.Random(seed), tids)
+            want = listed_training_tids(store, attr, limit, random.Random(seed), tids)
+            assert got == want
 
 
 class TestRepairCells:

@@ -208,7 +208,8 @@ class TestSkipperWiring:
     def test_recording_follows_training(self):
         state, reports = run_two_batches(StrategyKind.IHC, skip="ikl", epsilon_kl=0.0)
         assert state.skipper.trained_batch(1) >= 1
-        assert state.skipper.saved[1]  # joints snapshotted for the val attribute
+        # the val attribute's count reference: n' and its joints' support
+        assert state.skipper.trained_n[1] >= 1 and state.skipper.support[1] >= 1
 
     def test_infinite_epsilon_blocks_retraining(self):
         state, reports = run_two_batches(
@@ -234,7 +235,9 @@ class TestMetricsStream:
         assert len(lines) == 2
         assert all("timings_s" not in line for line in lines)
         with_timings = json.loads(capture(include_timings=True).splitlines()[0])
-        assert set(with_timings["timings_s"]) == {"detect", "stats", "train", "repair", "evaluate"}
+        assert set(with_timings["timings_s"]) == {
+            "detect", "stats", "gate", "train", "repair", "evaluate"
+        }
 
     def test_ground_truth_fields_null_without_truth(self):
         strategy = Strategy(kind=StrategyKind.IHC, detectors=("null",))

@@ -6,16 +6,27 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from increpair.errors import DataError
 from increpair.skipper import (
     SkipperState,
+    count_divergence,
     kl_divergence,
+    record_counts,
     record_training,
+    should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
+    track_counts,
+)
+from increpair.stats import (
+    EntropyAccumulator,
+    StatsStore,
+    apply_delta,
+    correlation_matrix,
+    joint_distribution,
 )
 
 # hand value: 0.5*ln(0.5/0.9) + 0.5*ln(0.5/0.1) = 0.5108256237659906
@@ -169,8 +180,152 @@ class TestStateBookkeeping:
             record_training(SkipperState(), 0, {}, batch=0)
 
     def test_round_trip(self):
-        state = drifted_state()
-        record_training(state, 2, {0: {(3, 4): 0.5, (1, 1): 0.5}}, batch=3)
+        # the count reference persists; the reference rules' whole joints do not
+        stats = StatsStore(3)
+        stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 1]])
+        state = SkipperState()
+        record_counts(state, 0, stats, batch=1)
+        track_counts(state, stats.ingest([[1, 3, 2], [2, 1, 1]]))
+        record_counts(state, 2, stats, batch=2)
+        assert state.baseline[0][1] == {(1, 3): 0, (2, 1): 1}
         clone = SkipperState.from_dict(state.to_dict())
-        assert clone.last_trained == state.last_trained
-        assert clone.saved == state.saved
+        assert clone == state
+        assert clone.to_dict() == state.to_dict()
+
+
+# -- the engine's path: divergences from count deltas ----------------------------
+
+
+def reference_joints(stats, attr):
+    return {
+        other: joint_distribution(stats, attr, other)
+        if attr < other
+        else joint_distribution(stats, other, attr)
+        for other in range(stats.n_attrs)
+        if other != attr
+    }
+
+
+def same_divergence(delta_value, reference_value):
+    # the closed form sums the untouched pairs' terms as one product, and the
+    # reference's own rounding reaches ~1e-16 on divergences near 1e-5
+    return math.isclose(delta_value, reference_value, rel_tol=1e-12, abs_tol=1e-15)
+
+
+class TestCountDivergence:
+    def test_matches_reference_by_hand(self):
+        stats = StatsStore(2)
+        stats.ingest([[1, 1], [1, 1], [1, 2], [2, 2]])
+        state, reference = SkipperState(), SkipperState()
+        record_counts(state, 0, stats, batch=1)
+        record_training(reference, 0, reference_joints(stats, 0), batch=1)
+        track_counts(state, stats.ingest([[1, 2], [3, 3]]))
+        assert state.baseline[0][1] == {(1, 2): 1, (3, 3): 0}
+        expected = kl_divergence(joint_distribution(stats, 0, 1), reference.saved[0][1])
+        assert same_divergence(count_divergence(state, stats, 0, 1), expected)
+
+    def test_proportional_batch_gives_exactly_zero(self):
+        rows = [[1, 1, 2], [1, 2, 2], [2, 1, 3]]
+        stats = StatsStore(3)
+        stats.ingest(rows)
+        state = SkipperState()
+        for attr in range(3):
+            record_counts(state, attr, stats, batch=1)
+        track_counts(state, stats.ingest(rows * 2))
+        for attr in range(3):
+            for other in range(3):
+                if other != attr:
+                    assert count_divergence(state, stats, attr, other) == 0.0
+
+    def test_pairs_below_the_floor_join_d_at_training(self):
+        stats = StatsStore(2)
+        stats.ingest([[1, 1]] * 30 + [[2, 2]])  # (2, 2) has mass 1/31 < 0.05
+        state = SkipperState()
+        record_counts(state, 0, stats, batch=1, floor=0.05)
+        assert state.baseline[0][1] == {(2, 2): 1}
+        record_counts(state, 1, stats, batch=1)  # default floor: 1/31 is above it
+        assert state.baseline[1][0] == {}
+        assert state.support == {0: 2, 1: 2}
+
+    def test_unknown_rule_is_an_error(self):
+        stats = StatsStore(2)
+        stats.ingest([[1, 1]])
+        with pytest.raises(DataError):
+            should_retrain(SkipperState(), stats, 0, "max", [[1.0, 1.0]] * 2, 0.1)
+
+    def test_floor_must_be_positive(self):
+        stats = StatsStore(2)
+        stats.ingest([[1, 1]])
+        state = SkipperState()
+        record_counts(state, 0, stats, batch=1)
+        with pytest.raises(DataError):
+            count_divergence(state, stats, 0, 1, floor=0.0)
+
+
+@st.composite
+def gate_streams(draw):
+    """Batches of rows over a few attributes with skewed values, so rare value
+    pairs fall below the floor once enough rows are seen.  A batch of size 0
+    repeats every row so far twice, which leaves each joint where it was."""
+    n_attrs = draw(st.integers(2, 4))
+    vocab = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = [1 / value**2 for value in range(1, vocab + 1)]
+    batches = [
+        [rng.choices(range(1, vocab + 1), weights, k=n_attrs) for _ in range(size)]
+        if size
+        else "repeat"
+        for size in sizes
+    ]
+    floor = draw(st.sampled_from([1e-6, 1e-3, 0.01, 0.02, 0.05]))
+    epsilon = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.1, 0.5]))
+    return n_attrs, batches, floor, epsilon
+
+
+class TestDeltaPathMatchesReference:
+    @settings(deadline=None, max_examples=150)
+    @given(gate_streams(), st.sampled_from(["ikl", "wkl"]))
+    def test_verdicts_partners_and_divergences(self, stream, rule):
+        n_attrs, batches, floor, epsilon = stream
+        stats, acc = StatsStore(n_attrs), EntropyAccumulator(n_attrs)
+        delta_state, reference = SkipperState(), SkipperState()
+        history: list[list[int]] = []
+        for k, batch in enumerate(batches, start=1):
+            repeat = batch == "repeat"
+            rows = history * 2 if repeat else batch  # x3, not a power of 2
+            if not rows:
+                continue  # nothing to repeat yet
+            n_before = stats.n
+            delta = stats.ingest(rows)
+            history += rows
+            apply_delta(acc, stats, delta)
+            track_counts(delta_state, delta)
+            correlations = correlation_matrix(stats, acc)
+            for attr in range(n_attrs):
+                joints = reference_joints(stats, attr)
+                if rule == "ikl":
+                    expected = should_retrain_ikl(reference, attr, joints, epsilon, floor)
+                else:
+                    expected = should_retrain_wkl(
+                        reference, attr, joints, correlations, epsilon, floor
+                    )
+                got = should_retrain(
+                    delta_state, stats, attr, rule, correlations, epsilon, floor
+                )
+                assert got[0] == expected[0]
+                if rule == "ikl":
+                    assert got[1] == expected[1]
+                else:
+                    assert got[1] == expected[1] or same_divergence(got[1], expected[1])
+                if reference.trained_batch(attr):
+                    for other, joint in joints.items():
+                        want = kl_divergence(joint, reference.saved[attr][other], floor)
+                        have = count_divergence(delta_state, stats, attr, other, floor)
+                        assert same_divergence(have, want), (attr, other, have, want)
+                        if repeat and delta_state.trained_n[attr] == n_before:
+                            assert have == want == 0.0
+                if got[0]:
+                    record_training(reference, attr, joints, k)
+                    record_counts(delta_state, attr, stats, k, floor)
+            assert delta_state.last_trained == reference.last_trained

@@ -20,6 +20,7 @@ from increpair.relation import (
     make_batches,
 )
 from increpair.snapshot import load_run, load_store, save_run, save_store
+from increpair.stats import StatsStore, scratch_accumulator
 
 from conftest import failing_writes
 
@@ -189,7 +190,7 @@ class TestRunSnapshotValidation:
             ("stats", "n"),
             ("entropy", "pair"),
             ("models", "weights"),
-            ("skipper", "saved"),
+            ("skipper", "baseline"),
             ("store", "rows"),
             ("strategy", "kind"),
         ],
@@ -227,6 +228,15 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError, match="version 2"):
             load_run(path)
 
+    def test_version_3_snapshot_is_rejected(self, tmp_path):
+        # v3 skippers saved whole joint distributions
+        path, payload = self.saved(tmp_path)
+        payload["version"] = 3
+        payload["skipper"] = {"last_trained": [[0, 2], [1, 2]], "saved": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version 3"):
+            load_run(path)
+
     # more cases, each resumed through the command line, are in test_cli.py
     @pytest.mark.parametrize(
         "mangle",
@@ -235,8 +245,9 @@ class TestRunSnapshotValidation:
             lambda p: p["entropy"].update(n=p["entropy"]["n"] + 1),
             lambda p: p["entropy"]["pair"].__setitem__(0, math.inf),
             lambda p: p["skipper"]["last_trained"].append([7, 1]),
+            lambda p: p["stats"]["pairs"]["0,1"].append(p["stats"]["pairs"]["0,1"][0]),
         ],
-        ids=["weights-nan", "entropy-n", "entropy-inf", "skipper-attr"],
+        ids=["weights-nan", "entropy-n", "entropy-inf", "skipper-attr", "pair-twice"],
     )
     def test_inconsistent_content_is_data_error(self, tmp_path, mangle):
         path, payload = self.saved(tmp_path)
@@ -254,6 +265,27 @@ class TestRunSnapshotValidation:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version 1"):
             load_run(path)
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_every_strategy_kind_restores(self, tmp_path, kind):
+        strategy = Strategy(kind=kind, skip="ikl" if kind.incremental else "none")
+        state = fresh_run(strategy)
+        run_stream(state, strategy, make_batches(STREAM_ROWS, count=3))
+        save_run(state, tmp_path / "run.json")
+        restored, _ = load_run(tmp_path / "run.json")
+        assert restored.stats.n == state.stats.n
+
+    def test_hc_sep_statistics_count_the_last_batch_only(self, tmp_path):
+        strategy = Strategy(kind=StrategyKind.HC_SEP)
+        state = fresh_run(strategy)
+        run_stream(state, strategy, make_batches(STREAM_ROWS, count=3))
+        # self-consistent statistics, but over every tuple, as hc-acc counts them
+        state.stats = StatsStore(2)
+        state.stats.ingest([state.store.tuple_values(t) for t in range(state.store.n_tuples)])
+        state.entropy = scratch_accumulator(state.stats)
+        save_run(state, tmp_path / "run.json")
+        with pytest.raises(DataError, match="strategy counts"):
+            load_run(tmp_path / "run.json")
 
     def test_restored_run_needs_its_inputs(self, tmp_path):
         strategy = Strategy(kind=StrategyKind.IHC, detectors=("perfect",))
