@@ -9,31 +9,31 @@ tensor prices each candidate against each context attribute as the ratio
 by construction lies in [0, 1].
 
 `Featurizer.block` does this with numpy for a whole set of cells: per context
-attribute it converts only the co-occurrence rows of the context values the
-cells hold, merges the candidates into one sorted union of (cell, value) keys
-context by context, cuts each domain to its heaviest values and fills the
-stacked tensor with one float64 division per context.  `Featurizer.domain`
-and `Featurizer.tensor` run the same code on a single cell.
+attribute it slices the rows of the context values the cells hold out of the
+store's packed co-occurrence table, merges the candidates into one sorted
+union of (cell, value) keys context by context, cuts each domain to its
+heaviest values and fills the stacked tensor with one float64 division per
+context.  `Featurizer.domain` and `Featurizer.tensor` run the same code on a
+single cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .relation import NULL_ID, CellRef
-from .stats import StatsStore
+from .stats import LOW, SHIFT, StatsStore, add_counts
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
 
-# A (cell, value id) pair packed into one int64 sort key, the cell in the high bits.
-_SHIFT = 32
-_LOW = (1 << _SHIFT) - 1
+# A (cell, value id) pair packed into one int64 sort key, the cell in the high
+# bits, as the statistics pack a (context value, target value) pair.
+_SHIFT, _LOW = SHIFT, LOW
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,15 @@ def tensor_slots(stats: StatsStore, attr: int, cap: int = DEFAULT_DOMAIN_CAP) ->
 
 @dataclass(frozen=True)
 class _Context:
-    """The co-occurrence rows, toward the cells' attribute, of the distinct
-    values the cells hold in one context attribute.
+    """Each cell's co-occurrence row, toward the cells' attribute, in one
+    context attribute.
 
-    Cell i holds value id `vids[row[i]]`, counted `frequency[row[i]]` times.
-    `keys` packs every row's (row, target value id) pairs, sorted, with
-    `counts` alongside; row r's pairs are keys[starts[r] : starts[r] + lengths[r]].
+    Cell i holds value id `vids[i]`, counted `frequency[i]` times.  `keys` and
+    `counts` are the store's whole (context attribute, cells' attribute)
+    table, packed (context value, target value) keys sorted ascending; cell
+    i's row is keys[starts[i] : starts[i] + lengths[i]].
     """
 
-    row: np.ndarray
     vids: np.ndarray
     frequency: np.ndarray
     keys: np.ndarray
@@ -112,62 +112,22 @@ class _Context:
     lengths: np.ndarray
 
 
-def _context(
-    stats: StatsStore, attr: int, context_attr: int, context_vids: np.ndarray
-) -> _Context:
-    present = np.zeros(int(context_vids.max(initial=-1)) + 1, dtype=bool)
-    present[context_vids] = True
-    row = (np.cumsum(present) - 1)[context_vids]
-    vids = np.flatnonzero(present)
-    distinct = vids.tolist()
-    tables = [stats.cooccurring(attr, context_attr, vid) for vid in distinct]
-    frequency = np.fromiter(
-        (stats.frequency(context_attr, vid) for vid in distinct),
-        dtype=np.int64,
-        count=len(distinct),
-    )
-    lengths = np.fromiter(map(len, tables), dtype=np.int64, count=len(tables))
-    total = int(lengths.sum())
-    targets = np.fromiter(chain.from_iterable(tables), dtype=np.int64, count=total)
-    counts = np.fromiter(
-        chain.from_iterable(table.values() for table in tables), dtype=np.int64, count=total
-    )
-    keys = (np.repeat(np.arange(len(tables), dtype=np.int64), lengths) << _SHIFT) | targets
-    order = np.argsort(keys)
-    return _Context(
-        row,
-        vids,
-        frequency,
-        keys[order],
-        counts[order],
-        np.cumsum(lengths) - lengths,
-        lengths,
-    )
+def _context(stats: StatsStore, attr: int, context_attr: int, vids: np.ndarray) -> _Context:
+    keys, counts = stats.table(context_attr, attr)
+    starts = np.searchsorted(keys, vids << SHIFT)
+    stops = np.searchsorted(keys, (vids + 1) << SHIFT)
+    # a row's counts sum to its context value's frequency
+    running = np.concatenate([[0], np.cumsum(counts)])
+    return _Context(vids, running[stops] - running[starts], keys, counts, starts, stops - starts)
 
 
 def _gather(ctx: _Context) -> tuple[np.ndarray, np.ndarray]:
     """Every (cell, position in `ctx.keys`) of the cells' co-occurrence rows."""
-    lengths = ctx.lengths[ctx.row]
-    cells = np.repeat(np.arange(len(ctx.row), dtype=np.int64), lengths)
-    shift = ctx.starts[ctx.row] - (np.cumsum(lengths) - lengths)
+    lengths = ctx.lengths
+    cells = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    shift = ctx.starts - (np.cumsum(lengths) - lengths)
     positions = np.arange(len(cells), dtype=np.int64) + np.repeat(shift, lengths)
     return cells, positions
-
-
-def _merge(
-    union: np.ndarray, weights: np.ndarray, keys: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted union of two sorted key arrays, with the counts of equal keys summed."""
-    merged = np.empty(len(union) + len(keys), dtype=np.int64)
-    summed = np.empty(len(merged), dtype=np.int64)
-    new = np.searchsorted(union, keys) + np.arange(len(keys))
-    old = np.searchsorted(keys, union, side="right") + np.arange(len(union))
-    merged[new], summed[new] = keys, counts
-    merged[old], summed[old] = union, weights
-    if not len(merged):
-        return merged, summed
-    starts = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
-    return merged[starts], np.add.reduceat(summed, starts)
 
 
 def _runs(keys: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +186,7 @@ class Featurizer:
             cells, positions = _gather(ctx)
             vids = ctx.keys[positions] & _LOW
             keep = (vids != NULL_ID) & (vids != observed[cells])
-            union, weights = _merge(
+            (union, weights), _ = add_counts(
                 union,
                 weights,
                 (cells[keep] << _SHIFT) | vids[keep],
@@ -244,7 +204,7 @@ class Featurizer:
             kept[ranked[rank >= self.cap - 1]] = False
             union = union[kept]
         own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
-        keys, _ = _merge(union, np.zeros(len(union), dtype=np.int64), own, own)
+        (keys, _), _ = add_counts(union, np.zeros(len(union), dtype=np.int64), own, own)
         _, _, starts = _runs(keys, n_cells)
         return keys, np.searchsorted(keys, own) - starts
 
@@ -271,17 +231,17 @@ class Featurizer:
         for context_attr, ctx in enumerate(contexts):
             if ctx is None:
                 continue
-            frequency = ctx.frequency[ctx.row]
+            frequency = ctx.frequency
             stale = np.flatnonzero(frequency <= 0)
             if len(stale):
                 raise DataError(
                     f"statistics hold no count for attribute {context_attr}"
-                    f" value id {ctx.vids[ctx.row[stale[0]]]};"
+                    f" value id {ctx.vids[stale[0]]};"
                     " counts are out of step with the store"
                 )
             if not len(ctx.keys):
                 continue
-            query = (ctx.row[cells] << _SHIFT) | vids
+            query = (ctx.vids[cells] << _SHIFT) | vids
             found = np.minimum(np.searchsorted(ctx.keys, query), len(ctx.keys) - 1)
             counts = np.where(ctx.keys[found] == query, ctx.counts[found], 0)
             values[cells, slot, context_attr] = counts / frequency[cells]
@@ -302,9 +262,7 @@ class Featurizer:
             keys = keys[multi[keys >> _SHIFT]]
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
             tids, observed_index = tids[multi], observed_index[multi]
-            contexts = [
-                None if ctx is None else replace(ctx, row=ctx.row[multi]) for ctx in contexts
-            ]
+            contexts = self._contexts(attr, rows[multi])
         candidates, sizes, values, mask = self._tensors(attr, len(tids), keys, contexts)
         return FeatureBlock(tids, candidates, sizes, observed_index, values, mask)
 

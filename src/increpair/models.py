@@ -27,8 +27,8 @@ class Hyperparams:
     learning_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"

@@ -107,6 +107,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.skip not in SKIP_VARIANTS:
             raise ConfigError(f"unknown skip variant {self.skip!r}")
+        if not all(type(value) is int for value in (self.domain_cap, self.train_limit, self.seed)):
+            raise ConfigError("domain cap, training limit and seed must be integers")
         if not self.kind.incremental and self.skip != "none":
             raise ConfigError(
                 f"{self.kind.value} always retrains; skip must be 'none'"

@@ -25,6 +25,18 @@ NULL_DISPLAY = ""
 DEFAULT_NULL_TOKENS = frozenset({"", "NULL", "empty"})
 
 
+def int_rows(entries, width: int, what: str) -> np.ndarray:
+    """`entries`, a list of rows of `width` integers, as an int64 array; anything
+    else is a DataError."""
+    try:
+        rows = np.array(entries) if len(entries) else np.empty((0, width), dtype=np.int64)
+    except ValueError:  # ragged
+        rows = np.empty(0, dtype=object)
+    if rows.dtype.kind != "i" or rows.shape[1:] != (width,):
+        raise DataError(f"{what} are not rows of {width} integers")
+    return rows
+
+
 class CellStatus(IntEnum):
     CLEAN = 0
     DIRTY = 1
@@ -404,15 +416,28 @@ class RelationStore:
         for attr, strings in enumerate(payload["values"]):
             for text in strings:
                 store.interner.intern(attr, text)
-        store._rows = [list(row) for row in payload["rows"]]
-        store._status = [bytearray(row) for row in payload["status"]]
-        for tid, status_row in enumerate(store._status):
-            if CellStatus.DIRTY in status_row:
-                for attr, status in enumerate(status_row):
-                    if status == CellStatus.DIRTY:
-                        store._dirty[attr].add(tid)
+        sizes = np.array([store.interner.size(attr) for attr in range(store.n_attrs)])
+        rows = int_rows(payload["rows"], store.n_attrs, "stored rows")
+        status = int_rows(payload["status"], store.n_attrs, "cell statuses")
+        tid, attr, vid = int_rows(payload["original"], 3, "original values").T
+        starts = np.array(payload["batch_starts"])
+        cells = (tid >= 0) & (tid < len(rows)) & (attr >= 0) & (attr < len(sizes))
+        if ((rows < 0) | (rows >= sizes)).any() or not cells.all() or (
+            (vid < 0) | (vid >= sizes[attr])
+        ).any():
+            raise DataError("stored or original values name a cell or value id the store lacks")
+        if status.shape != rows.shape or not np.isin(status, list(CellStatus)).all():
+            raise DataError("cell statuses do not match the stored rows")
+        if starts.dtype.kind != "i" or starts.ndim != 1 or starts[:1].tolist() != [0] or (
+            starts[-1] != len(rows) or (np.diff(starts) < 0).any()
+        ):
+            raise DataError("batch starts do not cut the stored rows into batches")
+        store._rows = rows.tolist()
+        store._status = [bytearray(row) for row in status.tolist()]
+        for t, a in np.argwhere(status == CellStatus.DIRTY).tolist():
+            store._dirty[a].add(t)
         store._original = {
-            CellRef(tid, attr): vid for tid, attr, vid in payload["original"]
+            CellRef(t, a): v for t, a, v in zip(tid.tolist(), attr.tolist(), vid.tolist())
         }
-        store._batch_starts = list(payload["batch_starts"])
+        store._batch_starts = starts.tolist()
         return store

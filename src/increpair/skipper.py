@@ -31,14 +31,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .stats import DeltaCounts, StatsStore
+from .stats import DeltaCounts, StatsStore, add_counts, from_triples, insertion_points, to_triples
 
 DEFAULT_KL_FLOOR = 1e-6
 
 JointDist = dict[tuple[int, int], float]
-# value pair, oriented as in the (lower attribute, higher attribute) table -> count
-PairCounts = dict[tuple[int, int], int]
+# sorted packed value pairs, oriented as in the (lower attribute, higher
+# attribute) table, and a count for each
+PairCounts = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -46,8 +49,9 @@ class SkipperState:
     """Per attribute: the batch its model last trained at and the drift reference.
 
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
-    the training-time count z' of each value pair of the (a, b) joint in D,
-    and `support[a]` the number of value pairs in `a`'s joints at training.
+    the value pairs of the (a, b) joint in D with the training-time count z'
+    of each, and `support[a]` the number of value pairs in `a`'s joints at
+    training.
     `saved` holds whole joints for the reference rules only; it is not
     persisted.
     """
@@ -68,13 +72,7 @@ class SkipperState:
             "trained_n": sorted([attr, n] for attr, n in self.trained_n.items()),
             "support": sorted([attr, s] for attr, s in self.support.items()),
             "baseline": [
-                [
-                    attr,
-                    [
-                        [other, sorted([va, vb, z] for (va, vb), z in counts.items())]
-                        for other, counts in sorted(partners.items())
-                    ],
-                ]
+                [attr, [[other, to_triples(*pairs)] for other, pairs in sorted(partners.items())]]
                 for attr, partners in sorted(self.baseline.items())
             ],
         }
@@ -87,7 +85,8 @@ class SkipperState:
         state.support = {attr: s for attr, s in payload["support"]}
         for attr, partners in payload["baseline"]:
             state.baseline[attr] = {
-                other: {(va, vb): z for va, vb, z in entries} for other, entries in partners
+                other: from_triples(entries, f"attribute {attr}'s drift reference")
+                for other, entries in partners
             }
         return state
 
@@ -232,19 +231,13 @@ def record_counts(
     partners = [other for other in range(stats.n_attrs) if other != attr]
     state.last_trained[attr] = batch
     state.trained_n[attr] = n
-    state.support[attr] = sum(stats.pair_support(*_table(attr, other)) for other in partners)
-    state.baseline[attr] = {
-        other: (
-            {}
-            if 1 / n >= floor  # every mass is at least 1/n
-            else {
-                (va, vb): z
-                for va, vb, z in stats.iter_pairs(*_table(attr, other))
-                if z / n < floor
-            }
-        )
-        for other in partners
-    }
+    state.baseline[attr] = {}
+    state.support[attr] = 0
+    for other in partners:
+        keys, counts = stats.table(*_table(attr, other))
+        below = counts / n < floor  # never true while 1/n >= floor
+        state.baseline[attr][other] = (keys[below], counts[below])
+        state.support[attr] += len(keys)
 
 
 def track_counts(state: SkipperState, delta: DeltaCounts) -> None:
@@ -253,14 +246,16 @@ def track_counts(state: SkipperState, delta: DeltaCounts) -> None:
     A pair already in D keeps its training-time count.  Call once per ingested
     batch, before the next `record_counts`.
     """
-    for (i, j), changed in delta.pairs.items():
+    for (i, j), change in delta.pairs.items():
         for attr, other in ((i, j), (j, i)):
             partners = state.baseline.get(attr)
             if partners is None:
                 continue
-            tracked = partners[other]
-            for pair in changed.keys() - tracked.keys():
-                tracked[pair] = changed[pair][0]
+            keys, z_trained = partners[other]
+            _, fresh = insertion_points(keys, change.keys)
+            partners[other], _ = add_counts(
+                keys, z_trained, change.keys[fresh], change.old[fresh]
+            )
 
 
 def count_divergence(
@@ -278,14 +273,12 @@ def count_divergence(
     if floor <= 0:
         raise DataError(f"probability floor must be positive, got {floor}")
     n, n_trained = stats.n, state.trained_n[attr]
-    tracked = state.baseline[attr][other]
-    current = stats.pair_counts(*_table(attr, other), tracked)
-    terms = []
-    for z, z_trained in zip(current, tracked.values()):
-        if z > 0:
-            p = z / n
-            terms.append(p * math.log(p / max(z_trained / n_trained, floor)))
-    terms.append(math.log(n_trained / n) * (n - sum(current)) / n)
+    keys, z_trained = state.baseline[attr][other]
+    table_keys, table_counts = stats.table(*_table(attr, other))
+    current = table_counts[np.searchsorted(table_keys, keys)]  # every pair in D occurs
+    p = current / n
+    terms = (p * np.log(p / np.maximum(z_trained / n_trained, floor))).tolist()
+    terms.append(math.log(n_trained / n) * (n - int(current.sum())) / n)
     return max(0.0, math.fsum(terms))
 
 

@@ -14,11 +14,13 @@ import math
 from pathlib import Path
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 from .pipeline import RunState, Strategy
 from .relation import RelationStore, write_atomic
 from .skipper import SkipperState
-from .stats import EntropyAccumulator, StatsStore, scratch_accumulator
+from .stats import SHIFT, EntropyAccumulator, StatsStore, insertion_points, scratch_accumulator
 from .models import AttributeModel
 
 FORMAT_NAME = "increpair-snapshot"
@@ -140,6 +142,9 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
         ("store", "strategy", "stats", "entropy", "models", "skipper", "progress", "config"),
     )
     _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
+    _require(payload["config"], (), f"snapshot {path} config")
+    if not all(isinstance(payload["progress"][key], int) for key in PROGRESS_KEYS):
+        raise DataError(f"snapshot {path} progress counters are not all integers")
     store = _section(path, "store", RelationStore.from_dict, payload["store"])
     models = payload["models"]
     if not isinstance(models, list) or len(models) != store.n_attrs:
@@ -190,29 +195,34 @@ def _counts_problem(state: RunState) -> str | None:
         rows = len(store.batch_tids(state.batches_done)) if state.batches_done else 0
     if stats.n != rows:
         return f"statistics count n={stats.n}, the strategy counts {rows} of the store's rows"
+    margins = []
     for attr, table in enumerate(stats.single):
         if sum(table.values()) != stats.n:
             return f"attribute {attr}'s value counts do not sum to n={stats.n}"
-        issued = store.interner.size(attr)
-        if any(not 0 <= vid < issued or count < 1 for vid, count in table.items()):
+        margin = np.array(sorted(table.items()), dtype=np.int64).reshape(-1, 2)
+        if len(margin) and not 0 <= margin[0, 0] <= margin[-1, 0] < store.interner.size(attr):
             return f"attribute {attr} counts a value id the store never issued"
-    # each margin equals the marginal counts, so every table sums to n as well
+        margins.append(margin)
+    # each margin equals the marginal counts, so every table sums to n as well,
+    # and every marginal count is positive
     for i in range(stats.n_attrs):
         for j in range(i + 1, stats.n_attrs):
-            margin_i: dict[int, int] = {}
-            margin_j: dict[int, int] = {}
-            entries = 0
-            for vi, vj, count in stats.iter_pairs(i, j):
-                if count < 1:
-                    return f"pair ({i}, {j}) holds a count of {count}"
-                margin_i[vi] = margin_i.get(vi, 0) + count
-                margin_j[vj] = margin_j.get(vj, 0) + count
-                entries += 1
-            if (margin_i, margin_j) != (stats.single[i], stats.single[j]):
+            counts = stats.table(i, j)[1]
+            if len(counts) and not 1 <= counts.min() <= counts.max() <= stats.n:
+                return f"pair ({i}, {j}) holds a count outside 1..{stats.n}"
+            if not (
+                np.array_equal(_margin(*stats.table(i, j)), margins[i])
+                and np.array_equal(_margin(*stats.table(j, i)), margins[j])
+            ):
                 return f"pair ({i}, {j})'s counts disagree with the marginal counts"
-            if entries != stats.pair_support(i, j):
-                return f"pair ({i}, {j}) lists a value pair more than once"
     return None
+
+
+def _margin(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """[value id, summed count] rows of a packed table, by its high value id."""
+    high = keys >> SHIFT
+    starts = np.flatnonzero(np.diff(high, prepend=-1))
+    return np.stack([high[starts], np.add.reduceat(counts, starts)], axis=1)
 
 
 def _entropy_problem(state: RunState) -> str | None:
@@ -247,15 +257,10 @@ def _skipper_problem(state: RunState) -> str | None:
         partners = skipper.baseline[attr]
         if set(partners) != set(range(n_attrs)) - {attr}:
             return f"attribute {attr}'s drift reference does not name each other attribute"
-        for other, tracked in partners.items():
-            lo, hi = sorted((attr, other))
-            for (va, vb), z_trained in tracked.items():
-                if not (0 <= va < store.interner.size(lo) and 0 <= vb < store.interner.size(hi)):
-                    return f"attribute {attr}'s drift reference holds a value id never issued"
-                current = stats.pair_count(lo, va, hi, vb)
-                if not (isinstance(z_trained, int) and 0 <= z_trained <= current and current):
-                    return (
-                        f"attribute {attr} trained on count {z_trained!r} of a value pair"
-                        f" now counted {current}"
-                    )
+        # a value pair the statistics count holds issued value ids (see _counts_problem)
+        for other, (keys, z_trained) in partners.items():
+            table_keys, table_counts = stats.table(*sorted((attr, other)))
+            at, fresh = insertion_points(table_keys, keys)
+            if fresh.any() or (z_trained < 0).any() or (z_trained > table_counts[at]).any():
+                return f"attribute {attr} trained on a value pair count now lower or absent"
     return None

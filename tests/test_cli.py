@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import io
+import itertools
 import json
+import math
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from increpair.cli import main
 from increpair.stats import StatsStore, scratch_accumulator
@@ -393,6 +400,14 @@ def _double_counts(payload):
         lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 1, 2]),
         _double_counts,
         lambda p: p["entropy"]["pair"].__setitem__(0, p["entropy"]["pair"][0] + 1.0),
+        # value ids that do not fit the packed 32-bit halves, and duplicates
+        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(1, 2**70),
+        # [1, 2**32 + 1] would pack to the key of value pair (1, 1), which it replaces
+        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(1, 2**32 + 1),
+        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(0, -1),
+        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 2**70, 0]),
+        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 2**32 + 1, 0]),
+        lambda p: p["skipper"]["baseline"][0][1][0][1].extend([[1, 1, 0], [1, 1, 0]]),
     ],
     ids=[
         "model-attr",
@@ -406,6 +421,12 @@ def _double_counts(payload):
         "gate-count",
         "stats-n",
         "entropy-sums",
+        "pair-id-overflow",
+        "pair-id-alias",
+        "pair-id-negative",
+        "gate-id-overflow",
+        "gate-id-alias",
+        "gate-pair-twice",
     ],
 )
 def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):
@@ -423,3 +444,120 @@ def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):
     mangle(payload)
     snap.write_text(json.dumps(payload))
     assert run(["clean", "--input", full, "--resume", snap] + shared) == 2
+
+
+# -- resuming mutated snapshots ---------------------------------------------------
+
+FUZZ_ROWS = [
+    ("" if i % 7 == 3 else f"k{i % 3}", f"v{i % 4}", "" if i % 5 == 1 else f"w{i % 3}")
+    for i in range(16)
+]
+FUZZ_FLAGS = ["--batch-size", "4"]
+
+
+def _json_paths(node, path=()):
+    """The path to every value nested in a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _is_value_id(path) -> bool:
+    """Whether a snapshot path holds a value id (tail index: which column)."""
+    head = path[:2]
+    return (
+        (head == ("store", "rows") and len(path) == 4)
+        or (head == ("store", "original") and path[3:] == (2,))
+        or (head == ("stats", "single") and path[4:] == (0,))
+        or (head == ("stats", "pairs") and len(path) == 5 and path[4] in (0, 1))
+        or (head == ("skipper", "baseline") and len(path) == 8 and path[7] in (0, 1))
+    )
+
+
+@pytest.fixture(scope="module", params=["inf", "0.05"], ids=["gate-holds-pairs", "gate-fires"])
+def fuzz_case(request, tmp_path_factory):
+    """A valid run snapshot after 3 of 4 batches, whose store holds repaired
+    cells, plus the full input to resume it on.  At epsilon inf the models
+    last trained at batch 1, so the drift gate holds the value pairs of two
+    batches; at 0.05 they last trained at batch 3 and retrain on resume."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    head, full = workdir / "head.csv", workdir / "full.csv"
+    write_csv(head, ("a", "b", "c"), FUZZ_ROWS[:12])
+    write_csv(full, ("a", "b", "c"), FUZZ_ROWS)
+    snap = workdir / "snap.json"
+    assert run(
+        ["clean", "--input", head, "--strategy", "ihc", "--skip", "ikl", "--snapshot", snap,
+         "--omega", "0", "--epsilon", request.param] + FUZZ_FLAGS
+    ) == 0
+    payload = json.loads(snap.read_text())
+    tracked = [entries for _, partners in payload["skipper"]["baseline"] for _, entries in partners]
+    assert payload["store"]["original"] and any(tracked) == (request.param == "inf")
+    return workdir, full, payload
+
+
+MUTATIONS = ("drop", "retype", "nan", "plus", "minus", "id-negative", "id-2**32")
+# the echoed batching must match the resumed run's; a mismatch is a settings
+# conflict, exit 1 (see TestResume)
+CONFLICTING_SETTINGS = {("config", "batches"), ("config", "batch_size")}
+
+
+def _mutate(payload, path, mutation, replacement):
+    """Apply one mutation at `path`; False when it does not apply there."""
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "retype":
+        if type(replacement) is type(value):
+            return False
+        parent[key] = replacement
+    elif mutation == "nan":
+        if not (is_int or isinstance(value, float)):
+            return False
+        parent[key] = math.nan
+    elif mutation in ("plus", "minus"):
+        if not is_int:
+            return False
+        parent[key] = value + (1 if mutation == "plus" else -1)
+    else:
+        if not _is_value_id(path):
+            return False
+        parent[key] = -1 if mutation == "id-negative" else 2**32
+    return True
+
+
+class TestResumeFuzz:
+    serial = itertools.count()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.data(),
+        st.sampled_from(MUTATIONS),
+        st.sampled_from(["text", 7, 1.5, None, [], {}, True]),
+    )
+    def test_mutated_snapshot_resumes_or_exits_2(self, fuzz_case, data, mutation, replacement):
+        """One field of a valid snapshot mutated: the resume finishes (0) or
+        rejects the snapshot as malformed (2), never fails inside (3)."""
+        workdir, full, valid = fuzz_case
+        payload = copy.deepcopy(valid)
+        paths = [
+            path for path in _json_paths(payload) if path[:2] not in CONFLICTING_SETTINGS
+        ]
+        path = data.draw(st.sampled_from(paths), label="path")
+        assume(_mutate(payload, path, mutation, replacement))
+        snap = workdir / f"mutated{next(self.serial)}.json"
+        snap.write_text(json.dumps(payload))
+        with redirect_stderr(io.StringIO()) as log:
+            code = run(["clean", "--input", full, "--resume", snap] + FUZZ_FLAGS)
+        snap.unlink()
+        assert code in (0, 2), (path, mutation, log.getvalue())
+

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from count_oracle import DictCounts, delta_from_dicts, delta_view
 from increpair.errors import DataError
 from increpair.stats import (
     DeltaCounts,
@@ -91,7 +92,7 @@ def count_delta(before: StatsStore, after: StatsStore) -> DeltaCounts:
             }
             if changed:
                 pairs[(i, j)] = changed
-    return DeltaCounts(after.n - before.n, marginals, pairs)
+    return delta_from_dicts(after.n - before.n, marginals, pairs)
 
 
 class TestCounts:
@@ -113,6 +114,13 @@ class TestCounts:
     def test_ingest_rejects_ragged_rows(self):
         with pytest.raises(DataError):
             StatsStore(2).ingest([(1, 2, 3)])
+        with pytest.raises(DataError):
+            StatsStore(2).ingest([(1, 2), (1,)])
+
+    @pytest.mark.parametrize("vid", [-1, 2**31, 2**70])
+    def test_ingest_rejects_ids_that_do_not_pack(self, vid):
+        with pytest.raises(DataError):
+            StatsStore(2).ingest([(1, vid)])
 
     def test_needs_two_attributes(self):
         with pytest.raises(DataError):
@@ -125,7 +133,7 @@ class TestCounts:
         assert delta.m == 2
         assert delta.marginals[0] == {1: (1, 3)}
         assert delta.marginals[1] == {1: (1, 2), 2: (0, 1)}
-        assert delta.pairs[(0, 1)] == {(1, 1): (1, 2), (1, 2): (0, 1)}
+        assert delta_view(delta)[2][(0, 1)] == {(1, 1): (1, 2), (1, 2): (0, 1)}
 
     def test_empty_ingest_is_a_noop_delta(self):
         stats = golden_stats()
@@ -198,6 +206,45 @@ class TestCounts:
         assert clone.live_bytes() == scanned_live_bytes(clone) == stats.live_bytes()
         clone.ingest([[9] * n_attrs])
         assert clone.live_bytes() == scanned_live_bytes(clone)
+
+
+@st.composite
+def ingest_streams(draw):
+    """Batches over 2-4 attributes: one-row batches, rows that repeat a few
+    values, and batches drawn only from rows already counted, which change
+    existing pairs and open none."""
+    n_attrs = draw(st.integers(2, 4))
+    values = st.integers(0, draw(st.sampled_from([1, 3, 2**31 - 1])))
+    row = st.lists(values, min_size=n_attrs, max_size=n_attrs)
+    batches = []
+    for kind in draw(st.lists(st.sampled_from(["new", "one", "seen"]), min_size=1, max_size=6)):
+        seen = [r for batch in batches for r in batch]
+        if kind == "seen" and seen:
+            batches.append(draw(st.lists(st.sampled_from(seen), min_size=1, max_size=8)))
+        else:
+            batches.append(draw(st.lists(row, min_size=1, max_size=1 if kind == "one" else 12)))
+    return n_attrs, batches
+
+
+class TestIngestMatchesDictOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(ingest_streams())
+    def test_counts_and_deltas(self, stream):
+        n_attrs, batches = stream
+        stats, oracle = StatsStore(n_attrs), DictCounts(n_attrs)
+        for rows in batches:
+            assert delta_view(stats.ingest(rows)) == oracle.ingest(rows)
+            assert stats.n == oracle.n
+            assert stats.single == oracle.single
+            for a in range(n_attrs):
+                for b in range(n_attrs):
+                    if a != b:
+                        assert list(stats.iter_pairs(a, b)) == sorted(oracle.iter_pairs(a, b))
+        clone = StatsStore.from_dict(stats.to_dict())
+        for a in range(n_attrs):
+            for b in range(n_attrs):
+                if a != b:
+                    assert list(clone.iter_pairs(a, b)) == list(stats.iter_pairs(a, b))
 
 
 class TestEntropy:
