@@ -15,7 +15,7 @@ from .dc import DenialConstraint, parse_dc, parse_dc_file, violations
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .featurize import Featurizer
 from .inject import ERROR_KINDS, inject_errors
-from .models import AttributeModel, Hyperparams, predict, train
+from .models import AttributeModel, Hyperparams, train
 from .pipeline import (
     BatchReport,
     RunState,
@@ -87,7 +87,6 @@ __all__ = [
     "make_batches",
     "parse_dc",
     "parse_dc_file",
-    "predict",
     "run_batch",
     "run_detectors",
     "run_stream",

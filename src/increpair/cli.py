@@ -227,11 +227,12 @@ def cmd_clean(ns: argparse.Namespace) -> int:
                 )
         state.attach_inputs(dcs, ground_truth)
         done = state.batches_done
-        expected = sum(batch.cardinality for batch in batches[:done])
-        if state.store.n_tuples != expected:
+        sizes = [len(state.store.batch_tids(k)) for k in range(1, done + 1)]
+        expected = [batch.cardinality for batch in batches[:done]]
+        if sizes != expected:
             raise DataError(
                 "snapshot does not line up with the input stream:"
-                f" store holds {state.store.n_tuples} tuples, expected {expected}"
+                f" its batches hold {sizes} tuples, the input's {expected}"
             )
         for tid in range(state.store.n_tuples):
             for attr in range(schema.n_attrs):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .featurize import FeatureBlock, Featurizer, FeatureTensor
+from .featurize import FeatureBlock, Featurizer
 from .relation import CellRef, RelationStore
 
 
@@ -72,15 +72,6 @@ def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         scores = scores - scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)  # exp(-inf) == 0 kills the dead slots
         return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, int]:
-    """Probability over the candidates and the argmax index (ties -> lowest index)."""
-    if not tensor.mask.any():
-        raise DataError("feature tensor has no valid candidate slots")
-    logits = tensor.values @ model.weights
-    probs = _masked_probs(logits, tensor.mask)[: tensor.domain.size]
-    return probs, int(np.argmax(probs))
 
 
 def _loss_and_grad(

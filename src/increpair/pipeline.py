@@ -289,8 +289,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         state.entropy = EntropyAccumulator(n_attrs)
         if kind.revisit:
             rows = [store.tuple_values(tid) for tid in everything]
-    delta = state.stats.ingest(rows)
-    apply_delta(state.entropy, state.stats, delta)
+    _count(state, rows)
     correlations = correlation_matrix(state.stats, state.entropy)
     featurizer = Featurizer(
         state.stats, correlations, strategy.omega, strategy.domain_cap
@@ -302,7 +301,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     use_skipper = strategy.skip != "none"
     to_train = list(range(n_attrs))
     if use_skipper:
-        track_counts(state.skipper, delta)
         to_train = [
             attr
             for attr in to_train
@@ -394,6 +392,36 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         + peak_transient,
         timings_s=timings,
     )
+
+
+def _count(state: RunState, rows: Sequence[Sequence[int]]) -> None:
+    """Count a batch's rows into the statistics and entropy sums and, with the
+    drift gate on, add the value pairs they change to its D."""
+    delta = state.stats.ingest(rows)
+    apply_delta(state.entropy, state.stats, delta)
+    if state.strategy.skip != "none":
+        track_counts(state.skipper, delta)
+
+
+def recount(state: RunState) -> None:
+    """Rebuild an incremental run's statistics, entropy sums and drift-gate
+    reference from its store, as `run_batch` built them: batch by batch from
+    the rows as first seen, recording each attribute's reference at the batch
+    it last trained.  The other kinds rebuild their statistics every batch, so
+    they carry none between batches.
+
+    Expects fresh statistics and a gate that holds only `last_trained`.
+    """
+    if not state.strategy.kind.incremental:
+        return
+    store = state.store
+    attrs = range(store.n_attrs)
+    for k in range(1, state.batches_done + 1):
+        tids = store.batch_tids(k)
+        _count(state, [[store.original_value(tid, attr) for attr in attrs] for tid in tids])
+        for attr, batch in sorted(state.skipper.last_trained.items()):
+            if batch == k:
+                record_counts(state.skipper, attr, state.stats, k)
 
 
 def run_stream(

@@ -168,6 +168,8 @@ def load_csv(
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from exc
     return schema, rows
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .stats import DeltaCounts, StatsStore, add_counts, from_triples, insertion_points, to_triples
+from .stats import DeltaCounts, StatsStore, add_counts, insertion_points
 
 DEFAULT_KL_FLOOR = 1e-6
 
@@ -51,9 +51,9 @@ class SkipperState:
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
     the value pairs of the (a, b) joint in D with the training-time count z'
     of each, and `support[a]` the number of value pairs in `a`'s joints at
-    training.
-    `saved` holds whole joints for the reference rules only; it is not
-    persisted.
+    training.  `saved` holds whole joints for the reference rules only.
+    A run snapshot persists `last_trained` alone: the rest is a function of
+    the batches counted so far, and `pipeline.recount` rebuilds it.
     """
 
     last_trained: dict[int, int] = field(default_factory=dict)
@@ -65,30 +65,6 @@ class SkipperState:
     def trained_batch(self, attr: int) -> int:
         """Batch at which the attribute's model last trained; 0 means never."""
         return self.last_trained.get(attr, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "last_trained": sorted([attr, k] for attr, k in self.last_trained.items()),
-            "trained_n": sorted([attr, n] for attr, n in self.trained_n.items()),
-            "support": sorted([attr, s] for attr, s in self.support.items()),
-            "baseline": [
-                [attr, [[other, to_triples(*pairs)] for other, pairs in sorted(partners.items())]]
-                for attr, partners in sorted(self.baseline.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SkipperState":
-        state = cls()
-        state.last_trained = {attr: k for attr, k in payload["last_trained"]}
-        state.trained_n = {attr: n for attr, n in payload["trained_n"]}
-        state.support = {attr: s for attr, s in payload["support"]}
-        for attr, partners in payload["baseline"]:
-            state.baseline[attr] = {
-                other: from_triples(entries, f"attribute {attr}'s drift reference")
-                for other, entries in partners
-            }
-        return state
 
 
 def kl_divergence(

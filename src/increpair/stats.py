@@ -8,7 +8,9 @@ vid` with an int64 count array.  A context value's row is the key slice from
 `vid << 32` to `(vid + 1) << 32`, found with `searchsorted`.  Both
 orientations are kept so either attribute can act as the context.  `ingest`
 counts a batch per attribute pair with one `np.unique` and merges it into
-both tables with `searchsorted` and `np.insert`.
+both tables with `add_counts`, which finds each new key's place with
+`searchsorted` and scatters old and new keys into the union through a
+boolean mask.
 
 Conditional entropy H(X|Y), in nats, with z the co-occurrence count and w the
 conditioning value's marginal count, is
@@ -64,25 +66,6 @@ def insertion_points(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.
     them `keys` lacks."""
     at = np.searchsorted(keys, new)
     return at, np.append(keys, -1)[at] != new  # -1: no key, past the end
-
-
-def to_triples(keys: np.ndarray, counts: np.ndarray) -> list[list[int]]:
-    """[high id, low id, count] lists of packed keys, in key order."""
-    return np.stack([keys >> SHIFT, keys & LOW, counts], axis=1).tolist()
-
-
-def from_triples(entries, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted packed keys and counts of [high id, low id, count] triples,
-    each value pair listed once."""
-    rows = int_rows(entries, 3, what)
-    if ((rows[:, :2] < 0) | (rows[:, :2] >= ID_LIMIT)).any():
-        raise DataError(f"{what} hold a value id outside [0, 2**31)")
-    keys = (rows[:, 0] << SHIFT) | rows[:, 1]
-    order = np.argsort(keys)
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        raise DataError(f"{what} list a value pair more than once")
-    return keys, rows[order, 2]
 
 
 @dataclass(frozen=True)
@@ -198,40 +181,6 @@ class StatsStore:
         pair_entries = sum(len(keys) for (i, j), (keys, _) in self._tables.items() if i < j)
         return per_value * values + 192 * pair_entries + 112 * len(self._tables)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        pairs = {
-            f"{i},{j}": to_triples(keys, counts)
-            for (i, j), (keys, counts) in sorted(self._tables.items())
-            if i < j and len(keys)
-        }
-        return {
-            "n_attrs": self.n_attrs,
-            "n": self.n,
-            "single": [
-                sorted([vid, count] for vid, count in table.items()) for table in self.single
-            ],
-            "pairs": pairs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StatsStore":
-        single = payload["single"]
-        if payload["n_attrs"] != len(single):  # before allocating n_attrs**2 tables
-            raise DataError(f"{len(single)} value-count tables for {payload['n_attrs']} attrs")
-        stats = cls(payload["n_attrs"])
-        stats.n = payload["n"]
-        for attr, entries in enumerate(single):
-            vids, counts = int_rows(entries, 2, f"attribute {attr}'s value counts").T.tolist()
-            stats.single[attr] = dict(zip(vids, counts))
-        for name, triples in payload["pairs"].items():
-            i, j = (int(part) for part in name.split(","))
-            if name != f"{i},{j}" or not 0 <= i < j < stats.n_attrs:
-                raise DataError(f"no attribute pair {name!r}")
-            stats._add(i, j, *from_triples(triples, f"pair ({i}, {j})'s counts"))
-        return stats
-
 
 class EntropyAccumulator:
     """H(X|Y) in nats for every ordered attribute pair, from sums of c ln c over
@@ -253,25 +202,6 @@ class EntropyAccumulator:
             return 0.0
         key = (x_attr, y_attr) if x_attr < y_attr else (y_attr, x_attr)
         return (self.marginal[y_attr] - self.pair[key]) / self.n
-
-    def to_dict(self) -> dict:
-        sums = {"marginal": list(self.marginal), "pair": list(self.pair.values())}
-        return {"n_attrs": self.n_attrs, "n": self.n, **sums}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EntropyAccumulator":
-        if payload["n_attrs"] != len(payload["marginal"]):
-            raise DataError(f"wrong number of entropy sums for {payload['n_attrs']} attributes")
-        acc = cls(payload["n_attrs"])
-        acc.n = payload["n"]
-        marginal, pair = list(payload["marginal"]), list(payload["pair"])
-        if (len(marginal), len(pair)) != (len(acc.marginal), len(acc.pair)):
-            raise DataError(f"wrong number of entropy sums for {acc.n_attrs} attributes")
-        if not all(math.isfinite(value) for value in marginal + pair):
-            raise DataError("entropy sums must be finite")
-        acc.marginal = [float(value) for value in marginal]
-        acc.pair = dict(zip(acc.pair, map(float, pair)))
-        return acc
 
 
 def cond_entropy_scratch(stats: StatsStore, x_attr: int, y_attr: int) -> float:

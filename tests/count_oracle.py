@@ -6,7 +6,8 @@ oracle: for a value pair of attributes i < j it holds
 `{value_i: {value_j: count}}` in both orientations and reports a batch's
 changes as `{(value_i, value_j): (old, new)}`.  The `*_view` helpers turn the
 engine's packed (high id << 32 | low id) arrays into the same dict shapes, so
-tests compare contents, not layouts.
+tests compare contents, not layouts.  `weighted_stats` builds a `StatsStore`
+holding counts far larger than any batch a test could ingest.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta
+from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta, StatsStore
 
 
 class DictCounts:
@@ -92,3 +93,18 @@ def delta_from_dicts(m, marginals, pairs) -> DeltaCounts:
         new = np.array([n for _, (_, n) in items], dtype=np.int64)
         packed[key] = PairDelta(keys, old, new)
     return DeltaCounts(m, tuple(marginals), packed)
+
+
+def weighted_stats(tuple_counts: dict[tuple[int, ...], int], n_attrs: int) -> StatsStore:
+    """A store holding the given count of each distinct row, as if each row had
+    been ingested that many times; the counts go straight into its tables."""
+    stats = StatsStore(n_attrs)
+    for row, count in tuple_counts.items():
+        stats.n += count
+        for attr, vid in enumerate(row):
+            stats.single[attr][vid] = stats.single[attr].get(vid, 0) + count
+        for i in range(n_attrs):
+            for j in range(i + 1, n_attrs):
+                key = np.array([(row[i] << SHIFT) | row[j]], dtype=np.int64)
+                stats._add(i, j, key, np.array([count], dtype=np.int64))
+    return stats

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from increpair.cli import main
-from increpair.stats import StatsStore, scratch_accumulator
 
 
 def write_csv(path, header, rows):
@@ -166,6 +165,16 @@ class TestErrorsAndExitCodes:
         }[role]
         assert run(argv) == 2
 
+    @pytest.mark.parametrize("command", ["clean", "eval"])
+    def test_csv_field_over_the_size_limit_is_data_error(self, tmp_path, command):
+        big = tmp_path / "big.csv"
+        big.write_text("a,b\n" + "x" * (csv.field_size_limit() + 1) + ",y\nz,w\n")
+        argv = {
+            "clean": ["clean", "--input", big, "--strategy", "ihc", "--batches", "1"],
+            "eval": ["eval", "--repaired", big, "--ground-truth", big, "--dirty", big],
+        }[command]
+        assert run(argv) == 2
+
     def test_non_utf8_constraint_file_is_parse_error(self, tmp_path, clean_csv):
         rules = tmp_path / "rules.txt"
         rules.write_bytes(b"EQ(t1.city,t2.city)&NEQ(t1.zip,t2.zip) # caf\xe9\n")
@@ -307,10 +316,6 @@ def as_version_1(payload):
     payload["strategy"]["hyperparams"]["seed"] = 0
 
 
-def drop_stats_n(payload):
-    del payload["stats"]["n"]
-
-
 def as_list(payload):
     return [payload]
 
@@ -329,7 +334,6 @@ def zero_epochs(payload):
         drop_progress,
         truncate_models,
         as_version_1,
-        drop_stats_n,
         as_list,
         zero_train_limit,
         zero_epochs,
@@ -371,62 +375,29 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
     ) == 1
 
 
-def _double_counts(payload):
-    """Statistics of every tuple counted twice, with entropies to match: self-
-    consistent, but not what the strategy counts from the store."""
-    stats = payload["stats"]
-    stats["n"] *= 2
-    for entries in stats["single"]:
-        for entry in entries:
-            entry[1] *= 2
-    for triples in stats["pairs"].values():
-        for triple in triples:
-            triple[2] *= 2
-    payload["entropy"] = scratch_accumulator(StatsStore.from_dict(stats)).to_dict()
-
-
 @pytest.mark.parametrize(
     "mangle",
     [
         lambda p: p["models"][0].update(attr=9),
         lambda p: p["models"][0].update(weights=[0.0]),
-        lambda p: p["stats"]["single"][0].append([999, 5]),
         lambda p: p["skipper"].update(last_trained=[[0, 99]]),
         lambda p: p["strategy"].update(epsilon_kl=float("nan")),
-        lambda p: p["stats"]["pairs"]["0,1"].append([1, 99, 7]),
-        lambda p: p["skipper"]["trained_n"][0].__setitem__(1, p["stats"]["n"] + 1),
-        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 99, 0]),
-        # value pair (1, 1) of attributes 0 and 1 is counted once
-        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 1, 2]),
-        _double_counts,
-        lambda p: p["entropy"]["pair"].__setitem__(0, p["entropy"]["pair"][0] + 1.0),
-        # value ids that do not fit the packed 32-bit halves, and duplicates
-        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(1, 2**70),
-        # [1, 2**32 + 1] would pack to the key of value pair (1, 1), which it replaces
-        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(1, 2**32 + 1),
-        lambda p: p["stats"]["pairs"]["0,1"][0].__setitem__(0, -1),
-        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 2**70, 0]),
-        lambda p: p["skipper"]["baseline"][0][1][0][1].append([1, 2**32 + 1, 0]),
-        lambda p: p["skipper"]["baseline"][0][1][0][1].extend([[1, 1, 0], [1, 1, 0]]),
+        # a gate that is off records nothing, or resuming would save the entry again
+        lambda p: p["strategy"].update(skip="none"),
+        lambda p: p["skipper"]["last_trained"].append(p["skipper"]["last_trained"][0]),
+        lambda p: p["skipper"].update(last_trained=[[0, 2**70]]),
+        # the recount reads batch boundaries, so they must be the input's
+        lambda p: p["store"]["batch_starts"].__setitem__(1, 3),
     ],
     ids=[
         "model-attr",
         "weights-length",
-        "extra-marginal",
         "skipper-batch",
         "epsilon-nan",
-        "extra-pair",
-        "gate-n",
-        "gate-value-id",
-        "gate-count",
-        "stats-n",
-        "entropy-sums",
-        "pair-id-overflow",
-        "pair-id-alias",
-        "pair-id-negative",
-        "gate-id-overflow",
-        "gate-id-alias",
-        "gate-pair-twice",
+        "gate-off-trained",
+        "skipper-attr-twice",
+        "skipper-batch-overflow",
+        "batch-boundary",
     ],
 )
 def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):
@@ -474,9 +445,6 @@ def _is_value_id(path) -> bool:
     return (
         (head == ("store", "rows") and len(path) == 4)
         or (head == ("store", "original") and path[3:] == (2,))
-        or (head == ("stats", "single") and path[4:] == (0,))
-        or (head == ("stats", "pairs") and len(path) == 5 and path[4] in (0, 1))
-        or (head == ("skipper", "baseline") and len(path) == 8 and path[7] in (0, 1))
     )
 
 
@@ -484,8 +452,9 @@ def _is_value_id(path) -> bool:
 def fuzz_case(request, tmp_path_factory):
     """A valid run snapshot after 3 of 4 batches, whose store holds repaired
     cells, plus the full input to resume it on.  At epsilon inf the models
-    last trained at batch 1, so the drift gate holds the value pairs of two
-    batches; at 0.05 they last trained at batch 3 and retrain on resume."""
+    last trained before batch 3, so the recounted drift gate holds the value
+    pairs of the batches since; at 0.05 they last trained at batch 3 and
+    retrain on resume."""
     workdir = tmp_path_factory.mktemp("fuzz")
     head, full = workdir / "head.csv", workdir / "full.csv"
     write_csv(head, ("a", "b", "c"), FUZZ_ROWS[:12])
@@ -496,8 +465,8 @@ def fuzz_case(request, tmp_path_factory):
          "--omega", "0", "--epsilon", request.param] + FUZZ_FLAGS
     ) == 0
     payload = json.loads(snap.read_text())
-    tracked = [entries for _, partners in payload["skipper"]["baseline"] for _, entries in partners]
-    assert payload["store"]["original"] and any(tracked) == (request.param == "inf")
+    trained_at = {batch for _, batch in payload["skipper"]["last_trained"]}
+    assert payload["store"]["original"] and (3 in trained_at) == (request.param == "0.05")
     return workdir, full, payload
 
 
@@ -561,3 +530,93 @@ class TestResumeFuzz:
         snap.unlink()
         assert code in (0, 2), (path, mutation, log.getvalue())
 
+
+
+# -- fuzzing the CSV and constraint-file inputs -----------------------------------
+
+# Inputs are drawn from each format's grammar, so most of them are valid and
+# reach the engine; one in four is then broken at a random place by a stray
+# token, or ends in bytes that are not UTF-8.
+CSV_FIELDS = ["", " ", "x", "y", "z", "NULL", "empty", "é", '"a,b"', '"q""q"', '"two\nlines"']
+DC_REFS = ["t1.a", "t2.a", "t1.b", "t2.b", "t1.c", "t2.c", '"x"', '"k0"', '""']
+NOISE = [",", '"', "(", ")", "&", "#", ".", "t3", "zz", "LT", "\x00", "\r", "\n", " "]
+
+
+def break_sometimes(draw, text: str) -> bytes:
+    how = draw(st.integers(0, 7))
+    if how == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
+    return text.encode("utf-8") + (draw(st.sampled_from([b"\xff", b"\xc3"])) if how == 1 else b"")
+
+
+@st.composite
+def csv_files(draw):
+    """A header of two or three attributes and 2-8 rows of its width."""
+    width = draw(st.integers(2, 3))
+    header = draw(st.sampled_from([["a", "b", "c"]] * 4 + [[" a", "b ", "c"], ["a", "a", "b"]]))
+    rows = draw(st.lists(st.lists(st.sampled_from(CSV_FIELDS), min_size=width, max_size=width),
+                         min_size=2, max_size=8))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(",".join(fields) for fields in [header[:width]] + rows) + ending
+    return break_sometimes(draw, text)
+
+
+@st.composite
+def constraint_files(draw):
+    """1-3 rules of 1-3 EQ/NEQ predicates, each comparing an attribute a, b or
+    c of either tuple with another or with a constant, with blank and comment
+    lines among them."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        predicates = [
+            f"{draw(st.sampled_from(['EQ', 'NEQ']))}({draw(st.sampled_from(DC_REFS[:6]))},"
+            f" {draw(st.sampled_from(DC_REFS))})"
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        lines.append(" & ".join(predicates) + draw(st.sampled_from(["", " # note", "\n"])))
+    return break_sometimes(draw, "\n".join(lines))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding a valid CSV and a valid constraint file over it."""
+    workdir = tmp_path_factory.mktemp("input-fuzz")
+    write_csv(workdir / "data.csv", ("a", "b", "c"), [(f"k{i % 2}", f"v{i % 3}", "x") for i in range(6)])
+    (workdir / "rules.dc").write_text("EQ(t1.a,t2.a) & NEQ(t1.b,t2.b)\n", encoding="utf-8")
+    return workdir
+
+
+class TestInputFuzz:
+    serial = itertools.count()
+
+    def clean(self, argv):
+        with redirect_stderr(io.StringIO()) as log:
+            code = run(["clean", "--strategy", "ihc", "--batches", "2"] + argv)
+        return code, log.getvalue()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_files(), st.sampled_from(["null", "null,dc"]))
+    def test_csv_bytes_exit_0_1_or_2(self, fuzz_inputs, data, detectors):
+        """Any CSV file: cleaned (0), a bad setting such as too many batches
+        for its rows (1), or bad input (2); never a failure inside (3)."""
+        path = fuzz_inputs / f"fuzz{next(self.serial)}.csv"
+        path.write_bytes(data)
+        code, log = self.clean(
+            ["--input", path, "--detectors", detectors, "--dcs", fuzz_inputs / "rules.dc"]
+        )
+        path.unlink()
+        assert code in (0, 1, 2), (data, log)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(constraint_files())
+    def test_constraint_file_exits_0_1_or_2(self, fuzz_inputs, text):
+        """Any constraint file over a valid CSV: cleaned (0), a bad setting (1)
+        or bad input (2); never a failure inside (3)."""
+        rules = fuzz_inputs / f"fuzz{next(self.serial)}.dc"
+        rules.write_bytes(text)
+        code, log = self.clean(
+            ["--input", fuzz_inputs / "data.csv", "--detectors", "null,dc", "--dcs", rules]
+        )
+        rules.unlink()
+        assert code in (0, 1, 2), (text, log)

@@ -16,9 +16,9 @@ from increpair.models import (
     AttributeModel,
     Hyperparams,
     _loss_and_grad,
+    _masked_probs,
     _training_tids,
     build_training_set,
-    predict,
     repair_cells,
     train,
 )
@@ -26,6 +26,16 @@ from increpair.relation import CellRef
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
 from conftest import build_store
+
+
+def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, int]:
+    """One cell's probability over its candidates and the argmax index (ties ->
+    lowest index): the one-cell oracle `repair_cells` must agree with."""
+    if not tensor.mask.any():
+        raise DataError("feature tensor has no valid candidate slots")
+    logits = tensor.values @ model.weights
+    probs = _masked_probs(logits, tensor.mask)[: tensor.domain.size]
+    return probs, int(np.argmax(probs))
 
 
 def make_tensor(values, mask=None, attr=0, observed_index=0):
@@ -324,3 +334,32 @@ class TestRepairCells:
         assert proposals == expected
         assert all(type(vid) is int for _, vid in proposals)
         assert skipped == len(cells) - len(expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**16), st.sampled_from([1, 2, 4, 64]), st.sampled_from([0.0, 0.3]))
+    def test_each_proposal_is_the_one_cell_argmax(self, seed, domain_cap, omega):
+        """On random data, weights, domain caps and correlation thresholds, each
+        proposal is the candidate `predict` ranks first for that cell alone."""
+        rng = random.Random(seed)
+        rows = [
+            (f"r{rng.randint(0, 3)}", f"c{rng.randint(0, 5)}", rng.choice(["", "d0", "d1", "d2"]))
+            for _ in range(rng.randint(2, 40))
+        ]
+        store = build_store(rows, ("p", "q", "r"))
+        stats = StatsStore(3)
+        stats.ingest([list(store.tuple_values(t)) for t in range(store.n_tuples)])
+        correlations = correlation_matrix(stats, scratch_accumulator(stats))
+        featurizer = Featurizer(stats, correlations, omega, domain_cap)
+        weights = np.random.default_rng(seed).normal(scale=3.0, size=(3, 3))
+        models = [AttributeModel(attr, weights[attr]) for attr in range(3)]
+        cells = [CellRef(tid, attr) for tid in range(store.n_tuples) for attr in range(3)]
+        cells = rng.sample(cells, rng.randint(1, len(cells)))
+        proposals, _ = repair_cells(models, cells, store, featurizer)
+        expected = []
+        for cell in cells:
+            values = store.tuple_values(cell.tid)
+            domain = featurizer.domain(cell, values)
+            if domain.size >= 2:
+                _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
+                expected.append((cell, domain.candidates[best]))
+        assert proposals == expected

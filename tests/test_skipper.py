@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from count_oracle import pairs_view
 from increpair.errors import DataError
+from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
+from increpair.relation import RelationStore, Schema, make_batches
 from increpair.skipper import (
     SkipperState,
     count_divergence,
@@ -22,6 +24,7 @@ from increpair.skipper import (
     should_retrain_wkl,
     track_counts,
 )
+from increpair.snapshot import load_run, save_run
 from increpair.stats import (
     EntropyAccumulator,
     StatsStore,
@@ -190,18 +193,17 @@ class TestStateBookkeeping:
         with pytest.raises(DataError):
             record_training(SkipperState(), 0, {}, batch=0)
 
-    def test_round_trip(self):
-        # the count reference persists; the reference rules' whole joints do not
-        stats = StatsStore(3)
-        stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 1]])
-        state = SkipperState()
-        record_counts(state, 0, stats, batch=1)
-        track_counts(state, stats.ingest([[1, 3, 2], [2, 1, 1]]))
-        record_counts(state, 2, stats, batch=2)
-        assert pairs_view(*state.baseline[0][1]) == {(1, 3): 0, (2, 1): 1}
-        clone = SkipperState.from_dict(state.to_dict())
-        assert state_view(clone) == state_view(state)
-        assert clone.to_dict() == state.to_dict()
+    def test_round_trip(self, tmp_path):
+        # a run snapshot keeps last_trained alone; load_run recounts the reference
+        strategy = Strategy(kind=StrategyKind.IHC, skip="ikl", epsilon_kl=math.inf, omega=0.0)
+        state = RunState(RelationStore(Schema(("a", "b", "c"))), strategy)
+        rows = [("x", "1", "p"), ("x", "2", "p"), ("y", "1", "q"), ("x", "3", "p"), ("y", "1", "p")]
+        run_stream(state, strategy, make_batches(rows, count=2))
+        assert state.skipper.last_trained == {0: 1, 1: 1, 2: 1}
+        assert pairs_view(*state.skipper.baseline[0][1]) == {(1, 3): 0, (2, 1): 1}
+        save_run(state, tmp_path / "run.json")
+        clone = load_run(tmp_path / "run.json")[0].skipper
+        assert state_view(clone) == state_view(state.skipper)
 
 
 # -- the engine's path: divergences from count deltas ----------------------------

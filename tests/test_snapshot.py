@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 
 from increpair.errors import ConfigError, DataError
@@ -20,7 +22,6 @@ from increpair.relation import (
     make_batches,
 )
 from increpair.snapshot import load_run, load_store, save_run, save_store
-from increpair.stats import StatsStore, scratch_accumulator
 
 from conftest import failing_writes
 
@@ -93,8 +94,80 @@ STREAM_ROWS = [
 ]
 
 
-def fresh_run(strategy):
-    return RunState(RelationStore(Schema(("ctx", "val"))), strategy)
+def fresh_run(strategy, attributes=("ctx", "val")):
+    return RunState(RelationStore(Schema(attributes)), strategy)
+
+
+# every strategy kind under each gate it allows
+GRID = [
+    (StrategyKind.HC_SEP, "none"),
+    (StrategyKind.HC_ACC, "none"),
+    (StrategyKind.IHC, "none"),
+    (StrategyKind.IHC, "ikl"),
+    (StrategyKind.IHC, "wkl"),
+    (StrategyKind.IHC_RE, "none"),
+    (StrategyKind.IHC_RE, "ikl"),
+    (StrategyKind.IHC_RE, "wkl"),
+]
+
+
+def uneven_batches():
+    """60 rows over three attributes in batches of 7, 2, 15, 4, 12, 9 and 11,
+    a fourth context value and a third tag opening along the way.  About one
+    row in twelve holds a null, so the null detector flags cells and repairs
+    change them."""
+    rng = random.Random(5)
+    rows = []
+    for i in range(60):
+        ctx = rng.randint(0, 2 if i < 30 else 3)
+        row = [f"k{ctx}", f"v{ctx}{int(rng.random() < 0.2)}", f"w{rng.randint(0, 1 + i // 30)}"]
+        if rng.random() < 0.08:
+            row[rng.randint(0, 2)] = None
+        rows.append(tuple(row))
+    batches, start = [], 0
+    for k, size in enumerate((7, 2, 15, 4, 12, 9, 11), start=1):
+        batches.append(RawBatch(k, tuple(rows[start : start + size])))
+        start += size
+    return batches
+
+
+GRID_ATTRS = ("ctx", "val", "tag")
+
+
+def grid_strategy(kind, skip):
+    return Strategy(
+        kind=kind,
+        skip=skip,
+        epsilon_kl=0.1,  # both gates retrain some attributes and keep others
+        omega=0.0,
+        train_limit=8,
+        hyperparams=Hyperparams(epochs=20, learning_rate=0.5),
+        seed=3,
+    )
+
+
+def assert_same_state(carried, recounted):
+    """Statistics, entropy sums and drift-gate reference equal bit for bit."""
+    stats, other = carried.stats, recounted.stats
+    n_attrs = stats.n_attrs
+    assert (other.n_attrs, other.n, other.single) == (n_attrs, stats.n, stats.single)
+    for a in range(n_attrs):
+        for b in range(n_attrs):
+            if a != b:
+                for mine, theirs in zip(stats.table(a, b), other.table(a, b)):
+                    assert np.array_equal(mine, theirs)
+    entropy, sums = carried.entropy, recounted.entropy
+    assert (sums.n, sums.marginal, sums.pair) == (entropy.n, entropy.marginal, entropy.pair)
+    gate, rebuilt = carried.skipper, recounted.skipper
+    assert rebuilt.last_trained == gate.last_trained
+    assert rebuilt.trained_n == gate.trained_n
+    assert rebuilt.support == gate.support
+    assert rebuilt.baseline.keys() == gate.baseline.keys()
+    for attr, partners in gate.baseline.items():
+        assert rebuilt.baseline[attr].keys() == partners.keys()
+        for other_attr, (keys, z_trained) in partners.items():
+            again = rebuilt.baseline[attr][other_attr]
+            assert np.array_equal(again[0], keys) and np.array_equal(again[1], z_trained)
 
 
 class TestRunSnapshots:
@@ -108,34 +181,65 @@ class TestRunSnapshots:
     )
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        batches = make_batches(STREAM_ROWS, count=4)
+        """Paused after any batch and resumed, every kind under every gate it
+        allows writes the uninterrupted run's metric lines, cells and final
+        snapshot bytes."""
+        batches = uneven_batches()
+        for kind, skip in GRID:
+            strategy = grid_strategy(kind, skip)
+            straight = fresh_run(strategy, GRID_ATTRS)
+            straight_lines = [r.to_json_line() for r in run_stream(straight, strategy, batches)]
+            # new names throughout: replacing a file is slow on some file systems
+            straight_path = tmp_path / f"straight-{kind.value}-{skip}.json"
+            save_run(straight, straight_path, config={"note": "whole stream"})
+            for pause in range(1, len(batches)):
+                interrupted = fresh_run(strategy, GRID_ATTRS)
+                head = run_stream(interrupted, strategy, batches[:pause])
+                path = tmp_path / f"run-{kind.value}-{skip}-{pause}.json"
+                save_run(interrupted, path, config={"note": "whole stream"})
 
-        straight = fresh_run(self.strategy)
-        straight_reports = run_stream(straight, self.strategy, batches)
+                resumed, config = load_run(path)
+                assert config == {"note": "whole stream"}
+                assert resumed.batches_done == pause
+                resumed.attach_inputs()
+                tail = run_stream(resumed, strategy, batches[pause:])
 
-        interrupted = fresh_run(self.strategy)
-        head_reports = run_stream(interrupted, self.strategy, batches[:2])
-        path = tmp_path / "run.json"
-        save_run(interrupted, path, config={"note": "paused after two"})
+                case = (kind.value, skip, pause)
+                assert [r.to_json_line() for r in head + tail] == straight_lines, case
+                for tid in range(straight.store.n_tuples):
+                    for attr in range(3):
+                        assert resumed.store.canonical(tid, attr) == straight.store.canonical(
+                            tid, attr
+                        ), case
+                resumed_path = path.with_suffix(".resumed.json")
+                save_run(resumed, resumed_path, config={"note": "whole stream"})
+                assert resumed_path.read_bytes() == straight_path.read_bytes(), case
 
-        resumed, config = load_run(path)
-        assert config == {"note": "paused after two"}
-        assert resumed.batches_done == 2
-        resumed.attach_inputs()
-        tail_reports = run_stream(resumed, self.strategy, batches[2:])
-
-        joined = [r.to_json_line() for r in head_reports + tail_reports]
-        assert joined == [r.to_json_line() for r in straight_reports]
-        for tid in range(straight.store.n_tuples):
-            for attr in range(2):
-                assert resumed.store.canonical(tid, attr) == straight.store.canonical(
-                    tid, attr
-                )
-        save_run(straight, tmp_path / "straight.json")
-        save_run(resumed, tmp_path / "resumed.json")
-        assert (tmp_path / "straight.json").read_bytes() == (
-            tmp_path / "resumed.json"
-        ).read_bytes()
+    @pytest.mark.parametrize(
+        "kind, skip", GRID, ids=[f"{kind.value}-{skip}" for kind, skip in GRID]
+    )
+    def test_recount_equals_carried_state_at_every_batch(self, tmp_path, kind, skip):
+        """A restored incremental run recounts the statistics, entropy sums and
+        drift-gate reference it carried, bit for bit; the other kinds, which
+        rebuild their statistics every batch, restore none."""
+        strategy = grid_strategy(kind, skip)
+        state = fresh_run(strategy, GRID_ATTRS)
+        repaired = tracked = 0
+        for raw in uneven_batches():
+            repaired += run_stream(state, strategy, [raw])[0].repairs_changed
+            tracked += any(
+                len(keys) for partners in state.skipper.baseline.values()
+                for keys, _ in partners.values()
+            )
+            save_run(state, tmp_path / f"run{raw.k}.json")
+            restored, _ = load_run(tmp_path / f"run{raw.k}.json")
+            if kind.incremental:
+                assert_same_state(state, restored)
+            else:
+                assert_same_state(fresh_run(strategy, GRID_ATTRS), restored)
+        assert repaired  # the recount must read the rows as first seen
+        # some attribute kept its reference across a batch, so D held value pairs
+        assert tracked or skip == "none"
 
     def test_round_trip_preserves_learning_state(self, tmp_path):
         state = fresh_run(self.strategy)
@@ -161,7 +265,7 @@ class TestRunSnapshotValidation:
         return path, json.loads(path.read_text())
 
     @pytest.mark.parametrize(
-        "key", ["version", "stats", "entropy", "models", "skipper", "progress"]
+        "key", ["version", "models", "skipper", "progress"]
     )
     def test_missing_section_is_data_error(self, tmp_path, key):
         path, payload = self.saved(tmp_path)
@@ -187,10 +291,8 @@ class TestRunSnapshotValidation:
     @pytest.mark.parametrize(
         "section, inner",
         [
-            ("stats", "n"),
-            ("entropy", "pair"),
             ("models", "weights"),
-            ("skipper", "baseline"),
+            ("skipper", "last_trained"),
             ("store", "rows"),
             ("strategy", "kind"),
         ],
@@ -204,7 +306,7 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError, match=rf"malformed {re.escape(name)} section"):
             load_run(path)
 
-    @pytest.mark.parametrize("section", ["stats", "entropy", "skipper", "store", "progress"])
+    @pytest.mark.parametrize("section", ["skipper", "store", "progress"])
     def test_section_of_wrong_type_is_data_error(self, tmp_path, section):
         path, payload = self.saved(tmp_path)
         payload[section] = [1, 2]
@@ -223,7 +325,7 @@ class TestRunSnapshotValidation:
         # v2 entropies held one value per ordered pair, models a trained_at_batch
         path, payload = self.saved(tmp_path)
         payload["version"] = 2
-        payload["entropy"]["h"] = [[0, 1, 0.0], [1, 0, 0.0]]
+        payload["entropy"] = {"n_attrs": 2, "n": 4, "h": [[0, 1, 0.0], [1, 0, 0.0]]}
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version 2"):
             load_run(path)
@@ -237,17 +339,39 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError, match="version 3"):
             load_run(path)
 
+    def test_version_4_snapshot_is_rejected(self, tmp_path):
+        # v4 carried the statistics, entropy sums and drift-gate reference
+        path, payload = self.saved(tmp_path)
+        payload["version"] = 4
+        payload["stats"] = {"n_attrs": 2, "n": 4, "single": [[], []], "pairs": {}}
+        payload["entropy"] = {"n_attrs": 2, "n": 4, "marginal": [0.0] * 2, "pair": [0.0]}
+        payload["skipper"].update(trained_n=[], support=[], baseline=[])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version 4"):
+            load_run(path)
+
     # more cases, each resumed through the command line, are in test_cli.py
     @pytest.mark.parametrize(
         "mangle",
         [
             lambda p: p["models"][1]["weights"].__setitem__(0, math.nan),
-            lambda p: p["entropy"].update(n=p["entropy"]["n"] + 1),
-            lambda p: p["entropy"]["pair"].__setitem__(0, math.inf),
             lambda p: p["skipper"]["last_trained"].append([7, 1]),
-            lambda p: p["stats"]["pairs"]["0,1"].append(p["stats"]["pairs"]["0,1"][0]),
+            lambda p: p["skipper"]["last_trained"].append([0, 1]),
+            lambda p: p["strategy"].update(skip="none"),
+            lambda p: p["progress"].update(batches_done=p["progress"]["batches_done"] + 1),
+            lambda p: (
+                p["store"]["batch_starts"].__setitem__(1, 0),
+                p["skipper"].update(last_trained=[[0, 1]]),
+            ),
         ],
-        ids=["weights-nan", "entropy-n", "entropy-inf", "skipper-attr", "pair-twice"],
+        ids=[
+            "weights-nan",
+            "skipper-attr",
+            "skipper-attr-twice",
+            "gate-off-trained",
+            "batches",
+            "trained-before-rows",
+        ],
     )
     def test_inconsistent_content_is_data_error(self, tmp_path, mangle):
         path, payload = self.saved(tmp_path)
@@ -273,19 +397,8 @@ class TestRunSnapshotValidation:
         run_stream(state, strategy, make_batches(STREAM_ROWS, count=3))
         save_run(state, tmp_path / "run.json")
         restored, _ = load_run(tmp_path / "run.json")
-        assert restored.stats.n == state.stats.n
-
-    def test_hc_sep_statistics_count_the_last_batch_only(self, tmp_path):
-        strategy = Strategy(kind=StrategyKind.HC_SEP)
-        state = fresh_run(strategy)
-        run_stream(state, strategy, make_batches(STREAM_ROWS, count=3))
-        # self-consistent statistics, but over every tuple, as hc-acc counts them
-        state.stats = StatsStore(2)
-        state.stats.ingest([state.store.tuple_values(t) for t in range(state.store.n_tuples)])
-        state.entropy = scratch_accumulator(state.stats)
-        save_run(state, tmp_path / "run.json")
-        with pytest.raises(DataError, match="strategy counts"):
-            load_run(tmp_path / "run.json")
+        # hc-sep and hc-acc recount from nothing at their next batch
+        assert restored.stats.n == (state.stats.n if kind.incremental else 0)
 
     def test_restored_run_needs_its_inputs(self, tmp_path):
         strategy = Strategy(kind=StrategyKind.IHC, detectors=("perfect",))
