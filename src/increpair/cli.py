@@ -10,21 +10,21 @@ Exit codes: 0 success, 1 configuration error, 2 data/parse error, 3 internal.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .dc import parse_dc_file
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .inject import ERROR_KINDS, inject_errors
 from .models import Hyperparams
 from .pipeline import RunState, Strategy, StrategyKind, evaluate, run_stream, score
-from .relation import DEFAULT_NULL_TOKENS, RelationStore, load_csv, make_batches
+from .relation import RelationStore, load_csv, make_batches, write_atomic, write_csv
 from .snapshot import load_run, save_run
 
 ENV_PREFIX = "INCREPAIR_"
@@ -58,12 +58,21 @@ def _parse_detectors(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if value is None else value for value in row])
+def _check_output(flag: str, path: str | None) -> None:
+    """Reject, before any work is done, an output path that names a directory
+    or lies in a missing one."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ConfigError(f"{flag} {path} is not a file path in an existing directory")
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """An output that cannot be written is a configuration error: its path,
+    or the space behind it, was set wrong."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,8 +135,10 @@ def cmd_inject(ns: argparse.Namespace) -> int:
     dirty, provenance = inject_errors(
         rows, rate, _parse_detectors(kinds), seed, tokens
     )
-    _write_csv(ns.out_truth, schema.attributes, rows)
-    _write_csv(ns.out_dirty, schema.attributes, dirty)
+    with _writing(ns.out_truth):
+        write_csv(ns.out_truth, schema.attributes, rows)
+    with _writing(ns.out_dirty):
+        write_csv(ns.out_dirty, schema.attributes, dirty)
     log.info(
         "injected %d errors into %d cells (%s)",
         len(provenance),
@@ -188,6 +199,8 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     tuning = _tuning(ns)
+    for flag, path in (("--out", ns.out), ("--snapshot", ns.snapshot)):
+        _check_output(flag, path)
 
     schema, rows = load_csv(ns.input, tokens)
     ground_truth = None
@@ -259,7 +272,8 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         strategy.seed,
     )
 
-    metrics_handle = open(ns.metrics, "w", encoding="utf-8") if ns.metrics else None
+    with _writing(ns.metrics):
+        metrics_handle = open(ns.metrics, "w", encoding="utf-8") if ns.metrics else None
     try:
         reports = run_stream(
             state, strategy, remaining, metrics_handle, include_timings=ns.timings
@@ -278,9 +292,11 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         )
 
     if ns.out:
-        state.store.export_csv(ns.out)
+        with _writing(ns.out):
+            state.store.export_csv(ns.out)
     if ns.snapshot:
-        save_run(state, ns.snapshot, config=config_echo)
+        with _writing(ns.snapshot):
+            save_run(state, ns.snapshot, config=config_echo)
     if ground_truth is not None:
         summary = evaluate(state.store, ground_truth)
         log.info(
@@ -309,7 +325,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     text = json.dumps(metrics, sort_keys=True)
     print(text)
     if ns.json_out:
-        Path(ns.json_out).write_text(text + "\n", encoding="utf-8")
+        with _writing(ns.json_out):
+            write_atomic(ns.json_out, lambda handle: handle.write(text + "\n"))
     return 0
 
 

@@ -64,8 +64,7 @@ class TrainReport:
 def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax along the last axis with masked slots pinned to probability zero.
 
-    Overflowing logits produce NaNs here rather than warnings; the training
-    loop turns a non-finite loss into an explicit error.
+    Overflowing logits produce NaNs here rather than warnings.
     """
     scores = np.where(mask, logits, -np.inf)
     with np.errstate(invalid="ignore"):
@@ -74,19 +73,81 @@ def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return weights / weights.sum(axis=-1, keepdims=True)
 
 
+# numpy sums a contiguous row of up to this many float64 pairwise in one
+# block of eight running accumulators; longer rows split at a length-dependent
+# point, so only rows this short can lose trailing zero slots bit-exactly.
+_PAIRWISE_BLOCK = 128
+
+
+class _LiveRows:
+    """A padded `(cells, slots, N)` fit problem packed once for every epoch.
+
+    Epochs read only the live candidate rows, yet reproduce the padded
+    arithmetic bit for bit:
+
+    - logits come from the per-cell matmul over a block trimmed to `width`
+      slots, a multiple of 8 where it trims, so BLAS groups each cell's live
+      rows as it does on the padded block (one matmul over all live rows
+      would not);
+    - the softmax denominators are row sums of a zero `(cells, width)` grid
+      holding the live terms: dropping whole octets of trailing zeros leaves
+      numpy's eight-accumulator pairwise sum unchanged, while a trim to the
+      plain widest domain would not;
+    - the gradient's einsum adds the live rows in the order the padded one
+      adds all rows, and dead rows only ever added exact zeros.
+
+    `live` holds the live rows in cell order, `counts` each cell's number of
+    them, `starts` each cell's first, `labels` each label's, and `in_grid`
+    each live row's flat index in the `(cells, width)` grid.
+    """
+
+    def __init__(self, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray):
+        cells, slots = masks.shape
+        inside = (labels >= 0) & (labels < slots)
+        inside[inside] = masks[np.flatnonzero(inside), labels[inside]]
+        if not inside.all():
+            raise DataError(f"label {labels[~inside][0]} outside the candidate domain")
+        widest = int(np.flatnonzero(masks.any(axis=0)).max(initial=-1)) + 1
+        width = min(slots, max(8, 8 * math.ceil(widest / 8)))
+        if slots > _PAIRWISE_BLOCK:
+            width = slots
+        # a view, not a copy: each cell's rows keep unit column stride, so the
+        # matmul still hands them to BLAS
+        self.trimmed = tensors[:, :width]
+        padded = np.flatnonzero(masks)
+        self.live = tensors.reshape(cells * slots, -1)[padded]
+        self.in_grid = padded // slots * width + padded % slots
+        self.counts = np.count_nonzero(masks, axis=1)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.labels = np.searchsorted(padded, np.arange(cells) * slots + labels)
+        self.grid = np.zeros((cells, width), dtype=np.float64)
+
+    def probs(self, weights: np.ndarray) -> np.ndarray:
+        """Each live row's softmax probability within its cell."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = (self.trimmed @ weights).reshape(-1)[self.in_grid]
+            peaks = np.maximum.reduceat(logits, self.starts)
+            terms = np.exp(logits - np.repeat(peaks, self.counts))
+            self.grid.reshape(-1)[self.in_grid] = terms
+            return terms / np.repeat(self.grid.sum(axis=-1), self.counts)
+
+    def loss(self, probs: np.ndarray) -> float:
+        """Mean cross-entropy of the labels."""
+        with np.errstate(divide="ignore"):
+            return float(-np.log(probs[self.labels]).mean())
+
+    def grad(self, probs: np.ndarray) -> np.ndarray:
+        """The loss gradient; overwrites `probs`."""
+        probs[self.labels] -= 1.0
+        return np.einsum("m,mn->n", probs, self.live) / len(self.labels)
+
+
 def _loss_and_grad(
     weights: np.ndarray, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    count = len(labels)
-    with np.errstate(over="ignore"):
-        logits = tensors @ weights
-    probs = _masked_probs(logits, masks)
-    picked = probs[np.arange(count), labels]
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log(picked).mean())
-    probs[np.arange(count), labels] -= 1.0
-    grad = np.einsum("lr,lrn->n", probs, tensors) / count
-    return loss, grad
+    rows = _LiveRows(tensors, masks, labels)
+    probs = rows.probs(weights)
+    return rows.loss(probs), rows.grad(probs)
 
 
 def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainReport:
@@ -97,20 +158,18 @@ def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainR
     """
     if not len(block):
         raise DataError("cannot train on an empty example set")
-    tensors, masks, labels = block.values, block.mask, block.observed_index
-    outside = (labels < 0) | (labels >= block.sizes)
-    if outside.any():
-        raise DataError(f"label {labels[outside][0]} outside the candidate domain")
+    rows = _LiveRows(block.values, block.mask, block.observed_index)
     weights = model.weights.astype(np.float64, copy=True)
     initial_loss = math.nan
     for epoch in range(hp.epochs):
-        loss, grad = _loss_and_grad(weights, tensors, masks, labels)
+        probs = rows.probs(weights)
+        loss = rows.loss(probs)
         if not math.isfinite(loss):
             raise DataError(f"training loss became non-finite at epoch {epoch}")
         if epoch == 0:
             initial_loss = loss
-        weights -= hp.learning_rate * grad
-    final_loss, _ = _loss_and_grad(weights, tensors, masks, labels)
+        weights -= hp.learning_rate * rows.grad(probs)
+    final_loss = rows.loss(rows.probs(weights))
     if not math.isfinite(final_loss):
         raise DataError(f"training loss became non-finite at epoch {hp.epochs}")
     model.weights = weights

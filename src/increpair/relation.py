@@ -188,6 +188,18 @@ def write_atomic(path: str | Path, write: Callable[[IO[str]], None]) -> None:
         partial.unlink(missing_ok=True)
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as RFC-4180 CSV, atomically; None is written empty."""
+
+    def write(handle: IO[str]) -> None:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if value is None else value for value in row])
+
+    write_atomic(path, write)
+
+
 def make_batches(
     rows: Sequence[Sequence[str | None]],
     *,
@@ -388,14 +400,9 @@ class RelationStore:
 
     def export_csv(self, path: str | Path) -> None:
         """Write the current relation (repairs included) as RFC-4180 CSV, atomically."""
-
-        def write(handle: IO[str]) -> None:
-            writer = csv.writer(handle)
-            writer.writerow(self.schema.attributes)
-            for row in self._rows:
-                writer.writerow([self.interner.resolve(attr, vid) for attr, vid in enumerate(row)])
-
-        write_atomic(path, write)
+        resolve = self.interner.resolve
+        rows = ([resolve(attr, vid) for attr, vid in enumerate(row)] for row in self._rows)
+        write_csv(path, self.schema.attributes, rows)
 
     # -- serialization ------------------------------------------------------
 

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from increpair.cli import main
 
+from conftest import failing_writes
+
 
 def write_csv(path, header, rows):
     with path.open("w", newline="", encoding="utf-8") as handle:
@@ -137,6 +139,44 @@ class TestErrorsAndExitCodes:
         assert run(
             ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"]
         ) == 1
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("clean", "--out"),
+            ("clean", "--metrics"),
+            ("clean", "--snapshot"),
+            ("inject", "--out-dirty"),
+            ("inject", "--out-truth"),
+            ("eval", "--json-out"),
+        ],
+    )
+    def test_unwritable_output_is_config_error(
+        self, tmp_path, clean_csv, capsys, command, flag, where
+    ):
+        bad = tmp_path / "absent" / "out" if where == "missing-directory" else tmp_path
+        argv = {
+            "clean": ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"],
+            "inject": ["inject", "--input", clean_csv, "--rate", "0.05",
+                       "--out-dirty", tmp_path / "d.csv", "--out-truth", tmp_path / "t.csv"],
+            "eval": ["eval", "--repaired", clean_csv, "--ground-truth", clean_csv,
+                     "--dirty", clean_csv],
+        }[command]
+        assert run(argv + [flag, bad]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--snapshot"])
+    def test_output_failing_after_the_stream_is_config_error(
+        self, tmp_path, clean_csv, monkeypatch, flag
+    ):
+        """A path that passes the up-front check can still fail to be written,
+        as on a full disk; that too exits 1, and leaves no partial file."""
+        failing_writes(monkeypatch)
+        target = tmp_path / "out"
+        argv = ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"]
+        assert run(argv + [flag, target]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv"]
 
     @pytest.mark.parametrize("flag", ["--batches", "--batch-size"])
     def test_zero_batches_is_config_error(self, clean_csv, flag):

@@ -25,6 +25,7 @@ from increpair.models import (
 from increpair.relation import CellRef
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
+import fit_oracle
 from conftest import build_store
 
 
@@ -214,6 +215,81 @@ class TestGradient:
                 loss_down, _ = _loss_and_grad(down, tensors, masks, labels)
                 numeric = (loss_up - loss_down) / (2 * eps)
                 assert abs(grad[k] - numeric) < 1e-6
+
+
+def padded_block(rng, cells, slots, n_attrs, widest):
+    """A block shaped as `Featurizer.block` builds one: prefix masks, zero dead
+    slots, features in [0, 1] with some exact zeros, one cell `widest` wide."""
+    sizes = rng.integers(1, widest + 1, size=cells)
+    sizes[rng.integers(cells)] = widest
+    mask = np.arange(slots) < sizes[:, None]
+    values = rng.uniform(0.0, 1.0, size=(cells, slots, n_attrs))
+    values[rng.uniform(size=values.shape) < 0.2] = 0.0
+    values[~mask] = 0.0
+    return FeatureBlock(
+        tids=np.arange(cells),
+        candidates=np.zeros((cells, slots), dtype=np.int32),
+        sizes=sizes,
+        observed_index=(rng.uniform(size=cells) * sizes).astype(np.intp),
+        values=values,
+        mask=mask,
+    )
+
+
+def bits(value) -> list[int]:
+    return np.asarray(value, dtype=np.float64).reshape(-1).view(np.uint64).tolist()
+
+
+def assert_fit_matches_oracle(block, weights, hp):
+    arrays = (block.values, block.mask, block.observed_index)
+    loss, grad = _loss_and_grad(weights, *arrays)
+    want_loss, want_grad = fit_oracle.loss_and_grad(weights, *arrays)
+    assert bits(loss) == bits(want_loss)
+    assert bits(grad) == bits(want_grad)
+    model, reference = AttributeModel(0, weights.copy()), AttributeModel(0, weights.copy())
+    report = train(model, block, hp)
+    want = fit_oracle.train(reference, block, hp)
+    assert bits(model.weights) == bits(reference.weights)
+    assert bits([report.initial_loss, report.final_loss]) == bits(
+        [want.initial_loss, want.final_loss]
+    )
+    assert report == want
+
+
+class TestFitMatchesPaddedOracle:
+    """The fit over live candidate rows equals the padded fit bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_attrs=st.integers(2, 8),
+        slots=st.one_of(
+            st.integers(2, 7), st.just(8), st.integers(9, 60), st.integers(129, 140)
+        ),
+        cells=st.integers(1, 40),
+        data=st.data(),
+        epochs=st.integers(1, 3),
+    )
+    def test_weights_losses_and_gradient(self, seed, n_attrs, slots, cells, data, epochs):
+        # half the draws put the widest domain in the last octet the slots reach,
+        # a partial one unless the slots are a multiple of 8
+        last_octet = st.integers(max(1, slots - (slots - 1) % 8), slots)
+        widest = data.draw(st.one_of(st.integers(1, slots), last_octet))
+        rng = np.random.default_rng(seed)
+        block = padded_block(rng, cells, slots, n_attrs, widest)
+        weights = rng.normal(scale=2.0, size=n_attrs)
+        assert_fit_matches_oracle(block, weights, Hyperparams(epochs=epochs, learning_rate=0.7))
+
+    def test_trim_keeps_whole_octets(self):
+        """Nine live slots of sixteen: the softmax sum over 9 slots adds the
+        ninth term last, the padded sum adds it to the first of the eight
+        accumulators, and on this block the two round differently."""
+        block = padded_block(np.random.default_rng(1), 40, 16, 3, 9)
+        weights = np.array([3.0, -2.5, 1.5])
+        logits = np.where(block.mask, block.values @ weights, -np.inf)
+        terms = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert bits(np.ascontiguousarray(terms[:, :9]).sum(axis=-1)) != bits(terms.sum(axis=-1))
+        assert_fit_matches_oracle(block, weights, Hyperparams(epochs=3, learning_rate=0.7))
 
 
 @pytest.fixture
