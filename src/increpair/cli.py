@@ -112,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     clean.add_argument("--snapshot", default=None, help="where to write the final run snapshot")
     clean.add_argument("--resume", default=None, help="run snapshot to continue from")
     clean.add_argument(
-        "--timings", action="store_true", help="include wall-clock timings in metrics lines"
+        "--timings",
+        action="store_true",
+        help="include wall-clock stage timings and peak resident memory (peak_rss_kb)"
+        " in metrics lines",
     )
     clean.add_argument("--null-tokens", default=None)
 

@@ -203,7 +203,7 @@ def parse_dc_file(path, schema: Schema) -> list[DenialConstraint]:
     """Read constraints one per line; `#` starts a comment, blank lines are skipped."""
     constraints: list[DenialConstraint] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except OSError as exc:
         raise ParseError(f"cannot open constraint file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -14,11 +14,20 @@ store's packed co-occurrence table, merges the candidates into one sorted
 union of (cell, value) keys context by context, cuts each domain to its
 heaviest values and fills the stacked tensor with one float64 division per
 context.  `Featurizer.domain` and `Featurizer.tensor` run the same code on a
-single cell.
+single cell, whose tensor spans all of its attribute's `tensor_slots`.
+
+A block is only as wide as its widest domain rounded up to whole octets, at
+most `tensor_slots` and all of them above 128.  The fit and repair compute on
+it what they would on the padding, bit for bit: BLAS groups each cell's rows
+of the logits matmul by octets, and trailing zero octets leave numpy's
+eight-accumulator pairwise sum of a row of up to 128 unchanged, while a trim
+to the plain widest domain, or padding a row under 8 (summed sequentially)
+up to 8, would not.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,7 +83,8 @@ class FeatureBlock:
     leaves nothing to choose or learn.  Cell i is tuple `tids[i]`; its
     candidates are `candidates[i, :sizes[i]]` in ascending value-id order,
     its observed value sits at `observed_index[i]`, and `values[i]`/`mask[i]`
-    are its `FeatureTensor` fields.  Dead slots hold null and mask False.
+    are the first slots of its `FeatureTensor` fields.  Dead slots hold null,
+    zero features and mask False.
     """
 
     tids: np.ndarray
@@ -82,10 +92,14 @@ class FeatureBlock:
     sizes: np.ndarray
     observed_index: np.ndarray
     values: np.ndarray
-    mask: np.ndarray
 
     def __len__(self) -> int:
         return len(self.tids)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The live slots: each cell's first `sizes[i]`."""
+        return np.arange(self.values.shape[1]) < self.sizes[:, None]
 
 
 def tensor_slots(stats: StatsStore, attr: int, cap: int = DEFAULT_DOMAIN_CAP) -> int:
@@ -209,24 +223,24 @@ class Featurizer:
         return keys, np.searchsorted(keys, own) - starts
 
     def _tensors(
-        self, attr: int, n_cells: int, keys: np.ndarray, contexts: list[_Context | None]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates, sizes, feature values and mask of cells whose candidate
-        slots are the packed (cell, value) `keys`, grouped by cell in slot order.
+        self, attr: int, n_cells: int, keys: np.ndarray, contexts: list[_Context | None], trim: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidates, sizes and feature values of cells whose candidate slots
+        are the packed (cell, value) `keys`, grouped by cell in slot order:
+        `tensor_slots` wide, or with `trim` a block's width (module docstring).
         """
         n_attrs = self.stats.n_attrs
         slots = tensor_slots(self.stats, attr, self.cap)
         cells, sizes, starts = _runs(keys, n_cells)
-        if sizes.max(initial=0) > slots:
-            raise DataError(
-                f"domain of size {sizes.max()} does not fit {slots} tensor slots"
-            )
+        widest = int(sizes.max(initial=0))
+        if widest > slots:
+            raise DataError(f"domain of size {widest} does not fit {slots} tensor slots")
+        if trim and slots <= 128:
+            slots = min(slots, max(8, 8 * math.ceil(widest / 8)))
         slot = np.arange(len(keys)) - np.repeat(starts, sizes)
         vids = keys & _LOW
         candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
         candidates[cells, slot] = vids
-        mask = np.zeros((n_cells, slots), dtype=bool)
-        mask[cells, slot] = True
         values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
         for context_attr, ctx in enumerate(contexts):
             if ctx is None:
@@ -246,7 +260,7 @@ class Featurizer:
             counts = np.where(ctx.keys[found] == query, ctx.counts[found], 0)
             values[cells, slot, context_attr] = counts / frequency[cells]
             del query, found, counts
-        return candidates, sizes, values, mask
+        return candidates, sizes, values
 
     def block(self, attr: int, tids: Sequence[int], rows) -> FeatureBlock:
         """Feature block of the cells of `attr` in tuples `tids`, whose current
@@ -263,8 +277,8 @@ class Featurizer:
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
             tids, observed_index = tids[multi], observed_index[multi]
             contexts = self._contexts(attr, rows[multi])
-        candidates, sizes, values, mask = self._tensors(attr, len(tids), keys, contexts)
-        return FeatureBlock(tids, candidates, sizes, observed_index, values, mask)
+        candidates, sizes, values = self._tensors(attr, len(tids), keys, contexts, trim=True)
+        return FeatureBlock(tids, candidates, sizes, observed_index, values)
 
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
         """Candidate domain of one cell given its tuple's current values."""
@@ -279,5 +293,5 @@ class Featurizer:
         rows = np.asarray([tuple_values], dtype=np.int64)
         keys = np.asarray(domain.candidates, dtype=np.int64).reshape(-1)
         contexts = self._contexts(domain.cell.attr, rows)
-        _, _, values, mask = self._tensors(domain.cell.attr, 1, keys, contexts)
-        return FeatureTensor(values[0], mask[0], domain)
+        _, sizes, values = self._tensors(domain.cell.attr, 1, keys, contexts, trim=False)
+        return FeatureTensor(values[0], np.arange(values.shape[1]) < sizes[0], domain)

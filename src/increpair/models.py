@@ -1,5 +1,5 @@
-"""Per-attribute repair models: a tied weight per feature column, masked
-softmax over candidate rows, full-batch gradient descent on cross-entropy.
+"""Per-attribute repair models: a tied weight per feature column, softmax
+over live candidate rows, full-batch gradient descent on cross-entropy.
 
 Each attribute owns one weight vector of length N (one weight per context
 attribute column), so candidate k scores `tensor[k] . weights`.  Training
@@ -9,6 +9,7 @@ within its candidate domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -61,75 +62,55 @@ class TrainReport:
     improved: bool
 
 
-def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with masked slots pinned to probability zero.
-
-    Overflowing logits produce NaNs here rather than warnings.
-    """
-    scores = np.where(mask, logits, -np.inf)
-    with np.errstate(invalid="ignore"):
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)  # exp(-inf) == 0 kills the dead slots
-        return weights / weights.sum(axis=-1, keepdims=True)
-
-
-# numpy sums a contiguous row of up to this many float64 pairwise in one
-# block of eight running accumulators; longer rows split at a length-dependent
-# point, so only rows this short can lose trailing zero slots bit-exactly.
-_PAIRWISE_BLOCK = 128
-
-
 class _LiveRows:
-    """A padded `(cells, slots, N)` fit problem packed once for every epoch.
+    """A `(cells, slots, N)` softmax problem packed once for every epoch.
 
-    Epochs read only the live candidate rows, yet reproduce the padded
-    arithmetic bit for bit:
+    Epochs read only the live candidate rows, yet reproduce the arithmetic on
+    the whole block bit for bit: logits come from the per-cell matmul over
+    the block, softmax denominators are row sums of a zero `(cells, slots)`
+    grid holding the live terms, and the gradient's einsum adds the live rows
+    in the order a padded one adds all rows, whose dead ones add exact zeros.
+    Why a block narrower than its tensor slots computes as their padding
+    would is told in `featurize`.
 
-    - logits come from the per-cell matmul over a block trimmed to `width`
-      slots, a multiple of 8 where it trims, so BLAS groups each cell's live
-      rows as it does on the padded block (one matmul over all live rows
-      would not);
-    - the softmax denominators are row sums of a zero `(cells, width)` grid
-      holding the live terms: dropping whole octets of trailing zeros leaves
-      numpy's eight-accumulator pairwise sum unchanged, while a trim to the
-      plain widest domain would not;
-    - the gradient's einsum adds the live rows in the order the padded one
-      adds all rows, and dead rows only ever added exact zeros.
-
-    `live` holds the live rows in cell order, `counts` each cell's number of
-    them, `starts` each cell's first, `labels` each label's, and `in_grid`
-    each live row's flat index in the `(cells, width)` grid.
+    `counts` holds each cell's number of live rows, `starts` each cell's
+    first, `in_grid` each one's flat index in the grid and, given labels,
+    `labels` each label's.
     """
 
-    def __init__(self, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray):
+    def __init__(self, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray | None = None):
         cells, slots = masks.shape
-        inside = (labels >= 0) & (labels < slots)
-        inside[inside] = masks[np.flatnonzero(inside), labels[inside]]
-        if not inside.all():
-            raise DataError(f"label {labels[~inside][0]} outside the candidate domain")
-        widest = int(np.flatnonzero(masks.any(axis=0)).max(initial=-1)) + 1
-        width = min(slots, max(8, 8 * math.ceil(widest / 8)))
-        if slots > _PAIRWISE_BLOCK:
-            width = slots
-        # a view, not a copy: each cell's rows keep unit column stride, so the
-        # matmul still hands them to BLAS
-        self.trimmed = tensors[:, :width]
-        padded = np.flatnonzero(masks)
-        self.live = tensors.reshape(cells * slots, -1)[padded]
-        self.in_grid = padded // slots * width + padded % slots
+        self.tensors = tensors
+        self.in_grid = np.flatnonzero(masks)
         self.counts = np.count_nonzero(masks, axis=1)
         self.starts = np.cumsum(self.counts) - self.counts
-        self.labels = np.searchsorted(padded, np.arange(cells) * slots + labels)
-        self.grid = np.zeros((cells, width), dtype=np.float64)
+        self.grid = np.zeros((cells, slots), dtype=np.float64)
+        if labels is not None:
+            inside = (labels >= 0) & (labels < slots)
+            inside[inside] = masks[np.flatnonzero(inside), labels[inside]]
+            if not inside.all():
+                raise DataError(f"label {labels[~inside][0]} outside the candidate domain")
+            self.labels = np.searchsorted(self.in_grid, np.arange(cells) * slots + labels)
+
+    @functools.cached_property
+    def live(self) -> np.ndarray:
+        """The live rows in cell order, copied when the gradient first reads them."""
+        return self.tensors.reshape(-1, self.tensors.shape[-1])[self.in_grid]
 
     def probs(self, weights: np.ndarray) -> np.ndarray:
         """Each live row's softmax probability within its cell."""
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = (self.trimmed @ weights).reshape(-1)[self.in_grid]
+            logits = (self.tensors @ weights).reshape(-1)[self.in_grid]
             peaks = np.maximum.reduceat(logits, self.starts)
             terms = np.exp(logits - np.repeat(peaks, self.counts))
             self.grid.reshape(-1)[self.in_grid] = terms
             return terms / np.repeat(self.grid.sum(axis=-1), self.counts)
+
+    def best(self, weights: np.ndarray) -> np.ndarray:
+        """Each cell's most probable slot: the lowest on a tie, and the first
+        where overflowing logits leave nothing but NaN."""
+        self.grid.reshape(-1)[self.in_grid] = self.probs(weights)
+        return self.grid.argmax(axis=1)
 
     def loss(self, probs: np.ndarray) -> float:
         """Mean cross-entropy of the labels."""
@@ -248,8 +229,10 @@ def repair_cells(
     for attr in sorted({cell.attr for cell in cells}):
         tids = [cell.tid for cell in cells if cell.attr == attr]
         block = featurizer.block(attr, tids, _rows(store, tids))
-        probs = _masked_probs(block.values @ models[attr].weights, block.mask)
-        picked = block.candidates[np.arange(len(block)), np.argmax(probs, axis=1)]
+        if not len(block):
+            continue  # every cell a singleton; reduceat rejects an empty block
+        slots = _LiveRows(block.values, block.mask).best(models[attr].weights)
+        picked = block.candidates[np.arange(len(block)), slots]
         best.update(
             (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
         )

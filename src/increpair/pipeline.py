@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import random
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -144,8 +145,9 @@ class Strategy:
 class BatchReport:
     """Everything one processed batch reports to the metrics stream.
 
-    Wall-clock timings stay out of the serialized line by default so that a
-    fixed configuration and seed reproduce the stream byte for byte.
+    Wall-clock timings and the process's peak resident memory so far (in
+    KiB) stay out of the serialized line by default so that a fixed
+    configuration and seed reproduce the stream byte for byte.
     """
 
     batch: int
@@ -165,14 +167,16 @@ class BatchReport:
     attrs_retrained: tuple[str, ...]
     training_instances: int
     cum_training_instances: int
-    peak_live_bytes: int
+    peak_rss_kb: int
     timings_s: dict[str, float] = field(default_factory=dict)
 
     def to_json_line(self, include_timings: bool = False) -> str:
-        payload = {key: value for key, value in asdict(self).items() if key != "timings_s"}
+        payload = asdict(self)
+        del payload["timings_s"], payload["peak_rss_kb"]
         payload["attrs_retrained"] = list(self.attrs_retrained)
         if include_timings:
             payload["timings_s"] = {k: round(v, 6) for k, v in self.timings_s.items()}
+            payload["peak_rss_kb"] = self.peak_rss_kb
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -320,7 +324,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     if not kind.incremental:
         state.models = [AttributeModel.fresh(attr, n_attrs) for attr in range(n_attrs)]
     training_instances = 0
-    peak_transient = 0
     retrained: list[int] = []
     for attr in to_train:
         rng = _training_rng(strategy.seed, batch.k, attr)
@@ -334,8 +337,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         )
         if not examples:
             continue
-        transient = examples.values.nbytes + examples.mask.nbytes
-        peak_transient = max(peak_transient, transient)
         train(state.models[attr], examples, strategy.hyperparams)
         training_instances += len(examples)
         retrained.append(attr)
@@ -366,8 +367,6 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     timings["repair"] = time.perf_counter() - started
 
     state.batches_done = batch.k
-    models_bytes = sum(model.weights.nbytes + 96 for model in state.models)
-    skipper_bytes = 96 * sum(state.skipper.support.values())
     return BatchReport(
         batch=batch.k,
         tuples_seen=store.n_tuples,
@@ -386,10 +385,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         attrs_retrained=tuple(store.schema.attributes[attr] for attr in retrained),
         training_instances=training_instances,
         cum_training_instances=state.cum_training_instances,
-        peak_live_bytes=state.stats.live_bytes()
-        + models_bytes
-        + skipper_bytes
-        + peak_transient,
+        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         timings_s=timings,
     )
 

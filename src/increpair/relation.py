@@ -144,7 +144,8 @@ def load_csv(
     path = Path(path)
     tokens = frozenset(null_tokens)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark spreadsheets write first
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:

@@ -50,8 +50,7 @@ class SkipperState:
 
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
     the value pairs of the (a, b) joint in D with the training-time count z'
-    of each, and `support[a]` the number of value pairs in `a`'s joints at
-    training.  `saved` holds whole joints for the reference rules only.
+    of each.  `saved` holds whole joints for the reference rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
     """
@@ -60,7 +59,6 @@ class SkipperState:
     saved: dict[int, dict[int, JointDist]] = field(default_factory=dict)
     trained_n: dict[int, int] = field(default_factory=dict)
     baseline: dict[int, dict[int, PairCounts]] = field(default_factory=dict)
-    support: dict[int, int] = field(default_factory=dict)
 
     def trained_batch(self, attr: int) -> int:
         """Batch at which the attribute's model last trained; 0 means never."""
@@ -208,12 +206,10 @@ def record_counts(
     state.last_trained[attr] = batch
     state.trained_n[attr] = n
     state.baseline[attr] = {}
-    state.support[attr] = 0
     for other in partners:
         keys, counts = stats.table(*_table(attr, other))
         below = counts / n < floor  # never true while 1/n >= floor
         state.baseline[attr][other] = (keys[below], counts[below])
-        state.support[attr] += len(keys)
 
 
 def track_counts(state: SkipperState, delta: DeltaCounts) -> None:

@@ -174,8 +174,8 @@ class StatsStore:
         """A fixed, deterministic size model, not a measurement: CPython dict-entry
         costs of the nested-dict layout the counts once had.  A value costs its
         frequency entry and the row it opens in each of the N-1 tables it
-        conditions, a value pair one entry per orientation.  Kept so the
-        `peak_live_bytes` of metric lines stays byte-stable."""
+        conditions, a value pair one entry per orientation.  The engine does
+        not read it; bench/stream.py reports it as `stats.live_bytes`."""
         values = sum(len(table) for table in self.single)
         per_value = 96 + 72 * (self.n_attrs - 1)
         pair_entries = sum(len(keys) for (i, j), (keys, _) in self._tables.items() if i < j)

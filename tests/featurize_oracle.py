@@ -3,11 +3,13 @@ Python over the nested count dicts.
 
 The engine builds domains and tensors for all of an attribute's cells at once
 with numpy; these functions state the same definitions cell by cell, and the
-tests require the batched path to reproduce them bit for bit.
+tests require the batched path to reproduce them bit for bit, within the
+width `block_width` gives the batch.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -98,3 +100,13 @@ def generate_feature_vector(
             if count:
                 values[row, context_attr] = count / frequency
     return FeatureTensor(values, mask, domain)
+
+
+def block_width(slots: int, widest: int) -> int:
+    """Slots of a batch of an attribute with `slots` tensor slots whose widest
+    domain holds `widest` values: whole octets covering that domain, never
+    more than `slots`, and all `slots` when there are more than 128."""
+    if slots > 128:
+        return slots
+    octets = max(1, math.ceil(widest / 8))
+    return min(slots, 8 * octets)

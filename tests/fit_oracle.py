@@ -1,9 +1,10 @@
-"""Padded reference for `increpair.models`' fit: every epoch over the whole
-`(cells, slots, N)` block, dead slots included.
+"""Padded reference for `increpair.models`' fit and repair: every epoch over
+the whole `(cells, slots, N)` block, dead slots included.
 
-The engine fits over the live candidate rows only; these functions state the
-same arithmetic on the padded block, and the tests require the engine's
-weights, losses and gradients to equal theirs bit for bit.
+The engine fits and repairs over the live candidate rows only; these
+functions state the same arithmetic on the padded block, and the tests
+require the engine's weights, losses, gradients and picks to equal theirs
+bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,40 @@ import numpy as np
 
 from increpair.errors import DataError
 from increpair.featurize import FeatureBlock
-from increpair.models import AttributeModel, Hyperparams, TrainReport, _masked_probs
+from increpair.models import AttributeModel, Hyperparams, TrainReport
+from increpair.relation import NULL_ID
+
+
+def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis with masked slots pinned to probability zero.
+
+    Overflowing logits produce NaNs here rather than warnings.
+    """
+    scores = np.where(mask, logits, -np.inf)
+    with np.errstate(invalid="ignore"):
+        scores = scores - scores.max(axis=-1, keepdims=True)
+        weights = np.exp(scores)  # exp(-inf) == 0 kills the dead slots
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def padded(block: FeatureBlock, slots: int) -> FeatureBlock:
+    """`block` with dead slots appended up to `slots`: null candidates and
+    zero features, as every cell's `FeatureTensor` holds them."""
+    extra = slots - block.values.shape[1]
+    return FeatureBlock(
+        tids=block.tids,
+        candidates=np.pad(block.candidates, ((0, 0), (0, extra)), constant_values=NULL_ID),
+        sizes=block.sizes,
+        observed_index=block.observed_index,
+        values=np.pad(block.values, ((0, 0), (0, extra), (0, 0))),
+    )
+
+
+def picks(weights: np.ndarray, block: FeatureBlock) -> np.ndarray:
+    """Each cell's most probable candidate by the padded softmax."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _masked_probs(block.values @ weights, block.mask)
+    return block.candidates[np.arange(len(block)), np.argmax(probs, axis=1)]
 
 
 def loss_and_grad(

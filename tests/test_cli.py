@@ -224,6 +224,43 @@ class TestErrorsAndExitCodes:
         ) == 2
 
 
+class TestByteOrderMark:
+    """Spreadsheets save "CSV UTF-8" with a leading byte-order mark, which is
+    not part of the first field or the first constraint."""
+
+    RULES = "EQ(t1.city,t2.city) & NEQ(t1.zip,t2.zip)\n"
+
+    def clean(self, source, rules, out):
+        return run(
+            ["clean", "--input", source, "--strategy", "ihc", "--batches", "2",
+             "--dcs", rules, "--detectors", "null,dc", "--out", out]
+        )
+
+    def test_marked_input_csv_reads_as_unmarked(self, tmp_path, clean_csv):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + clean_csv.read_bytes())
+        rules = tmp_path / "rules.dc"
+        rules.write_text(self.RULES, encoding="utf-8")
+        assert self.clean(clean_csv, rules, tmp_path / "plain-out.csv") == 0
+        assert self.clean(marked, rules, tmp_path / "marked-out.csv") == 0
+        assert (tmp_path / "marked-out.csv").read_bytes() == (
+            tmp_path / "plain-out.csv"
+        ).read_bytes()
+        assert run(
+            ["eval", "--repaired", clean_csv, "--ground-truth", marked, "--dirty", clean_csv]
+        ) == 0
+
+    def test_marked_constraint_file_reads_as_unmarked(self, tmp_path, clean_csv):
+        rules, marked = tmp_path / "rules.dc", tmp_path / "marked.dc"
+        rules.write_text(self.RULES, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + self.RULES.encode())
+        assert self.clean(clean_csv, rules, tmp_path / "plain-out.csv") == 0
+        assert self.clean(clean_csv, marked, tmp_path / "marked-out.csv") == 0
+        assert (tmp_path / "marked-out.csv").read_bytes() == (
+            tmp_path / "plain-out.csv"
+        ).read_bytes()
+
+
 class TestEnvironmentOverrides:
     def test_env_supplies_strategy(self, tmp_path, clean_csv, monkeypatch):
         monkeypatch.setenv("INCREPAIR_STRATEGY", "hc-sep")

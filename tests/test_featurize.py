@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from increpair.errors import DataError
 from increpair.featurize import Featurizer, tensor_slots
+from increpair.models import AttributeModel, Hyperparams, train
 from increpair.relation import NULL_ID, CellRef, RawBatch, RelationStore, Schema
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
 from conftest import GOLDEN_ATTRS, GOLDEN_ROWS, build_store
-from featurize_oracle import generate_domain, generate_feature_vector
+import fit_oracle
+from featurize_oracle import block_width, generate_domain, generate_feature_vector
 
 REGION, CODE = 0, 1
 
@@ -200,6 +202,9 @@ class TestTensorSlots:
 
 
 VALUES = (None, "a", "b", "c", "d", "e")
+# a wide case's attribute draws from these, under a cap of 9 to 14, so that it
+# holds more than 8 tensor slots while its block may be narrower
+WIDE_VALUES = VALUES + tuple("fghijkl")
 
 
 @st.composite
@@ -207,16 +212,19 @@ def featurize_cases(draw):
     """A random relation, statistics over a prefix of it (so later rows can
     hold values the counts have never seen), thresholds and a cell pool."""
     n_attrs = draw(st.integers(2, 4))
+    attr = draw(st.integers(0, n_attrs - 1))
+    wide = draw(st.booleans())
     columns = [st.sampled_from(VALUES[: draw(st.integers(1, 6))]) for _ in range(n_attrs)]
-    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=30))
+    if wide:
+        columns[attr] = st.sampled_from(WIDE_VALUES)
+    rows = draw(st.lists(st.tuples(*columns), min_size=12 if wide else 1, max_size=30))
     counted = draw(st.integers(1, len(rows)))
     correlations = [
         [1.0 if i == j else draw(st.floats(0.0, 1.0)) for j in range(n_attrs)]
         for i in range(n_attrs)
     ]
     omega = draw(st.floats(0.0, 1.0, exclude_max=True))
-    cap = draw(st.integers(1, 6))
-    attr = draw(st.integers(0, n_attrs - 1))
+    cap = draw(st.integers(9, 14) if wide else st.integers(1, 6))
     tids = draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
     return rows, counted, correlations, omega, cap, attr, tids
 
@@ -264,7 +272,9 @@ class TestBatchedMatchesOracle:
         block = featurizer.block(attr, tids, cell_rows)
         assert len(block) == len(expected)
         assert block.tids.tolist() == [tid for tid, _, _ in expected]
-        assert block.values.shape == (len(expected), slots, store.n_attrs)
+        width = block_width(slots, max((d.size for _, d, _ in expected), default=0))
+        assert block.values.shape == (len(expected), width, store.n_attrs)
+        assert block.candidates.shape == (len(expected), width)
         assert block.values.flags.c_contiguous
         for i, (_, domain, tensor) in enumerate(expected):
             size = int(block.sizes[i])
@@ -272,11 +282,48 @@ class TestBatchedMatchesOracle:
             assert tuple(block.candidates[i, :size].tolist()) == domain.candidates
             assert not block.candidates[i, size:].any()
             assert block.observed_index[i] == domain.observed_index
-            assert same_bits(block.values[i], tensor.values)
-            assert np.array_equal(block.mask[i], tensor.mask)
+            assert same_bits(block.values[i], tensor.values[:width])
+            assert not tensor.values[width:].any()
+            assert np.array_equal(block.mask[i], tensor.mask[:width])
+            assert not tensor.mask[width:].any()
 
     def test_empty_pool(self, golden):
         store, stats, corr = golden
         block = Featurizer(stats, corr, omega=0.0).block(CODE, [], [])
         assert len(block) == 0
         assert block.values.shape == (0, 4, 2)
+
+
+class TestBlockWidth:
+    def test_fit_on_the_block_equals_the_padded_fit(self):
+        """Nine-value domains of a 36-slot attribute: the block is 16 slots
+        wide, whole octets, and trains to the weights the padded 36-slot fit
+        reaches.  A block trimmed to the plain widest domain would not: the
+        softmax sum over 9 slots adds the ninth term last, the padded sum adds
+        it to the first of the eight accumulators, and on this block the two
+        round differently."""
+        rng = random.Random(1)
+        rows = []
+        for _ in range(400):
+            group = rng.randrange(4)
+            value = 9 * group + min(rng.randrange(12), 8)
+            rows.append((f"g{group}", f"h{group}.{rng.randrange(3)}", f"v{value}"))
+        store = build_store(rows, ("g", "h", "v"))
+        stats, corr = stats_and_corr(store)
+        tids = list(range(store.n_tuples))
+        examples = Featurizer(stats, corr, omega=0.0).block(
+            2, tids, [store.tuple_values(tid) for tid in tids]
+        )
+        assert examples.values.shape == (len(tids), 16, 3)
+        assert tensor_slots(stats, 2) == 36 and int(examples.sizes.max()) == 9
+        weights = np.array([3.0, -2.5, 0.0])
+        logits = np.where(examples.mask, examples.values @ weights, -np.inf)
+        terms = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert not same_bits(np.ascontiguousarray(terms[:, :9]).sum(axis=-1), terms.sum(axis=-1))
+
+        hp = Hyperparams(epochs=3, learning_rate=0.7)
+        model, reference = AttributeModel(2, weights.copy()), AttributeModel(2, weights.copy())
+        report = train(model, examples, hp)
+        want = fit_oracle.train(reference, fit_oracle.padded(examples, 36), hp)
+        assert same_bits(model.weights, reference.weights)
+        assert report == want

@@ -1,4 +1,5 @@
-"""Attribute models: masked softmax, gradient descent, weak-label assembly, repair."""
+"""Attribute models: softmax over live rows, gradient descent, weak-label
+assembly, repair."""
 
 from __future__ import annotations
 
@@ -11,12 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from increpair.errors import ConfigError, DataError
-from increpair.featurize import CellDomain, FeatureBlock, FeatureTensor, Featurizer
+from increpair.featurize import (
+    CellDomain,
+    FeatureBlock,
+    FeatureTensor,
+    Featurizer,
+    tensor_slots,
+)
 from increpair.models import (
     AttributeModel,
     Hyperparams,
     _loss_and_grad,
-    _masked_probs,
+    _rows,
     _training_tids,
     build_training_set,
     repair_cells,
@@ -35,7 +42,7 @@ def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, i
     if not tensor.mask.any():
         raise DataError("feature tensor has no valid candidate slots")
     logits = tensor.values @ model.weights
-    probs = _masked_probs(logits, tensor.mask)[: tensor.domain.size]
+    probs = fit_oracle._masked_probs(logits, tensor.mask)[: tensor.domain.size]
     return probs, int(np.argmax(probs))
 
 
@@ -59,7 +66,6 @@ def make_block(tensors, labels, n_attrs=2, slots=2):
         sizes=np.array([t.domain.size for t in tensors], dtype=np.intp),
         observed_index=np.array(labels, dtype=np.intp),
         values=np.stack([t.values for t in tensors]) if tensors else np.zeros((0, slots, n_attrs)),
-        mask=np.stack([t.mask for t in tensors]) if tensors else np.zeros((0, slots), dtype=bool),
     )
 
 
@@ -232,7 +238,6 @@ def padded_block(rng, cells, slots, n_attrs, widest):
         sizes=sizes,
         observed_index=(rng.uniform(size=cells) * sizes).astype(np.intp),
         values=values,
-        mask=mask,
     )
 
 
@@ -279,17 +284,6 @@ class TestFitMatchesPaddedOracle:
         block = padded_block(rng, cells, slots, n_attrs, widest)
         weights = rng.normal(scale=2.0, size=n_attrs)
         assert_fit_matches_oracle(block, weights, Hyperparams(epochs=epochs, learning_rate=0.7))
-
-    def test_trim_keeps_whole_octets(self):
-        """Nine live slots of sixteen: the softmax sum over 9 slots adds the
-        ninth term last, the padded sum adds it to the first of the eight
-        accumulators, and on this block the two round differently."""
-        block = padded_block(np.random.default_rng(1), 40, 16, 3, 9)
-        weights = np.array([3.0, -2.5, 1.5])
-        logits = np.where(block.mask, block.values @ weights, -np.inf)
-        terms = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        assert bits(np.ascontiguousarray(terms[:, :9]).sum(axis=-1)) != bits(terms.sum(axis=-1))
-        assert_fit_matches_oracle(block, weights, Hyperparams(epochs=3, learning_rate=0.7))
 
 
 @pytest.fixture
@@ -439,3 +433,85 @@ class TestRepairCells:
                 _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
                 expected.append((cell, domain.candidates[best]))
         assert proposals == expected
+
+
+def grouped_world(rows, cap=50):
+    """A store of `rows` over (g, h, v), counted, and its featurizer."""
+    store = build_store(rows, ("g", "h", "v"))
+    stats = StatsStore(3)
+    stats.ingest([list(store.tuple_values(t)) for t in range(store.n_tuples)])
+    correlations = correlation_matrix(stats, scratch_accumulator(stats))
+    return store, stats, Featurizer(stats, correlations, 0.0, cap)
+
+
+def grouped_rows(seed: int, distinct: int, spread: int) -> list[tuple[str, str, str]]:
+    """Rows whose g picks a run of `spread` of `distinct` v values, most often
+    its first, and whose h refines g: each v domain holds at most `spread`
+    values while the attribute holds up to `distinct`."""
+    rng = random.Random(seed)
+    groups = max(6, -(-distinct // spread))
+    rows = []
+    for _ in range(max(60, 4 * distinct)):
+        group = rng.randrange(groups)
+        offset = 0 if rng.random() < 0.5 else rng.randrange(spread)
+        value = (group * spread + offset) % distinct
+        rows.append((f"g{group}", f"h{group}.{rng.randrange(2)}", f"v{value}"))
+    return rows
+
+
+class TestRepairMatchesPaddedOracle:
+    """`repair_cells` picks, through the fit's softmax over live rows, what
+    the padded softmax over every tensor slot picks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        # (distinct values, cap): S < 8 (5 values, or cap 4), S not a multiple
+        # of 8 (13, 21), S = 50 and S > 128 (150 values under cap 140)
+        sizes=st.sampled_from([(5, 50), (13, 50), (21, 50), (21, 4), (150, 50), (150, 140)]),
+        spread=st.integers(1, 24),
+        scale=st.sampled_from([1.0, 5.0, 1e308]),
+    )
+    def test_picks_equal_the_padded_argmax(self, seed, sizes, spread, scale):
+        distinct, cap = sizes
+        store, stats, featurizer = grouped_world(grouped_rows(seed, distinct, spread), cap)
+        weights = np.random.default_rng(seed).normal(scale=scale, size=(3, 3))
+        models = [AttributeModel(attr, weights[attr]) for attr in range(3)]
+        cells = [CellRef(tid, attr) for tid in range(store.n_tuples) for attr in range(3)]
+        proposals, _ = repair_cells(models, cells, store, featurizer)
+        want = {}
+        tids = list(range(store.n_tuples))
+        for attr in range(3):
+            block = featurizer.block(attr, tids, _rows(store, tids))
+            full = fit_oracle.padded(block, tensor_slots(stats, attr, cap))
+            picked = fit_oracle.picks(models[attr].weights, full)
+            want.update(
+                (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
+            )
+        assert dict(proposals) == want
+
+    def test_narrow_block_with_overflowing_rows(self):
+        """Nine-value domains of a 36-slot attribute make a 16-slot block.
+        Groups g0 and g1 hold one dominant value, whose logit overflows under
+        these weights: their cells take their first candidate, as the padded
+        argmax over all-NaN probabilities does."""
+        rows = []
+        for group in range(4):
+            for j in range(9):
+                times = 60 if group < 2 and j == 0 else 2
+                rows += [(f"g{group}", f"h{group}.{j % 2}", f"v{group * 9 + j}")] * times
+        store, stats, featurizer = grouped_world(rows)
+        tids = list(range(store.n_tuples))
+        block = featurizer.block(2, tids, _rows(store, tids))
+        assert block.values.shape[1] == 16 and tensor_slots(stats, 2) == 36
+        weights = np.array([1.2e308, 1.2e308, 0.0])
+        full = fit_oracle.padded(block, 36)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = fit_oracle._masked_probs(full.values @ weights, full.mask)
+        overflowed = np.isnan(probs).all(axis=1)
+        assert overflowed.any() and not overflowed.all()
+        models = [AttributeModel.fresh(attr, 3) for attr in range(2)] + [AttributeModel(2, weights)]
+        proposals, _ = repair_cells(models, [CellRef(tid, 2) for tid in tids], store, featurizer)
+        picked = fit_oracle.picks(weights, full)
+        assert [vid for _, vid in proposals] == picked.tolist()
+        assert (picked[overflowed] == block.candidates[overflowed, 0]).all()

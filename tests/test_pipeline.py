@@ -208,8 +208,8 @@ class TestSkipperWiring:
     def test_recording_follows_training(self):
         state, reports = run_two_batches(StrategyKind.IHC, skip="ikl", epsilon_kl=0.0)
         assert state.skipper.trained_batch(1) >= 1
-        # the val attribute's count reference: n' and its joints' support
-        assert state.skipper.trained_n[1] >= 1 and state.skipper.support[1] >= 1
+        # the val attribute's count reference: n' and a D per partner
+        assert state.skipper.trained_n[1] >= 1 and set(state.skipper.baseline[1]) == {0}
 
     def test_infinite_epsilon_blocks_retraining(self):
         state, reports = run_two_batches(
@@ -239,6 +239,17 @@ class TestMetricsStream:
             "detect", "stats", "gate", "train", "repair", "evaluate"
         }
 
+    def test_timings_lines_carry_measured_peak_memory(self):
+        strategy = strategy_for(StrategyKind.IHC)
+        state = new_state(strategy, TRUTH)
+        stream = io.StringIO()
+        run_stream(state, strategy, BATCHES, stream, include_timings=True)
+        peaks = [json.loads(line)["peak_rss_kb"] for line in stream.getvalue().splitlines()]
+        assert len(peaks) == 2 and peaks[0] > 0
+        assert peaks == sorted(peaks)  # a high-water mark never falls
+        default = run_stream(new_state(strategy, TRUTH), strategy, BATCHES)
+        assert all("peak_rss_kb" not in report.to_json_line() for report in default)
+
     def test_ground_truth_fields_null_without_truth(self):
         strategy = Strategy(kind=StrategyKind.IHC, detectors=("null",))
         state = new_state(strategy)
@@ -255,7 +266,6 @@ class TestMetricsStream:
             assert report.dirty_pool >= report.repairs_attempted
         assert reports[-1].cum_repairs_changed == sum(r.repairs_changed for r in reports)
         assert reports[-1].true_errors_so_far == 1
-        assert reports[-1].peak_live_bytes > 0
 
 
 class TestEvaluate:

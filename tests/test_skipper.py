@@ -258,7 +258,7 @@ class TestCountDivergence:
         assert pairs_view(*state.baseline[0][1]) == {(2, 2): 1}
         record_counts(state, 1, stats, batch=1)  # default floor: 1/31 is above it
         assert pairs_view(*state.baseline[1][0]) == {}
-        assert state.support == {0: 2, 1: 2}
+        assert state.trained_n == {0: 31, 1: 31}
 
     def test_unknown_rule_is_an_error(self):
         stats = StatsStore(2)

@@ -161,7 +161,6 @@ def assert_same_state(carried, recounted):
     gate, rebuilt = carried.skipper, recounted.skipper
     assert rebuilt.last_trained == gate.last_trained
     assert rebuilt.trained_n == gate.trained_n
-    assert rebuilt.support == gate.support
     assert rebuilt.baseline.keys() == gate.baseline.keys()
     for attr, partners in gate.baseline.items():
         assert rebuilt.baseline[attr].keys() == partners.keys()
