@@ -16,13 +16,20 @@ heaviest values and fills the stacked tensor with one float64 division per
 context.  `Featurizer.domain` and `Featurizer.tensor` run the same code on a
 single cell, whose tensor spans all of its attribute's `tensor_slots`.
 
+A domain and a tensor read only the tuple's current row and the statistics,
+so `block` computes them once per distinct row among its cells and maps each
+cell to its row: a stream's cells repeat their tuples' rows several times
+over.  Each distinct row is computed exactly as a lone cell of that row
+would be, so every cell keeps its bits.
+
 A block is only as wide as its widest domain rounded up to whole octets, at
 most `tensor_slots` and all of them above 128.  The fit and repair compute on
-it what they would on the padding, bit for bit: BLAS groups each cell's rows
-of the logits matmul by octets, and trailing zero octets leave numpy's
+it what they would on the padding, bit for bit: BLAS groups each row's slots
+in the logits matmul by octets, and trailing zero octets leave numpy's
 eight-accumulator pairwise sum of a row of up to 128 unchanged, while a trim
 to the plain widest domain, or padding a row under 8 (summed sequentially)
-up to 8, would not.
+up to 8, would not.  Dropping repeated rows keeps both: every row still
+spans the block's width, a whole number of octets, at the same stride.
 """
 
 from __future__ import annotations
@@ -77,28 +84,34 @@ class FeatureTensor:
 
 @dataclass(frozen=True)
 class FeatureBlock:
-    """Stacked feature tensors of one attribute's cells, one leading row per cell.
+    """Stacked feature tensors of one attribute's cells, one leading row per
+    distinct tuple row among them.
 
-    Only cells whose domain holds at least two values are kept: a singleton
-    leaves nothing to choose or learn.  Cell i is tuple `tids[i]`; its
-    candidates are `candidates[i, :sizes[i]]` in ascending value-id order,
-    its observed value sits at `observed_index[i]`, and `values[i]`/`mask[i]`
-    are the first slots of its `FeatureTensor` fields.  Dead slots hold null,
-    zero features and mask False.
+    A cell's domain and tensor depend only on its tuple's current row, so
+    cells whose rows are equal share one entry.  Cell i is tuple `tids[i]`,
+    whose row is distinct row `row[i]`; distinct rows are numbered in the
+    order of their first cell.  Only cells whose domain holds at least two
+    values are kept: a singleton leaves nothing to choose or learn.  Distinct
+    row r's candidates are `candidates[r, :sizes[r]]` in ascending value-id
+    order, its observed value sits at `observed_index[r]`, and
+    `values[r]`/`mask[r]` are the first slots of its `FeatureTensor` fields.
+    Dead slots hold null, zero features and mask False.
     """
 
     tids: np.ndarray
+    row: np.ndarray
     candidates: np.ndarray
     sizes: np.ndarray
     observed_index: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
+        """The number of cells."""
         return len(self.tids)
 
     @property
     def mask(self) -> np.ndarray:
-        """The live slots: each cell's first `sizes[i]`."""
+        """The live slots: each distinct row's first `sizes[r]`."""
         return np.arange(self.values.shape[1]) < self.sizes[:, None]
 
 
@@ -125,6 +138,17 @@ class _Context:
     starts: np.ndarray
     lengths: np.ndarray
 
+    def take(self, keep: np.ndarray) -> "_Context":
+        """The rows of the cells selected by the boolean mask `keep`."""
+        return _Context(
+            self.vids[keep],
+            self.frequency[keep],
+            self.keys,
+            self.counts,
+            self.starts[keep],
+            self.lengths[keep],
+        )
+
 
 def _context(stats: StatsStore, attr: int, context_attr: int, vids: np.ndarray) -> _Context:
     keys, counts = stats.table(context_attr, attr)
@@ -133,6 +157,17 @@ def _context(stats: StatsStore, attr: int, context_attr: int, vids: np.ndarray) 
     # a row's counts sum to its context value's frequency
     running = np.concatenate([[0], np.cumsum(counts)])
     return _Context(vids, running[stops] - running[starts], keys, counts, starts, stops - starts)
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence, in order of
+    occurrence, and every row's number among them."""
+    whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
 
 
 def _gather(ctx: _Context) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +301,9 @@ class Featurizer:
         """Feature block of the cells of `attr` in tuples `tids`, whose current
         values are the matching rows of `rows` (one per tid, all attributes)."""
         tids = np.asarray(tids, dtype=np.int64).reshape(-1)
-        rows = np.asarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
+        first, row = _distinct(rows)
+        rows = rows[first]
         contexts = self._contexts(attr, rows)
         keys, observed_index = self._domains(attr, rows[:, attr], contexts)
         _, sizes, _ = _runs(keys, len(rows))
@@ -275,10 +312,14 @@ class Featurizer:
             renumber = np.cumsum(multi) - 1
             keys = keys[multi[keys >> _SHIFT]]
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
-            tids, observed_index = tids[multi], observed_index[multi]
-            contexts = self._contexts(attr, rows[multi])
-        candidates, sizes, values = self._tensors(attr, len(tids), keys, contexts, trim=True)
-        return FeatureBlock(tids, candidates, sizes, observed_index, values)
+            kept = multi[row]
+            tids, row = tids[kept], renumber[row[kept]]
+            observed_index = observed_index[multi]
+            contexts = [None if ctx is None else ctx.take(multi) for ctx in contexts]
+        candidates, sizes, values = self._tensors(
+            attr, len(observed_index), keys, contexts, trim=True
+        )
+        return FeatureBlock(tids, row, candidates, sizes, observed_index, values)
 
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
         """Candidate domain of one cell given its tuple's current values."""

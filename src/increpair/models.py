@@ -63,42 +63,62 @@ class TrainReport:
 
 
 class _LiveRows:
-    """A `(cells, slots, N)` softmax problem packed once for every epoch.
+    """A `(distinct rows, slots, N)` softmax problem packed once for every
+    epoch; each cell reads one distinct row.
 
-    Epochs read only the live candidate rows, yet reproduce the arithmetic on
-    the whole block bit for bit: logits come from the per-cell matmul over
-    the block, softmax denominators are row sums of a zero `(cells, slots)`
-    grid holding the live terms, and the gradient's einsum adds the live rows
-    in the order a padded one adds all rows, whose dead ones add exact zeros.
-    Why a block narrower than its tensor slots computes as their padding
-    would is told in `featurize`.
+    The softmax runs once per distinct row, over its live candidate rows
+    only, yet reproduces the arithmetic on the whole padded block bit for
+    bit: logits come from the per-row matmul over the block, softmax
+    denominators are row sums of a zero `(distinct rows, slots)` grid holding
+    the live terms.  A distinct row's probabilities read only that row and
+    the weights, so every cell that reads it gets the bits its own tensor
+    would give.  `expand` gathers them into the cells' live rows in cell
+    order, and the loss and the gradient's einsum read those, adding in the
+    order a padded per-cell fit adds all rows, whose dead ones add exact
+    zeros.  Why a block narrower than its tensor slots computes as their
+    padding would is told in `featurize`.
 
-    `counts` holds each cell's number of live rows, `starts` each cell's
-    first, `in_grid` each one's flat index in the grid and, given labels,
-    `labels` each label's.
+    `counts` holds each distinct row's number of live rows, `starts` its
+    first and `in_grid` each live row's flat index in the grid.  Given
+    labels, one per distinct row, the fit's arrays follow: `expand` holds the
+    position of each of the cells' live rows, in cell order, among the
+    distinct rows' live rows, and `labels` each cell's label position among
+    the cells' live rows.  Without `row`, cell i reads distinct row i.
     """
 
-    def __init__(self, tensors: np.ndarray, masks: np.ndarray, labels: np.ndarray | None = None):
-        cells, slots = masks.shape
+    def __init__(
+        self,
+        tensors: np.ndarray,
+        masks: np.ndarray,
+        labels: np.ndarray | None = None,
+        row: np.ndarray | None = None,
+    ):
+        rows, slots = masks.shape
         self.tensors = tensors
         self.in_grid = np.flatnonzero(masks)
         self.counts = np.count_nonzero(masks, axis=1)
         self.starts = np.cumsum(self.counts) - self.counts
-        self.grid = np.zeros((cells, slots), dtype=np.float64)
+        self.grid = np.zeros((rows, slots), dtype=np.float64)
         if labels is not None:
             inside = (labels >= 0) & (labels < slots)
             inside[inside] = masks[np.flatnonzero(inside), labels[inside]]
             if not inside.all():
                 raise DataError(f"label {labels[~inside][0]} outside the candidate domain")
-            self.labels = np.searchsorted(self.in_grid, np.arange(cells) * slots + labels)
+            if row is None:
+                row = np.arange(rows)
+            counts = self.counts[row]
+            first = np.cumsum(counts) - counts
+            self.expand = np.arange(counts.sum()) + np.repeat(self.starts[row] - first, counts)
+            offset = np.searchsorted(self.in_grid, np.arange(rows) * slots + labels) - self.starts
+            self.labels = first + offset[row]
 
     @functools.cached_property
     def live(self) -> np.ndarray:
-        """The live rows in cell order, copied when the gradient first reads them."""
-        return self.tensors.reshape(-1, self.tensors.shape[-1])[self.in_grid]
+        """The cells' live rows in cell order, copied when the gradient first reads them."""
+        return self.tensors.reshape(-1, self.tensors.shape[-1])[self.in_grid[self.expand]]
 
-    def probs(self, weights: np.ndarray) -> np.ndarray:
-        """Each live row's softmax probability within its cell."""
+    def _softmax(self, weights: np.ndarray) -> np.ndarray:
+        """Each of the distinct rows' live rows' softmax probability within its row."""
         with np.errstate(over="ignore", invalid="ignore"):
             logits = (self.tensors @ weights).reshape(-1)[self.in_grid]
             peaks = np.maximum.reduceat(logits, self.starts)
@@ -106,10 +126,14 @@ class _LiveRows:
             self.grid.reshape(-1)[self.in_grid] = terms
             return terms / np.repeat(self.grid.sum(axis=-1), self.counts)
 
+    def probs(self, weights: np.ndarray) -> np.ndarray:
+        """Each of the cells' live rows' softmax probability within its cell."""
+        return self._softmax(weights)[self.expand]
+
     def best(self, weights: np.ndarray) -> np.ndarray:
-        """Each cell's most probable slot: the lowest on a tie, and the first
+        """Each distinct row's most probable slot: the lowest on a tie, and the first
         where overflowing logits leave nothing but NaN."""
-        self.grid.reshape(-1)[self.in_grid] = self.probs(weights)
+        self.grid.reshape(-1)[self.in_grid] = self._softmax(weights)
         return self.grid.argmax(axis=1)
 
     def loss(self, probs: np.ndarray) -> float:
@@ -135,11 +159,11 @@ def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainR
     """Full-batch gradient descent on mean cross-entropy; deterministic.
 
     Each cell of the block is one weakly labeled example: its label is the
-    observed value's index.
+    observed value's index in its row's domain.
     """
     if not len(block):
         raise DataError("cannot train on an empty example set")
-    rows = _LiveRows(block.values, block.mask, block.observed_index)
+    rows = _LiveRows(block.values, block.mask, block.observed_index, block.row)
     weights = model.weights.astype(np.float64, copy=True)
     initial_loss = math.nan
     for epoch in range(hp.epochs):
@@ -232,7 +256,7 @@ def repair_cells(
         if not len(block):
             continue  # every cell a singleton; reduceat rejects an empty block
         slots = _LiveRows(block.values, block.mask).best(models[attr].weights)
-        picked = block.candidates[np.arange(len(block)), slots]
+        picked = block.candidates[np.arange(len(slots)), slots][block.row]
         best.update(
             (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
         )

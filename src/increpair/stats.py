@@ -232,9 +232,26 @@ def scratch_accumulator(stats: StatsStore) -> EntropyAccumulator:
     return acc
 
 
-def _c_ln_c_change(changes: Iterable[tuple[int, int]]) -> float:
-    """Change of sum(c ln c) when each count moves from old to new."""
-    return math.fsum(new * math.log(new) - old * math.log(old or 1) for old, new in changes)
+# c ln c of every count below its length, each term by `math.log`, 0 at c = 0;
+# shared by every caller, since growing it appends entries and changes none
+_C_LN_C = np.zeros(1)
+
+
+def _c_ln_c_change(old: np.ndarray, new: np.ndarray) -> float:
+    """Change of sum(c ln c) when each count moves from `old` to `new`.
+
+    The terms are read from a table of `c * math.log(c)` grown geometrically
+    to the largest count, so each has the bits of `new * math.log(new) -
+    old * math.log(old or 1)`, and `math.fsum` adds them exactly.
+    """
+    global _C_LN_C
+    top = int(max(old.max(initial=0), new.max(initial=0)))
+    if top >= len(_C_LN_C):
+        known = len(_C_LN_C)
+        grown = max(top + 1, 2 * known)
+        terms = np.fromiter((c * math.log(c) for c in range(known, grown)), np.float64)
+        _C_LN_C = np.concatenate([_C_LN_C, terms])
+    return math.fsum((_C_LN_C[new] - _C_LN_C[old]).tolist())
 
 
 def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCounts) -> None:
@@ -259,9 +276,10 @@ def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCo
                 f"marginal deltas for attribute {attr} sum to {total}, expected {m}"
             )
     for attr, changed in enumerate(delta.marginals):
-        acc.marginal[attr] += _c_ln_c_change(changed.values())
+        counts = np.array(list(changed.values()), dtype=np.int64).reshape(-1, 2)
+        acc.marginal[attr] += _c_ln_c_change(counts[:, 0], counts[:, 1])
     for key, change in delta.pairs.items():
-        acc.pair[key] += _c_ln_c_change(zip(change.old.tolist(), change.new.tolist()))
+        acc.pair[key] += _c_ln_c_change(change.old, change.new)
     acc.n = n_old + m
 
 

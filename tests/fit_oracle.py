@@ -1,10 +1,10 @@
 """Padded reference for `increpair.models`' fit and repair: every epoch over
-the whole `(cells, slots, N)` block, dead slots included.
+the whole `(cells, slots, N)` block, one entry per cell, dead slots included.
 
-The engine fits and repairs over the live candidate rows only; these
-functions state the same arithmetic on the padded block, and the tests
-require the engine's weights, losses, gradients and picks to equal theirs
-bit for bit.
+The engine fits and repairs over the live candidate rows of each distinct
+tuple row only; these functions state the same arithmetic on the padded
+per-cell block, and the tests require the engine's weights, losses,
+gradients and picks to equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -32,15 +32,18 @@ def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def padded(block: FeatureBlock, slots: int) -> FeatureBlock:
-    """`block` with dead slots appended up to `slots`: null candidates and
-    zero features, as every cell's `FeatureTensor` holds them."""
+    """`block` with one entry per cell, each a copy of its distinct row, and
+    dead slots appended up to `slots`: null candidates and zero features, as
+    every cell's `FeatureTensor` holds them."""
     extra = slots - block.values.shape[1]
+    row = block.row
     return FeatureBlock(
         tids=block.tids,
-        candidates=np.pad(block.candidates, ((0, 0), (0, extra)), constant_values=NULL_ID),
-        sizes=block.sizes,
-        observed_index=block.observed_index,
-        values=np.pad(block.values, ((0, 0), (0, extra), (0, 0))),
+        row=np.arange(len(block)),
+        candidates=np.pad(block.candidates[row], ((0, 0), (0, extra)), constant_values=NULL_ID),
+        sizes=block.sizes[row],
+        observed_index=block.observed_index[row],
+        values=np.pad(block.values[row], ((0, 0), (0, extra), (0, 0))),
     )
 
 

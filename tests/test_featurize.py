@@ -225,7 +225,10 @@ def featurize_cases(draw):
     ]
     omega = draw(st.floats(0.0, 1.0, exclude_max=True))
     cap = draw(st.integers(9, 14) if wide else st.integers(1, 6))
-    tids = draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
+    tid = st.integers(0, len(rows) - 1)
+    if draw(st.booleans()):  # many cells over at most 3 tuples
+        tid = st.sampled_from(draw(st.lists(tid, min_size=1, max_size=3)))
+    tids = draw(st.lists(tid, max_size=40))
     return rows, counted, correlations, omega, cap, attr, tids
 
 
@@ -245,6 +248,7 @@ class TestBatchedMatchesOracle:
         slots = tensor_slots(stats, attr, cap)
 
         expected = []  # (tid, domain, tensor) of every multi-candidate cell
+        distinct = {}  # each multi-candidate cell's row, numbered by first cell
         stale = False
         for tid in tids:
             values = store.tuple_values(tid)
@@ -263,6 +267,7 @@ class TestBatchedMatchesOracle:
             assert np.array_equal(one.mask, tensor.mask)
             if domain.size >= 2:
                 expected.append((tid, domain, tensor))
+                distinct.setdefault(tuple(values), len(distinct))
 
         cell_rows = [store.tuple_values(tid) for tid in tids]
         if stale:
@@ -272,19 +277,22 @@ class TestBatchedMatchesOracle:
         block = featurizer.block(attr, tids, cell_rows)
         assert len(block) == len(expected)
         assert block.tids.tolist() == [tid for tid, _, _ in expected]
+        rows_read = [distinct[tuple(store.tuple_values(tid))] for tid, _, _ in expected]
+        assert block.row.tolist() == rows_read
         width = block_width(slots, max((d.size for _, d, _ in expected), default=0))
-        assert block.values.shape == (len(expected), width, store.n_attrs)
-        assert block.candidates.shape == (len(expected), width)
+        assert block.values.shape == (len(distinct), width, store.n_attrs)
+        assert block.candidates.shape == (len(distinct), width)
         assert block.values.flags.c_contiguous
         for i, (_, domain, tensor) in enumerate(expected):
-            size = int(block.sizes[i])
+            row = block.row[i]
+            size = int(block.sizes[row])
             assert size == domain.size
-            assert tuple(block.candidates[i, :size].tolist()) == domain.candidates
-            assert not block.candidates[i, size:].any()
-            assert block.observed_index[i] == domain.observed_index
-            assert same_bits(block.values[i], tensor.values[:width])
+            assert tuple(block.candidates[row, :size].tolist()) == domain.candidates
+            assert not block.candidates[row, size:].any()
+            assert block.observed_index[row] == domain.observed_index
+            assert same_bits(block.values[row], tensor.values[:width])
             assert not tensor.values[width:].any()
-            assert np.array_equal(block.mask[i], tensor.mask[:width])
+            assert np.array_equal(block.mask[row], tensor.mask[:width])
             assert not tensor.mask[width:].any()
 
     def test_empty_pool(self, golden):
@@ -292,6 +300,26 @@ class TestBatchedMatchesOracle:
         block = Featurizer(stats, corr, omega=0.0).block(CODE, [], [])
         assert len(block) == 0
         assert block.values.shape == (0, 4, 2)
+
+    def test_one_entry_per_distinct_row(self):
+        """Five cells over two distinct rows, one of them a singleton: the
+        block keeps the three cells of the other row, tuples 0 and 3, all
+        reading one entry."""
+        rows = [("h", "b"), ("h", "c"), ("i", "d"), ("h", "b")]
+        store = build_store(rows, ("region", "code"))
+        stats, corr = stats_and_corr(store)
+        tids = [0, 2, 3, 0, 2]  # region i holds only code d: a singleton domain
+        block = Featurizer(stats, corr, omega=0.0).block(
+            CODE, tids, [store.tuple_values(tid) for tid in tids]
+        )
+        assert len(block) == 3
+        assert block.tids.tolist() == [0, 3, 0]
+        assert block.row.tolist() == [0, 0, 0]
+        assert block.sizes.tolist() == [2]
+        assert block.values.shape == (1, 3, 2)  # three codes: three slots
+        names = [store.interner.resolve(CODE, v) for v in block.candidates[0, :2].tolist()]
+        assert names == ["b", "c"]
+        assert block.observed_index.tolist() == [0]
 
 
 class TestBlockWidth:
@@ -314,7 +342,7 @@ class TestBlockWidth:
         examples = Featurizer(stats, corr, omega=0.0).block(
             2, tids, [store.tuple_values(tid) for tid in tids]
         )
-        assert examples.values.shape == (len(tids), 16, 3)
+        assert len(examples) == len(tids) and examples.values.shape[1:] == (16, 3)
         assert tensor_slots(stats, 2) == 36 and int(examples.sizes.max()) == 9
         weights = np.array([3.0, -2.5, 0.0])
         logits = np.where(examples.mask, examples.values @ weights, -np.inf)

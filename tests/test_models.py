@@ -62,6 +62,7 @@ def make_block(tensors, labels, n_attrs=2, slots=2):
     """A feature block whose cells are the given tensors, labeled as given."""
     return FeatureBlock(
         tids=np.arange(len(tensors)),
+        row=np.arange(len(tensors)),
         candidates=np.zeros((len(tensors), slots), dtype=np.int32),
         sizes=np.array([t.domain.size for t in tensors], dtype=np.intp),
         observed_index=np.array(labels, dtype=np.intp),
@@ -234,6 +235,7 @@ def padded_block(rng, cells, slots, n_attrs, widest):
     values[~mask] = 0.0
     return FeatureBlock(
         tids=np.arange(cells),
+        row=np.arange(cells),
         candidates=np.zeros((cells, slots), dtype=np.int32),
         sizes=sizes,
         observed_index=(rng.uniform(size=cells) * sizes).astype(np.intp),
@@ -305,8 +307,9 @@ class TestBuildTrainingSet:
         assert examples.tids.tolist() == [0, 1, 3, 4]
         for i, tid in enumerate(examples.tids.tolist()):
             domain = featurizer.domain(CellRef(tid, 1), store.tuple_values(tid))
-            assert examples.observed_index[i] == domain.observed_index
-            assert examples.candidates[i, examples.observed_index[i]] == store.value(tid, 1)
+            row = examples.row[i]
+            assert examples.observed_index[row] == domain.observed_index
+            assert examples.candidates[row, examples.observed_index[row]] == store.value(tid, 1)
 
     def test_dirty_cells_excluded(self, trainable_world):
         store, featurizer = trainable_world
@@ -514,4 +517,50 @@ class TestRepairMatchesPaddedOracle:
         proposals, _ = repair_cells(models, [CellRef(tid, 2) for tid in tids], store, featurizer)
         picked = fit_oracle.picks(weights, full)
         assert [vid for _, vid in proposals] == picked.tolist()
-        assert (picked[overflowed] == block.candidates[overflowed, 0]).all()
+        assert (picked[overflowed] == full.candidates[overflowed, 0]).all()
+
+
+class TestDuplicateRowsMatchPaddedOracle:
+    """A block holds one entry per distinct row; fitting and repairing its
+    cells equals the padded fit and argmax over one entry per cell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.sampled_from([(5, 50), (13, 50), (21, 4), (150, 140)]),
+        spread=st.integers(2, 12),
+        epochs=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_train_and_picks_equal_the_expanded_oracle(self, seed, sizes, spread, epochs, data):
+        distinct, cap = sizes
+        store, stats, featurizer = grouped_world(grouped_rows(seed, distinct, spread), cap)
+        attr = data.draw(st.integers(0, 2))
+        tids = data.draw(st.lists(st.integers(0, store.n_tuples - 1), min_size=1, max_size=80))
+        block = featurizer.block(attr, tids, _rows(store, tids))
+        if not len(block):
+            return
+        assert len(block.values) == len(set(block.row.tolist()))  # each row read by a cell
+        full = fit_oracle.padded(block, tensor_slots(stats, attr, cap))
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(scale=2.0, size=3)
+        hp = Hyperparams(epochs=epochs, learning_rate=0.7)
+        model = AttributeModel(attr, weights.copy())
+        reference = AttributeModel(attr, weights.copy())
+        report = train(model, block, hp)
+        want = fit_oracle.train(reference, full, hp)
+        assert bits(model.weights) == bits(reference.weights)
+        assert bits([report.initial_loss, report.final_loss]) == bits(
+            [want.initial_loss, want.final_loss]
+        )
+        assert report == want
+
+        models = [AttributeModel.fresh(a, 3) for a in range(3)]
+        models[attr] = model
+        cells = [CellRef(tid, attr) for tid in tids]
+        proposals, skipped = repair_cells(models, cells, store, featurizer)
+        picked = fit_oracle.picks(model.weights, full)
+        assert proposals == [
+            (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
+        ]
+        assert skipped == len(tids) - len(block)

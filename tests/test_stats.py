@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from increpair.stats import (
     DeltaCounts,
     EntropyAccumulator,
     StatsStore,
+    _c_ln_c_change,
     apply_delta,
     cond_entropy_scratch,
     correlation,
@@ -349,6 +351,30 @@ class TestApplyDelta:
                             cond_entropy_scratch(after, x, y), abs=1e-9
                         )
             before = after
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(0, 3_000_000)),
+                st.one_of(st.integers(1, 50), st.integers(1, 3_000_000)),
+            ),
+            max_size=20,
+        )
+    )
+    def test_c_ln_c_change_has_the_math_log_bits(self, changes):
+        """Every term, and so every exact sum, has the bits that `math.log`
+        gives; numpy's own log differs from it on some counts below 3M."""
+        old = np.array([o for o, _ in changes], dtype=np.int64)
+        new = np.array([n for _, n in changes], dtype=np.int64)
+        terms = [n * math.log(n) - o * math.log(o or 1) for o, n in changes]
+
+        def bits(values):
+            return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+        got = [_c_ln_c_change(old[k : k + 1], new[k : k + 1]) for k in range(len(changes))]
+        assert bits(got) == bits(terms)
+        assert bits([_c_ln_c_change(old, new)]) == bits([math.fsum(terms)])
 
     def test_zero_row_delta_is_noop(self):
         stats = golden_stats()
