@@ -26,7 +26,6 @@ from .pipeline import (
     run_stream,
 )
 from .relation import (
-    Batch,
     CellRef,
     CellStatus,
     RawBatch,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeModel",
-    "Batch",
     "BatchReport",
     "CellRef",
     "CellStatus",

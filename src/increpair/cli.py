@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .dc import parse_dc_file
+from .detectors import truth_ids
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .inject import ERROR_KINDS, inject_errors
 from .models import Hyperparams
@@ -250,12 +251,10 @@ def cmd_clean(ns: argparse.Namespace) -> int:
                 "snapshot does not line up with the input stream:"
                 f" its batches hold {sizes} tuples, the input's {expected}"
             )
-        for tid in range(state.store.n_tuples):
-            for attr in range(schema.n_attrs):
-                if state.store.original_canonical(tid, attr) != rows[tid][attr]:
-                    raise DataError(
-                        f"input row {tid} does not match the snapshotted stream"
-                    )
+        seen = truth_ids(state.store, rows, range(state.store.n_tuples))
+        differs = (seen != state.store.first_seen).any(axis=1)
+        if differs.any():
+            raise DataError(f"input row {differs.argmax()} does not match the snapshotted stream")
         remaining = batches[done:]
     else:
         strategy = _clean_strategy(tuning)

@@ -16,6 +16,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError, ParseError
 from .relation import NULL_ID, CellRef, RelationStore, Schema
 
@@ -244,9 +246,13 @@ def _eval_predicate(
     return equal if pred.op == "EQ" else not equal
 
 
-def _satisfies(dc: DenialConstraint, store: RelationStore, t1: int, t2: int | None) -> bool:
-    row1 = store.tuple_values(t1)
-    row2 = None if t2 is None else store.tuple_values(t2)
+def _satisfies(
+    dc: DenialConstraint, store: RelationStore, t1: int, t2: int | None, rows=None
+) -> bool:
+    """Whether tuple t1 (and t2, for a pair rule) satisfy every predicate.
+    `rows` maps tids to rows already read out of the store, if given."""
+    read = store.tuple_values if rows is None else rows.__getitem__
+    row1, row2 = read(t1), None if t2 is None else read(t2)
     return all(_eval_predicate(pred, row1, row2, store) for pred in dc.predicates)
 
 
@@ -257,35 +263,35 @@ def _cells(dc: DenialConstraint, role: int, tid: int) -> list[CellRef]:
 def _fd_violations(
     dc: DenialConstraint,
     store: RelationStore,
-    probe_tids: list[int],
-    reference_tids: list[int],
+    probe_tids: np.ndarray,
+    reference_tids: np.ndarray,
 ) -> set[CellRef]:
-    """`violations` for an FD-shaped rule: one pass that buckets by key.
+    """`violations` for an FD-shaped rule, over the value-id columns.
 
-    A null key or right-hand cell takes no part, as in the pairwise path.  A
-    probe tuple in a key holding two or more right-hand values has a partner
-    with another value, and the rule is symmetric in t1 and t2, so its cells
-    are flagged.
+    A null key or right-hand cell takes no part, as in the pairwise path.  The
+    distinct (key, right-hand value) rows give each key's number of right-hand
+    values.  A probe tuple whose key holds two or more has a partner with
+    another value, and the rule is symmetric in t1 and t2, so its cells are
+    flagged.
     """
     keys, rhs = dc.fd_shape
-    probe = set(probe_tids)
-    values: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
-    members: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-    for tid in probe_tids + reference_tids:
-        row = store.tuple_values(tid)
-        key = tuple(row[attr] for attr in keys)
-        if row[rhs] == NULL_ID or NULL_ID in key:
-            continue
-        values[key].add(row[rhs])
-        if tid in probe:
-            members[key].append(tid)
-    return {
-        cell
-        for key, tids in members.items()
-        if len(values[key]) > 1
-        for tid in tids
-        for cell in _cells(dc, T1, tid)
-    }
+    tids = np.concatenate([probe_tids, reference_tids])
+    rows = store.values[tids[:, None], [*keys, rhs]]
+    live = (rows != NULL_ID).all(axis=1)
+    is_probe = (np.arange(len(tids)) < len(probe_tids))[live]
+    tids, rows = tids[live], rows[live]
+    # number the distinct keys, and find one row per distinct (key, right-hand value)
+    key = np.unique(_whole_rows(rows[:, :-1]), return_inverse=True)[1]
+    first = np.unique(_whole_rows(rows), return_index=True)[1]
+    rhs_values = np.bincount(key[first])
+    flagged = tids[is_probe & (rhs_values[key] > 1)]
+    return {cell for tid in flagged.tolist() for cell in _cells(dc, T1, tid)}
+
+
+def _whole_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one opaque value, so rows compare whole."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
 
 
 def _pair_violations(
@@ -307,8 +313,10 @@ def _pair_violations(
     # attributes compares strings
     cross = [first != second for first, second in keys]
 
+    rows = store.values.tolist()
+
     def key_of(tid: int, attrs: list[int]) -> tuple[int | str, ...] | None:
-        row = store.tuple_values(tid)
+        row = rows[tid]
         values = tuple(row[attr] for attr in attrs)
         if NULL_ID in values:
             return None
@@ -327,10 +335,10 @@ def _pair_violations(
     flagged: set[CellRef] = set()
     for tid in probe_tids:
         partners = by_t2.get(key_of(tid, t1_attrs), ())
-        if any(u != tid and _satisfies(dc, store, tid, u) for u in partners):
+        if any(u != tid and _satisfies(dc, store, tid, u, rows) for u in partners):
             flagged.update(_cells(dc, T1, tid))
         partners = by_t1.get(key_of(tid, t2_attrs), ())
-        if any(u != tid and _satisfies(dc, store, u, tid) for u in partners):
+        if any(u != tid and _satisfies(dc, store, u, tid, rows) for u in partners):
             flagged.update(_cells(dc, T2, tid))
     return flagged
 
@@ -349,30 +357,33 @@ def violations(
     has its t2 cells flagged.  The partner may come from `probe` or
     `reference`; a reference tuple's own cells are never flagged.
 
-    An FD-shaped rule (see `DenialConstraint.fd_shape`) takes one pass that
-    buckets the tuples by key and keeps each key's right-hand values, so it
-    costs O(|probe| + |reference|).  Every other rule takes the pairwise
+    An FD-shaped rule (see `DenialConstraint.fd_shape`) counts each key's
+    distinct right-hand values with `np.unique` over the value-id columns of
+    the probe and reference tuples.  Every other rule takes the pairwise
     search: it buckets the tuples by the rule's cross-tuple EQ keys and tests
     each probe tuple against the partners in its buckets, stopping at the
     first violating one in each role.  A probe tuple without a violating
     partner is tested against its whole bucket.
     """
-    probe_tids = sorted(set(probe))
-    for tid in probe_tids:
-        if not 0 <= tid < store.n_tuples:
-            raise DataError(f"tuple id {tid} is out of range")
+    probe_tids = _tids(store, probe)
     if dc.arity == 1:
+        rows = dict(zip(probe_tids.tolist(), store.values[probe_tids].tolist()))
         return {
             cell
-            for tid in probe_tids
-            if _satisfies(dc, store, tid, None)
+            for tid in rows
+            if _satisfies(dc, store, tid, None, rows)
             for cell in _cells(dc, T1, tid)
         }
 
-    reference_tids = sorted(set(reference) - set(probe_tids))
-    for tid in reference_tids:
-        if not 0 <= tid < store.n_tuples:
-            raise DataError(f"tuple id {tid} is out of range")
+    reference_tids = np.setdiff1d(_tids(store, reference), probe_tids, assume_unique=True)
     if dc.fd_shape is not None:
         return _fd_violations(dc, store, probe_tids, reference_tids)
-    return _pair_violations(dc, store, probe_tids, reference_tids)
+    return _pair_violations(dc, store, probe_tids.tolist(), reference_tids.tolist())
+
+
+def _tids(store: RelationStore, tids: Iterable[int]) -> np.ndarray:
+    """Distinct tuple ids in ascending order, each checked to lie in the store."""
+    tids = np.sort(np.fromiter(set(tids), dtype=np.int64))
+    for tid in tids[(tids < 0) | (tids >= store.n_tuples)][:1]:
+        raise DataError(f"tuple id {tid} is out of range")
+    return tids

@@ -9,7 +9,10 @@ tuples may witness a pair violation as the partner of a probe tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .dc import DenialConstraint, violations
 from .errors import ConfigError, DataError
@@ -27,19 +30,27 @@ class DetectionScope:
 
     @classmethod
     def over(cls, probe: Iterable[int], reference: Iterable[int] = ()) -> "DetectionScope":
-        probe_tids = tuple(sorted(set(probe)))
-        reference_tids = tuple(sorted(set(reference) - set(probe_tids)))
-        return cls(probe_tids, reference_tids)
+        """Sorted distinct probe tids, and reference tids outside them; ranges need no sort."""
+        if not (isinstance(probe, range) and probe.step == 1 and probe):
+            probe_tids = tuple(sorted(set(probe)))
+            return cls(probe_tids, tuple(sorted(set(reference) - set(probe_tids))))
+        if isinstance(reference, range) and reference.step == 1:
+            before = range(reference.start, min(reference.stop, probe.start))
+            after = range(max(reference.start, probe.stop), reference.stop)
+            return cls(tuple(probe), (*before, *after))
+        return cls(tuple(probe), tuple(sorted(tid for tid in set(reference) if tid not in probe)))
+
+
+def _flagged(probe: np.ndarray, wrong: np.ndarray) -> set[CellRef]:
+    """The cells where `wrong`, a mask with one row per probe tid, holds."""
+    rows, attrs = np.nonzero(wrong)
+    return set(map(CellRef, probe[rows].tolist(), attrs.tolist()))
 
 
 def detect_null(store: RelationStore, scope: DetectionScope) -> set[CellRef]:
     """Flag every probe cell holding the null value."""
-    return {
-        CellRef(tid, attr)
-        for tid in scope.probe
-        for attr, vid in enumerate(store.tuple_values(tid))
-        if vid == NULL_ID
-    }
+    probe = np.array(scope.probe, dtype=np.int64)
+    return _flagged(probe, store.values[probe] == NULL_ID)
 
 
 def detect_dc(
@@ -51,14 +62,21 @@ def detect_dc(
     return set().union(*(violations(dc, store, scope.probe, scope.reference) for dc in dcs))
 
 
-def ground_truth_row(ground_truth: GroundTruth, tid: int, n_attrs: int) -> Sequence[str | None]:
-    """Tuple `tid`'s row of the ground truth, checked against the relation's shape."""
-    if tid >= len(ground_truth):
+def truth_ids(store: RelationStore, ground_truth: GroundTruth, tids: Sequence[int]) -> np.ndarray:
+    """The ground truth's rows of tuples `tids` as the store's value ids, one
+    int64 row each, checked against the relation's shape.  A string never
+    interned is -1, which equals no cell's id.  The lookup is made at every
+    call, because a later batch may intern a string the truth already names."""
+    tids = np.array(tids, dtype=np.int64).reshape(-1)
+    for tid in tids[tids >= len(ground_truth)][:1]:
         raise DataError(f"ground truth has {len(ground_truth)} rows, tuple {tid} needs one")
-    row = ground_truth[tid]
-    if len(row) != n_attrs:
-        raise DataError(f"ground truth row {tid} has {len(row)} fields, expected {n_attrs}")
-    return row
+    rows = list(map(ground_truth.__getitem__, tids.tolist()))
+    if set(map(len, rows)) - {store.n_attrs}:
+        tid, row = next((t, r) for t, r in zip(tids, rows) if len(r) != store.n_attrs)
+        raise DataError(f"ground truth row {tid} has {len(row)} fields, expected {store.n_attrs}")
+    columns = map(store.interner.lookup_column, range(store.n_attrs), zip(*rows))
+    ids = np.fromiter(chain.from_iterable(columns), dtype=np.int64)
+    return ids.reshape(store.n_attrs, len(rows)).T
 
 
 def detect_perfect(
@@ -67,13 +85,8 @@ def detect_perfect(
     scope: DetectionScope,
 ) -> set[CellRef]:
     """Flag probe cells whose current value differs from the ground truth."""
-    dirty: set[CellRef] = set()
-    for tid in scope.probe:
-        truth_row = ground_truth_row(ground_truth, tid, store.n_attrs)
-        for attr in range(store.n_attrs):
-            if store.canonical(tid, attr) != truth_row[attr]:
-                dirty.add(CellRef(tid, attr))
-    return dirty
+    probe = np.array(scope.probe, dtype=np.int64)
+    return _flagged(probe, store.values[probe] != truth_ids(store, ground_truth, probe))
 
 
 def run_detectors(

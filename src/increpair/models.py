@@ -188,9 +188,8 @@ def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainR
 
 
 def _rows(store: RelationStore, tids: Sequence[int]) -> np.ndarray:
-    """Current values of the given tuples, one row each."""
-    rows = [store.tuple_values(tid) for tid in tids]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), store.n_attrs)
+    """Current values of the given tuples, one int64 row each."""
+    return store.values[np.asarray(tids, dtype=np.intp)].astype(np.int64)
 
 
 def build_training_set(

@@ -32,14 +32,10 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .dc import DenialConstraint
-from .detectors import (
-    DETECTOR_NAMES,
-    DetectionScope,
-    GroundTruth,
-    ground_truth_row,
-    run_detectors,
-)
+from .detectors import DETECTOR_NAMES, DetectionScope, GroundTruth, run_detectors, truth_ids
 from .errors import ConfigError, DataError
 from .featurize import DEFAULT_DOMAIN_CAP, DEFAULT_OMEGA, Featurizer
 from .models import (
@@ -237,10 +233,12 @@ class RunState:
             self.remaining_errors = tally["remaining_errors"]
 
 
-def _scope_for(kind: StrategyKind, incoming: range, everything: range) -> DetectionScope:
-    if kind.revisit:
+def _scope_for(strategy: Strategy, incoming: range, everything: range) -> DetectionScope:
+    if strategy.kind.revisit:
         return DetectionScope.over(everything)
-    prior = range(everything.start, incoming.start) if kind.incremental else ()
+    # prior tuples only ever witness constraint violations
+    witnesses = strategy.kind.incremental and "dc" in strategy.detectors
+    prior = range(everything.start, incoming.start) if witnesses else ()
     return DetectionScope.over(incoming, reference=prior)
 
 
@@ -258,8 +256,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     truth = state.ground_truth
     timings: dict[str, float] = {}
 
-    batch = store.append_batch(raw)
-    incoming = store.batch_tids(batch.k)
+    incoming = store.append_batch(raw)
     everything = range(store.n_tuples)
     # hc-sep alone neither carries nor revisits history: it sees its batch only
     isolated = not (kind.incremental or kind.revisit)
@@ -276,7 +273,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     started = time.perf_counter()
     if kind.revisit and not kind.incremental:
         store.reset_dirty()
-    scope = _scope_for(kind, incoming, everything)
+    scope = _scope_for(strategy, incoming, everything)
     dirty = run_detectors(store, scope, strategy.detectors, dcs=state.dcs, ground_truth=truth)
     cells_flagged = store.mark_dirty(dirty)
     probe_cells = len(scope.probe) * n_attrs
@@ -285,14 +282,14 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     # -- statistics ----------------------------------------------------------
     started = time.perf_counter()
-    rows = batch.rows
+    rows = store.first_seen[incoming.start : incoming.stop]
     if not kind.incremental:
         # rebuilt from empty counts along the same delta path; hc-acc
         # recounts every tuple's current value
         state.stats = StatsStore(n_attrs)
         state.entropy = EntropyAccumulator(n_attrs)
         if kind.revisit:
-            rows = [store.tuple_values(tid) for tid in everything]
+            rows = store.values
     _count(state, rows)
     correlations = correlation_matrix(state.stats, state.entropy)
     featurizer = Featurizer(
@@ -326,7 +323,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     training_instances = 0
     retrained: list[int] = []
     for attr in to_train:
-        rng = _training_rng(strategy.seed, batch.k, attr)
+        rng = _training_rng(strategy.seed, raw.k, attr)
         examples = build_training_set(
             store,
             attr,
@@ -341,7 +338,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         training_instances += len(examples)
         retrained.append(attr)
         if use_skipper:
-            record_counts(state.skipper, attr, state.stats, batch.k)
+            record_counts(state.skipper, attr, state.stats, raw.k)
         del examples  # free this attribute's block before featurizing the next one
     state.cum_training_instances += training_instances
     timings["train"] = time.perf_counter() - started
@@ -353,22 +350,21 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     repairs_correct: int | None = None
     if truth is not None:
-        repairs_correct = 0
-        for (tid, attr), vid in proposals:
-            if vid != store.value(tid, attr):
-                expected = ground_truth_row(truth, tid, n_attrs)[attr]
-                was_wrong = store.canonical(tid, attr) != expected
-                now_wrong = store.canonical_value(attr, vid) != expected
-                repairs_correct += not now_wrong
-                state.remaining_errors += now_wrong - was_wrong
+        tid, attr, vid = np.array([(*c, v) for c, v in proposals], dtype=np.int64).reshape(-1, 3).T
+        before = store.values[tid, attr]
+        moved = np.flatnonzero(vid != before)
+        expected = truth_ids(store, truth, tid[moved])[np.arange(len(moved)), attr[moved]]
+        now_wrong = int(np.count_nonzero(vid[moved] != expected))
+        repairs_correct = len(moved) - now_wrong
+        state.remaining_errors += now_wrong - int(np.count_nonzero(before[moved] != expected))
         state.cum_repairs_correct += repairs_correct
     repairs_changed = store.apply_repairs(proposals)
     state.cum_repairs_changed += repairs_changed
     timings["repair"] = time.perf_counter() - started
 
-    state.batches_done = batch.k
+    state.batches_done = raw.k
     return BatchReport(
-        batch=batch.k,
+        batch=raw.k,
         tuples_seen=store.n_tuples,
         cells_flagged=cells_flagged,
         dirty_pool=len(pool),
@@ -411,10 +407,9 @@ def recount(state: RunState) -> None:
     if not state.strategy.kind.incremental:
         return
     store = state.store
-    attrs = range(store.n_attrs)
     for k in range(1, state.batches_done + 1):
         tids = store.batch_tids(k)
-        _count(state, [[store.original_value(tid, attr) for attr in attrs] for tid in tids])
+        _count(state, store.first_seen[tids.start : tids.stop])
         for attr, batch in sorted(state.skipper.last_trained.items()):
             if batch == k:
                 record_counts(state.skipper, attr, state.stats, k)
@@ -438,24 +433,23 @@ def run_stream(
 
 
 def score(
-    current: Iterable[Sequence[str | None]],
-    original: Iterable[Sequence[str | None]],
-    truth: Iterable[Sequence[str | None]],
+    current: Sequence[Sequence[str | None]] | np.ndarray,
+    original: Sequence[Sequence[str | None]] | np.ndarray,
+    truth: Sequence[Sequence[str | None]] | np.ndarray,
 ) -> dict:
-    """Repair quality over aligned rows of current, pre-repair and true values.
+    """Repair quality over aligned rows of current, pre-repair and true values,
+    given as strings (None for null) or as value ids.
 
     A cell counts as a changed repair when its current value differs from its
     original, and as correct when it now matches the truth.  Recall is
     measured against every cell whose original value was wrong.
     """
-    changed = correct = true_errors = remaining = 0
-    for current_row, original_row, truth_row in zip(current, original, truth):
-        for value, before, expected in zip(current_row, original_row, truth_row):
-            true_errors += before != expected
-            remaining += value != expected
-            if value != before:
-                changed += 1
-                correct += value == expected
+    current, original, truth = map(np.asarray, (current, original, truth))
+    moved = current != original
+    changed, correct, true_errors, remaining = (
+        int(np.count_nonzero(cells))
+        for cells in (moved, moved & (current == truth), original != truth, current != truth)
+    )
     precision = correct / changed if changed else 0.0
     recall = correct / true_errors if true_errors else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -471,13 +465,9 @@ def score(
 
 
 def _score_tuples(store: RelationStore, ground_truth: GroundTruth, tids: range) -> dict:
-    """`score` over the given tuples of the store."""
-    attrs = range(store.n_attrs)
-    return score(
-        ([store.canonical(tid, attr) for attr in attrs] for tid in tids),
-        ([store.original_canonical(tid, attr) for attr in attrs] for tid in tids),
-        (ground_truth_row(ground_truth, tid, store.n_attrs) for tid in tids),
-    )
+    """`score` over the given tuples of the store, on value ids."""
+    rows = slice(tids.start, tids.stop)
+    return score(store.values[rows], store.first_seen[rows], truth_ids(store, ground_truth, tids))
 
 
 def evaluate(store: RelationStore, ground_truth: GroundTruth) -> dict:

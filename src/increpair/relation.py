@@ -13,6 +13,7 @@ import csv
 import os
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
@@ -26,15 +27,15 @@ DEFAULT_NULL_TOKENS = frozenset({"", "NULL", "empty"})
 
 
 def int_rows(entries, width: int, what: str) -> np.ndarray:
-    """`entries`, a list of rows of `width` integers, as an int64 array; anything
-    else is a DataError."""
+    """`entries`, rows of `width` integers of any signed dtype, as int64 (`vid << 32`
+    wraps in a narrower one); anything else is a DataError."""
     try:
-        rows = np.array(entries) if len(entries) else np.empty((0, width), dtype=np.int64)
+        rows = np.asarray(entries) if len(entries) else np.empty((0, width), dtype=np.int64)
     except ValueError:  # ragged
         rows = np.empty(0, dtype=object)
     if rows.dtype.kind != "i" or rows.shape[1:] != (width,):
         raise DataError(f"{what} are not rows of {width} integers")
-    return rows
+    return rows.astype(np.int64, copy=False)
 
 
 class CellStatus(IntEnum):
@@ -72,31 +73,32 @@ class Schema:
 class ValueInterner:
     """Per-attribute bijection between observed strings and dense ids.
 
-    The null slot (id 0) sits outside the bijection: many surface tokens can
-    mean null, and they all resolve back to the canonical empty string.
+    The null slot (id 0) sits outside the bijection: many surface tokens mean
+    null (None here), and they all resolve back to the canonical empty string.
     """
 
     def __init__(self, n_attrs: int):
-        self._to_id: list[dict[str, int]] = [{} for _ in range(n_attrs)]
+        self._to_id: list[dict[str | None, int]] = [{None: NULL_ID} for _ in range(n_attrs)]
         self._to_str: list[list[str]] = [[NULL_DISPLAY] for _ in range(n_attrs)]
 
     def intern(self, attr: int, value: str | None) -> int:
-        if value is None:
-            return NULL_ID
-        table = self._to_id[attr]
-        vid = table.get(value)
-        if vid is None:
-            strings = self._to_str[attr]
-            vid = len(strings)
-            table[value] = vid
-            strings.append(value)
-        return vid
+        return self.intern_column(attr, (value,))[0]
+
+    def intern_column(self, attr: int, values: Sequence[str | None]) -> list[int]:
+        """Ids of a column of values, issuing new ones in order of first appearance."""
+        table, strings = self._to_id[attr], self._to_str[attr]
+        fresh = [value for value in dict.fromkeys(values) if value not in table]
+        table.update(zip(fresh, range(len(strings), len(strings) + len(fresh))))
+        strings += fresh
+        return list(map(table.__getitem__, values))
 
     def lookup(self, attr: int, value: str | None) -> int | None:
         """Id of an already-interned value, or None if never seen."""
-        if value is None:
-            return NULL_ID
         return self._to_id[attr].get(value)
+
+    def lookup_column(self, attr: int, values: Sequence[str | None]) -> list[int]:
+        """`lookup` over a column of values, with -1 for a string never issued."""
+        return list(map(self._to_id[attr].get, values, repeat(-1)))
 
     def resolve(self, attr: int, vid: int) -> str:
         strings = self._to_str[attr]
@@ -122,14 +124,6 @@ class RawBatch:
     @property
     def cardinality(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """An appended window: the same rows as value-id vectors."""
-
-    k: int
-    rows: tuple[tuple[int, ...], ...]
 
 
 def load_csv(
@@ -218,26 +212,24 @@ def make_batches(
     n = len(rows)
     if n == 0:
         raise DataError("no rows to batch")
-    out: list[RawBatch] = []
     if count is not None:
         if count < 1:
             raise DataError("batch count must be >= 1")
         if count > n:
             raise DataError(f"cannot split {n} rows into {count} non-empty batches")
         base, extra = divmod(n, count)
-        start = 0
-        for k in range(1, count + 1):
-            width = base + (1 if k <= extra else 0)
-            chunk = rows[start : start + width]
-            out.append(RawBatch(k, tuple(tuple(row) for row in chunk)))
-            start += width
+        ends = [k * base + min(k, extra) for k in range(1, count + 1)]
     else:
         if size < 1:
             raise DataError("batch size must be >= 1")
-        for k, start in enumerate(range(0, n, size), start=1):
-            chunk = rows[start : start + size]
-            out.append(RawBatch(k, tuple(tuple(row) for row in chunk)))
-    return out
+        ends = [min(end, n) for end in range(size, n + size, size)]
+    return [
+        RawBatch(k, tuple(map(tuple, rows[start:end])))
+        for k, (start, end) in enumerate(zip([0, *ends], ends), start=1)
+    ]
+
+
+_STATE, _REPAIRED_ONCE = 3, 4  # status byte bits
 
 
 class RelationStore:
@@ -245,19 +237,21 @@ class RelationStore:
 
     Cells move Clean -> Dirty (a detector flagged them) -> Repaired (a repair
     was applied).  Revisiting strategies may re-flag a Repaired cell back to
-    Dirty; the first pre-repair value is kept as provenance either way.
-    The tuples whose cell is Dirty are also indexed per attribute, so the
-    Dirty cells are found without scanning every status byte.
+    Dirty; the first pre-repair value is kept as provenance either way.  Cells
+    live in three `(capacity, N)` arrays that double as they fill, on zero pages
+    left unmapped until written: current value ids, value ids as first seen,
+    and status bytes, each a CellStatus plus REPAIRED_ONCE from the cell's first
+    repair on, through re-flags and resets (the provenance a snapshot lists).
+    The tuples whose cell is Dirty are also indexed per attribute.
     """
 
     def __init__(self, schema: Schema, null_tokens: Iterable[str] = DEFAULT_NULL_TOKENS):
         self.schema = schema
         self.null_tokens = frozenset(null_tokens)
         self.interner = ValueInterner(schema.n_attrs)
-        self._rows: list[list[int]] = []
-        self._status: list[bytearray] = []
+        self._n, self._status = 0, np.zeros((0, schema.n_attrs), dtype=np.uint8)
+        self._values = self._first = np.zeros((0, schema.n_attrs), dtype=np.int32)
         self._dirty: list[set[int]] = [set() for _ in range(schema.n_attrs)]
-        self._original: dict[CellRef, int] = {}
         # batch k spans tids [starts[k-1], starts[k])
         self._batch_starts: list[int] = [0]
 
@@ -267,29 +261,41 @@ class RelationStore:
 
     @property
     def n_tuples(self) -> int:
-        return len(self._rows)
+        return self._n
 
     @property
     def batches_appended(self) -> int:
         return len(self._batch_starts) - 1
 
-    def append_batch(self, raw: RawBatch) -> Batch:
-        """Intern and append one batch; batches must arrive as k = 1, 2, ..."""
+    @property
+    def values(self) -> np.ndarray:
+        """Current value ids, one int32 row per tuple; a view, never to be written."""
+        return self._values[: self._n]
+
+    @property
+    def first_seen(self) -> np.ndarray:
+        """Value ids as the tuples arrived, before any repair; a view, never to be written."""
+        return self._first[: self._n]
+
+    def append_batch(self, raw: RawBatch) -> range:
+        """Intern and append one batch, returning its tids; batches arrive as k = 1, 2, ..."""
         expected = self.batches_appended + 1
         if raw.k != expected:
             raise DataError(f"batch {raw.k} out of order; expected batch {expected}")
-        interned: list[tuple[int, ...]] = []
-        for row in raw.rows:
-            if len(row) != self.n_attrs:
-                raise DataError(
-                    f"batch {raw.k}: row has {len(row)} fields, expected {self.n_attrs}"
-                )
-            ids = [self.interner.intern(attr, value) for attr, value in enumerate(row)]
-            self._rows.append(ids)
-            self._status.append(bytearray(self.n_attrs))
-            interned.append(tuple(ids))
-        self._batch_starts.append(len(self._rows))
-        return Batch(raw.k, tuple(interned))
+        for width in sorted({len(row) for row in raw.rows} - {self.n_attrs})[:1]:
+            raise DataError(f"batch {raw.k}: row has {width} fields, expected {self.n_attrs}")
+        start, self._n = self._n, self._n + raw.cardinality
+        if self._n > len(self._values):
+            grown = (max(self._n, 2 * len(self._values)), self.n_attrs)
+            arrays = self._values, self._first, self._status
+            self._values, self._first, self._status = (np.zeros(grown, a.dtype) for a in arrays)
+            for array, old in zip((self._values, self._first, self._status), arrays):
+                array[:start] = old[:start]
+        for attr, column in enumerate(zip(*raw.rows)):
+            self._first[start : self._n, attr] = self.interner.intern_column(attr, column)
+        self._values[start : self._n] = self._first[start : self._n]
+        self._batch_starts.append(self._n)
+        return self.batch_tids(raw.k)
 
     def batch_tids(self, k: int) -> range:
         if not 1 <= k <= self.batches_appended:
@@ -297,51 +303,45 @@ class RelationStore:
         return range(self._batch_starts[k - 1], self._batch_starts[k])
 
     def value(self, tid: int, attr: int) -> int:
-        return self._rows[tid][attr]
+        return int(self.values[tid, attr])
 
-    def tuple_values(self, tid: int) -> Sequence[int]:
-        return self._rows[tid]
-
-    def display(self, tid: int, attr: int) -> str:
-        return self.interner.resolve(attr, self._rows[tid][attr])
-
-    def canonical_value(self, attr: int, vid: int) -> str | None:
-        """A value id as a string, with None standing in for null."""
-        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
+    def tuple_values(self, tid: int) -> list[int]:
+        return self.values[tid].tolist()
 
     def canonical(self, tid: int, attr: int) -> str | None:
         """Current value as a string, with None standing in for null."""
-        return self.canonical_value(attr, self._rows[tid][attr])
+        vid = self.value(tid, attr)
+        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
 
     def status(self, tid: int, attr: int) -> CellStatus:
-        return CellStatus(self._status[tid][attr])
+        return CellStatus(self._status[: self._n][tid, attr] & _STATE)
 
     def original_value(self, tid: int, attr: int) -> int:
         """Value the cell held before its first repair (current value if never repaired)."""
-        return self._original.get(CellRef(tid, attr), self._rows[tid][attr])
+        return int(self.first_seen[tid, attr])
 
-    def original_canonical(self, tid: int, attr: int) -> str | None:
-        return self.canonical_value(attr, self.original_value(tid, attr))
+    def _cells(self, entries: Iterable, width: int) -> tuple[np.ndarray, ...]:
+        columns = np.fromiter(chain.from_iterable(entries), dtype=np.int64).reshape(-1, width).T
+        tid, attr = columns[:2]
+        outside = (tid < 0) | (tid >= self._n) | (attr < 0) | (attr >= self.n_attrs)
+        for at in np.flatnonzero(outside)[:1]:
+            raise DataError(f"cell {CellRef(int(tid[at]), int(attr[at]))} is out of range")
+        return tuple(columns)
 
     def mark_dirty(self, cells: Iterable[CellRef]) -> int:
         """Flag cells for repair; returns how many were not already Dirty."""
-        flagged = 0
-        for cell in cells:
-            if not (0 <= cell.tid < self.n_tuples and 0 <= cell.attr < self.n_attrs):
-                raise DataError(f"cell {cell} is out of range")
-            if self._status[cell.tid][cell.attr] != CellStatus.DIRTY:
-                self._status[cell.tid][cell.attr] = CellStatus.DIRTY
-                self._dirty[cell.attr].add(cell.tid)
-                flagged += 1
-        return flagged
+        tid, attr = self._cells(cells, 2)
+        self._status[tid, attr] = self._status[tid, attr] & _REPAIRED_ONCE | CellStatus.DIRTY
+        before = sum(map(len, self._dirty))
+        for column, dirty in enumerate(self._dirty):
+            dirty.update(tid[attr == column].tolist())
+        return sum(map(len, self._dirty)) - before
 
     def reset_dirty(self) -> int:
         """Revert every Dirty cell to Clean, for strategies that re-detect from scratch."""
-        reverted = 0
+        reverted = sum(map(len, self._dirty))
         for attr, dirty in enumerate(self._dirty):
-            for tid in dirty:
-                self._status[tid][attr] = CellStatus.CLEAN
-            reverted += len(dirty)
+            self._status[list(dirty), attr] &= _REPAIRED_ONCE
             dirty.clear()
         return reverted
 
@@ -356,9 +356,8 @@ class RelationStore:
 
     def trainable_tids(self, attr: int, tids: Iterable[int] | None = None) -> list[int]:
         """Tuples whose cell at `attr` is not currently Dirty (Repaired counts as clean)."""
-        dirty = self._dirty[attr]
         if tids is not None:
-            return [tid for tid in sorted(set(tids)) if tid not in dirty]
+            return [tid for tid in sorted(set(tids)) if tid not in self._dirty[attr]]
         return self.trainable_at(attr, range(self.trainable_count(attr)))
 
     def trainable_count(self, attr: int) -> int:
@@ -379,44 +378,46 @@ class RelationStore:
         """Set repaired values on currently-Dirty cells; returns how many changed value.
 
         Every repaired cell becomes Repaired even when the proposed value equals
-        the current one.  Repairing a cell that is not Dirty is an error.
+        the current one.  Repairing a cell that is not Dirty, or a cell twice,
+        is an error, and then no repair is applied.
         """
-        changed = 0
-        for cell, vid in repairs:
-            current_status = self._status[cell.tid][cell.attr]
-            if current_status != CellStatus.DIRTY:
-                raise DataError(
-                    f"cannot repair cell {tuple(cell)} with status"
-                    f" {CellStatus(current_status).name}; only Dirty cells are repairable"
-                )
-            self.interner.resolve(cell.attr, vid)  # validates the id
-            current = self._rows[cell.tid][cell.attr]
-            self._original.setdefault(cell, current)
-            if vid != current:
-                self._rows[cell.tid][cell.attr] = vid
-                changed += 1
-            self._status[cell.tid][cell.attr] = CellStatus.REPAIRED
-            self._dirty[cell.attr].discard(cell.tid)
+        tid, attr, vid = self._cells(((*cell, vid) for cell, vid in repairs), 3)
+        _, first = np.unique(tid * self.n_attrs + attr, return_index=True)
+        status = np.full(len(tid), CellStatus.REPAIRED, dtype=np.uint8)  # what a repeat finds
+        status[first] = self._status[tid[first], attr[first]] & _STATE
+        for at in np.flatnonzero(status != CellStatus.DIRTY)[:1]:
+            raise DataError(
+                f"cannot repair cell {(int(tid[at]), int(attr[at]))} with status"
+                f" {CellStatus(status[at]).name}; only Dirty cells are repairable"
+            )
+        sizes = np.array([self.interner.size(column) for column in range(self.n_attrs)])
+        for at in np.flatnonzero((vid < 0) | (vid >= sizes[attr]))[:1]:
+            self.interner.resolve(int(attr[at]), int(vid[at]))  # raises
+        changed = int(np.count_nonzero(self._values[tid, attr] != vid))
+        self._values[tid, attr] = vid
+        self._status[tid, attr] = CellStatus.REPAIRED | _REPAIRED_ONCE
+        for column, dirty in enumerate(self._dirty):
+            dirty.difference_update(tid[attr == column].tolist())
         return changed
 
     def export_csv(self, path: str | Path) -> None:
         """Write the current relation (repairs included) as RFC-4180 CSV, atomically."""
         resolve = self.interner.resolve
-        rows = ([resolve(attr, vid) for attr, vid in enumerate(row)] for row in self._rows)
+        rows = (map(resolve, range(self.n_attrs), row) for row in self.values.tolist())
         write_csv(path, self.schema.attributes, rows)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        status = self._status[: self._n]
+        repaired = np.argwhere(status & _REPAIRED_ONCE)
         return {
             "attributes": list(self.schema.attributes),
             "null_tokens": sorted(self.null_tokens),
             "values": [self.interner.observed_strings(a) for a in range(self.n_attrs)],
-            "rows": [list(row) for row in self._rows],
-            "status": [list(row) for row in self._status],
-            "original": sorted(
-                [cell.tid, cell.attr, vid] for cell, vid in self._original.items()
-            ),
+            "rows": self.values.tolist(),
+            "status": (status & _STATE).tolist(),
+            "original": np.column_stack([repaired, self.first_seen[tuple(repaired.T)]]).tolist(),
             "batch_starts": list(self._batch_starts),
         }
 
@@ -424,8 +425,7 @@ class RelationStore:
     def from_dict(cls, payload: dict) -> "RelationStore":
         store = cls(Schema(tuple(payload["attributes"])), payload["null_tokens"])
         for attr, strings in enumerate(payload["values"]):
-            for text in strings:
-                store.interner.intern(attr, text)
+            store.interner.intern_column(attr, strings)
         sizes = np.array([store.interner.size(attr) for attr in range(store.n_attrs)])
         rows = int_rows(payload["rows"], store.n_attrs, "stored rows")
         status = int_rows(payload["status"], store.n_attrs, "cell statuses")
@@ -442,12 +442,11 @@ class RelationStore:
             starts[-1] != len(rows) or (np.diff(starts) < 0).any()
         ):
             raise DataError("batch starts do not cut the stored rows into batches")
-        store._rows = rows.tolist()
-        store._status = [bytearray(row) for row in status.tolist()]
-        for t, a in np.argwhere(status == CellStatus.DIRTY).tolist():
-            store._dirty[a].add(t)
-        store._original = {
-            CellRef(t, a): v for t, a, v in zip(tid.tolist(), attr.tolist(), vid.tolist())
-        }
-        store._batch_starts = starts.tolist()
+        store._n, store._batch_starts = len(rows), starts.tolist()
+        store._values, store._first = rows.astype(np.int32), rows.astype(np.int32)
+        store._first[tid, attr] = vid
+        store._status = status.astype(np.uint8)
+        store._status[tid, attr] |= _REPAIRED_ONCE
+        for column, dirty in enumerate(status.T == CellStatus.DIRTY):
+            store._dirty[column].update(np.flatnonzero(dirty).tolist())
         return store

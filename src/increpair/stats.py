@@ -156,15 +156,6 @@ class StatsStore:
     def distinct_count(self, attr: int) -> int:
         return len(self.single[attr])
 
-    def pair_count(self, attr_a: int, vid_a: int, attr_b: int, vid_b: int) -> int:
-        return self.cooccurring(attr_b, attr_a, vid_a).get(vid_b, 0)
-
-    def cooccurring(self, target_attr: int, context_attr: int, context_vid: int) -> dict[int, int]:
-        """Counts of target-attribute values co-occurring with one context value."""
-        keys, counts = self._tables[(context_attr, target_attr)]
-        start, stop = np.searchsorted(keys, [context_vid << SHIFT, (context_vid + 1) << SHIFT])
-        return dict(zip((keys[start:stop] & LOW).tolist(), counts[start:stop].tolist()))
-
     def iter_pairs(self, attr_a: int, attr_b: int) -> Iterator[tuple[int, int, int]]:
         """(value_a, value_b, count) triples with count > 0, in key order."""
         keys, counts = self._tables[(attr_a, attr_b)]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from increpair.relation import RawBatch, RelationStore, Schema
+from increpair.relation import NULL_ID, RawBatch, RelationStore, Schema
 
 # Four rows over (region, code).  Region h appears three times and co-occurs
 # with codes b, c, e; region i appears once with code d.  Every frozen number
@@ -28,6 +28,12 @@ def build_store(rows, attrs, null_tokens=("", "NULL", "empty")) -> RelationStore
     store = RelationStore(Schema(tuple(attrs)), null_tokens)
     store.append_batch(RawBatch(1, tuple(tuple(row) for row in rows)))
     return store
+
+
+def original_canonical(store: RelationStore, tid: int, attr: int) -> str | None:
+    """A cell's value before its first repair as a string, None for null."""
+    vid = store.original_value(tid, attr)
+    return None if vid == NULL_ID else store.interner.resolve(attr, vid)
 
 
 class HalfWriter:

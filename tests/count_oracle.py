@@ -6,7 +6,8 @@ oracle: for a value pair of attributes i < j it holds
 `{value_i: {value_j: count}}` in both orientations and reports a batch's
 changes as `{(value_i, value_j): (old, new)}`.  The `*_view` helpers turn the
 engine's packed (high id << 32 | low id) arrays into the same dict shapes, so
-tests compare contents, not layouts.  `weighted_stats` builds a `StatsStore`
+tests compare contents, not layouts; `cooccurring` and `pair_count` read
+single counts out of them.  `weighted_stats` builds a `StatsStore`
 holding counts far larger than any batch a test could ingest.
 """
 
@@ -93,6 +94,19 @@ def delta_from_dicts(m, marginals, pairs) -> DeltaCounts:
         new = np.array([n for _, (_, n) in items], dtype=np.int64)
         packed[key] = PairDelta(keys, old, new)
     return DeltaCounts(m, tuple(marginals), packed)
+
+
+def cooccurring(
+    stats: StatsStore, target_attr: int, context_attr: int, context_vid: int
+) -> dict[int, int]:
+    """Counts of target-attribute values co-occurring with one context value."""
+    keys, counts = stats.table(context_attr, target_attr)
+    start, stop = np.searchsorted(keys, [context_vid << SHIFT, (context_vid + 1) << SHIFT])
+    return dict(zip((keys[start:stop] & LOW).tolist(), counts[start:stop].tolist()))
+
+
+def pair_count(stats: StatsStore, attr_a: int, vid_a: int, attr_b: int, vid_b: int) -> int:
+    return cooccurring(stats, attr_b, attr_a, vid_a).get(vid_b, 0)
 
 
 def weighted_stats(tuple_counts: dict[tuple[int, ...], int], n_attrs: int) -> StatsStore:

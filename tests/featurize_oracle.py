@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from count_oracle import cooccurring
 from increpair.errors import DataError
 from increpair.featurize import (
     DEFAULT_DOMAIN_CAP,
@@ -53,7 +54,7 @@ def generate_domain(
     for context_attr, context_vid in enumerate(tuple_values):
         if context_attr == attr or correlations[attr][context_attr] <= omega:
             continue
-        for vid, count in stats.cooccurring(attr, context_attr, context_vid).items():
+        for vid, count in cooccurring(stats, attr, context_attr, context_vid).items():
             if vid != NULL_ID:
                 weights[vid] = weights.get(vid, 0) + count
     weights.pop(observed, None)
@@ -94,7 +95,7 @@ def generate_feature_vector(
                 f"statistics hold no count for attribute {context_attr}"
                 f" value id {context_vid}; counts are out of step with the store"
             )
-        cooccurrences = stats.cooccurring(attr, context_attr, context_vid)
+        cooccurrences = cooccurring(stats, attr, context_attr, context_vid)
         for row, candidate in enumerate(domain.candidates):
             count = cooccurrences.get(candidate, 0)
             if count:

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from increpair.cli import main
+from increpair.relation import load_csv, write_csv
 
 from conftest import failing_writes
 
@@ -377,6 +378,23 @@ class TestResume:
         assert run(
             ["clean", "--input", truth, "--resume", snap, "--batches", "4"]
         ) == 2
+
+    @pytest.mark.parametrize("replacement", ["never-seen", "null", "interned"])
+    def test_resume_names_the_first_differing_row(self, tmp_path, clean_csv, capsys, replacement):
+        dirty, _ = self.prepare(tmp_path, clean_csv)
+        snap = tmp_path / "snap.json"
+        assert run(
+            ["clean", "--input", dirty, "--strategy", "ihc", "--batches", "4", "--snapshot", snap]
+        ) == 0
+        schema, rows = load_csv(dirty)
+        row = next(tid for tid in range(5, len(rows)) if rows[tid][1] is not None)
+        interned = next(r[1] for r in rows if r[1] not in (None, rows[row][1]))
+        rows[row][1] = {"never-seen": "never-seen", "null": None, "interned": interned}[replacement]
+        changed = tmp_path / "changed.csv"
+        write_csv(changed, schema.attributes, rows)
+        capsys.readouterr()
+        assert run(["clean", "--input", changed, "--resume", snap, "--batches", "4"]) == 2
+        assert f"input row {row} does not match" in capsys.readouterr().err
 
 
 def drop_progress(payload):

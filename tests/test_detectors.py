@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from increpair.dc import parse_dc
 from increpair.detectors import (
@@ -37,6 +39,14 @@ class TestScope:
         scope = DetectionScope.over([3, 1, 1], reference=[2, 3, 0])
         assert scope.probe == (1, 3)
         assert scope.reference == (0, 2)  # probe tids removed from reference
+
+    @given(*[st.integers(0, 12)] * 4)
+    def test_ranges_read_off_as_the_sorted_tuples(self, start, stop, ref_start, ref_stop):
+        probe, reference = range(start, stop), range(ref_start, ref_stop)
+        scope = DetectionScope.over(probe, reference)
+        assert scope == DetectionScope.over(list(probe), list(reference))
+        assert type(scope.probe) is tuple and type(scope.reference) is tuple
+        assert DetectionScope.over(probe) == DetectionScope.over(list(probe))
 
 
 class TestNullDetector:

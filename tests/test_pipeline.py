@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from increpair.detectors import DetectionScope, detect_perfect, truth_ids
 from increpair.errors import ConfigError, DataError
 from increpair.models import Hyperparams
 from increpair.pipeline import (
@@ -26,6 +27,9 @@ from increpair.relation import (
     Schema,
     make_batches,
 )
+
+from conftest import original_canonical
+from store_oracle import truth_scan
 
 SCHEMA = Schema(("ctx", "val"))
 
@@ -149,7 +153,7 @@ class TestStrategyContrast:
         assert reports[1].cells_flagged == 1
         assert reports[1].remaining_errors == 0
         assert state.store.canonical(0, 1) == "v9"
-        assert state.store.original_canonical(0, 1) == "bad"
+        assert original_canonical(state.store, 0, 1) == "bad"
 
     def test_ihc_re_revisits_and_corrects(self):
         state, reports = run_two_batches(StrategyKind.IHC_RE)
@@ -169,6 +173,34 @@ class TestStrategyContrast:
         assert state.stats.n == 4
         assert state.store.canonical(0, 1) == "v1"
         assert reports[1].remaining_errors == 1
+
+
+class TestTruthInternedByALaterBatch:
+    """Row 0's true value v9 is first interned by batch 2."""
+
+    def test_repair_to_it_counts_as_correct(self):
+        for kind in (StrategyKind.HC_ACC, StrategyKind.IHC_RE):
+            state, reports = run_two_batches(kind)
+            assert reports[0].repairs_correct == 0  # v1 is not v9
+            assert reports[1].repairs_correct == 1
+            assert reports[1].cum_repairs_correct == 1
+            assert reports[1].remaining_errors == 0
+
+    def test_revisit_detection_matches_a_string_scan(self):
+        store = RelationStore(SCHEMA)
+        store.append_batch(BATCHES[0])
+        assert truth_ids(store, TRUTH, [0]).tolist() == [[1, -1]]
+        revisit = DetectionScope.over(range(store.n_tuples))
+        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
+        store.append_batch(BATCHES[1])
+        assert truth_ids(store, TRUTH, [0]).tolist() == [[1, store.interner.lookup(1, "v9")]]
+        revisit = DetectionScope.over(range(store.n_tuples))
+        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
+        assert detect_perfect(store, TRUTH, revisit) == {CellRef(0, 1)}
+        store.mark_dirty([CellRef(0, 1)])
+        store.apply_repairs([(CellRef(0, 1), store.interner.lookup(1, "v9"))])
+        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
+        assert detect_perfect(store, TRUTH, revisit) == set()
 
 
 class TestProbeAccounting:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from increpair.errors import DataError
@@ -19,7 +19,13 @@ from increpair.relation import (
     make_batches,
 )
 
-from conftest import build_store, failing_writes
+from conftest import build_store, failing_writes, original_canonical
+from store_oracle import ListStore
+
+
+def display(store, tid, attr):
+    """A cell's current value as the string it resolves to, "" for null."""
+    return store.interner.resolve(attr, store.value(tid, attr))
 
 
 class TestSchema:
@@ -174,7 +180,7 @@ class TestStoreLifecycle:
         assert store.value(0, 1) == NULL_ID
         assert store.canonical(0, 0) == "x"
         assert store.canonical(0, 1) is None
-        assert store.display(0, 1) == ""
+        assert display(store, 0, 1) == ""
 
     def test_mark_dirty_counts_new_flags_only(self):
         store = build_store([("x", "y")], ("a", "b"))
@@ -200,7 +206,7 @@ class TestStoreLifecycle:
         assert changed == 1
         assert store.canonical(0, 0) == "z"
         assert store.status(0, 0) is CellStatus.REPAIRED
-        assert store.original_canonical(0, 0) == "x"
+        assert original_canonical(store, 0, 0) == "x"
         assert store.to_dict()["original"] == [[0, 0, store.interner.lookup(0, "x")]]
 
     def test_unchanged_repair_still_marks_repaired(self):
@@ -219,7 +225,7 @@ class TestStoreLifecycle:
         assert store.status(0, 0) is CellStatus.DIRTY
         store.apply_repairs([(cell, store.interner.lookup(0, "w"))])
         assert store.canonical(0, 0) == "w"
-        assert store.original_canonical(0, 0) == "x"
+        assert original_canonical(store, 0, 0) == "x"
 
     def test_repair_validates_value_id(self):
         store = build_store([("x", "y")], ("a", "b"))
@@ -365,3 +371,85 @@ class TestDirtyIndex:
             else:
                 store = RelationStore.from_dict(store.to_dict())
             check_dirty_index(store, tids)
+
+
+VOCAB = (None, "a", "b", "c", "d")
+store_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"),
+            st.lists(st.tuples(*[st.sampled_from(VOCAB)] * N_ATTRS), max_size=5),
+        ),
+        st.tuples(
+            st.just("mark"),
+            st.lists(st.tuples(st.integers(0, 99), st.integers(0, N_ATTRS - 1)), max_size=8),
+        ),
+        # (which Dirty cell, 0 for its current value or else which value id)
+        st.tuples(
+            st.just("repair"),
+            st.lists(st.tuples(st.integers(0, 99), st.integers(0, 9)), max_size=6),
+        ),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("reflag"), st.lists(st.integers(0, 99), max_size=4)),
+        st.tuples(st.just("round_trip"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def check_same_store(store, oracle):
+    """Every accessor of the column store reads what the list store holds."""
+    assert store.n_tuples == oracle.n_tuples
+    for tid in range(oracle.n_tuples):
+        assert store.tuple_values(tid) == oracle.tuple_values(tid)
+        for attr in range(N_ATTRS):
+            assert store.value(tid, attr) == oracle.value(tid, attr)
+            assert store.original_value(tid, attr) == oracle.original_value(tid, attr)
+            assert store.status(tid, attr) is oracle.status(tid, attr)
+            assert store.canonical(tid, attr) == oracle.canonical(tid, attr)
+    assert store.dirty_cells() == oracle.dirty_cells()
+    assert store.dirty_cells(range(0, oracle.n_tuples, 2)) == oracle.dirty_cells(
+        range(0, oracle.n_tuples, 2)
+    )
+    for attr in range(N_ATTRS):
+        assert store.trainable_tids(attr) == oracle.trainable_tids(attr)
+        ranks = range(0, store.trainable_count(attr), 2)
+        assert store.trainable_at(attr, ranks) == oracle.trainable_at(attr, ranks)
+    assert store.to_dict() == oracle.to_dict()
+
+
+class TestMatchesListOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(store_operations)
+    def test_every_operation_matches(self, ops):
+        schema = Schema(tuple(f"a{attr}" for attr in range(N_ATTRS)))
+        store, oracle = RelationStore(schema, ()), ListStore(schema, ())
+        for op, arg in ops:
+            if op == "append":
+                raw = RawBatch(store.batches_appended + 1, tuple(arg))
+                assert store.append_batch(raw) == oracle.append_batch(raw)
+            elif op == "mark" and oracle.n_tuples:
+                picked = [CellRef(tid % oracle.n_tuples, attr) for tid, attr in arg]
+                assert store.mark_dirty(picked) == oracle.mark_dirty(picked)
+            elif op == "repair":
+                dirty = oracle.dirty_cells()
+                picked = {dirty[i % len(dirty)]: pick for i, pick in arg} if dirty else {}
+                repairs = [
+                    (cell, pick % oracle.interner.size(cell.attr) if pick else oracle.value(*cell))
+                    for cell, pick in picked.items()
+                ]
+                assert store.apply_repairs(repairs) == oracle.apply_repairs(repairs)
+            elif op == "reset":
+                assert store.reset_dirty() == oracle.reset_dirty()
+            elif op == "reflag":
+                repaired = [
+                    CellRef(tid, attr)
+                    for tid in range(oracle.n_tuples)
+                    for attr in range(N_ATTRS)
+                    if oracle.status(tid, attr) is CellStatus.REPAIRED
+                ]
+                picked = [repaired[i % len(repaired)] for i in arg] if repaired else []
+                assert store.mark_dirty(picked) == oracle.mark_dirty(picked)
+            elif op == "round_trip":
+                store = RelationStore.from_dict(store.to_dict())
+            check_same_store(store, oracle)

@@ -23,7 +23,7 @@ from increpair.relation import (
 )
 from increpair.snapshot import load_run, load_store, save_run, save_store
 
-from conftest import failing_writes
+from conftest import failing_writes, original_canonical
 
 
 def seeded_store():
@@ -47,8 +47,8 @@ class TestStoreSnapshots:
             for attr in range(store.n_attrs):
                 assert restored.canonical(tid, attr) == store.canonical(tid, attr)
                 assert restored.status(tid, attr) is store.status(tid, attr)
-                assert restored.original_canonical(tid, attr) == store.original_canonical(
-                    tid, attr
+                assert original_canonical(restored, tid, attr) == original_canonical(
+                    store, tid, attr
                 )
         assert restored.status(1, 1) is CellStatus.REPAIRED
 

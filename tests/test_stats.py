@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_ATTRS, GOLDEN_ROWS
-from count_oracle import DictCounts, delta_from_dicts, delta_view, weighted_stats
+from count_oracle import (
+    DictCounts,
+    cooccurring,
+    delta_from_dicts,
+    delta_view,
+    pair_count,
+    weighted_stats,
+)
 from increpair.errors import DataError
 from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
 from increpair.relation import RelationStore, Schema, make_batches
@@ -80,9 +87,9 @@ def count_delta(before: StatsStore, after: StatsStore) -> DeltaCounts:
     for i in range(after.n_attrs):
         for j in range(i + 1, after.n_attrs):
             changed = {
-                (vi, vj): (before.pair_count(i, vi, j, vj), new)
+                (vi, vj): (pair_count(before, i, vi, j, vj), new)
                 for vi, vj, new in after.iter_pairs(i, j)
-                if before.pair_count(i, vi, j, vj) != new
+                if pair_count(before, i, vi, j, vj) != new
             }
             if changed:
                 pairs[(i, j)] = changed
@@ -99,17 +106,30 @@ class TestCounts:
 
     def test_pair_counts_both_orientations(self):
         stats = golden_stats()
-        assert stats.pair_count(REGION, 1, CODE, 1) == 1
-        assert stats.pair_count(CODE, 1, REGION, 1) == 1
-        assert stats.pair_count(REGION, 1, CODE, 3) == 0
-        assert stats.cooccurring(CODE, REGION, 1) == {1: 1, 2: 1, 4: 1}
-        assert stats.cooccurring(CODE, REGION, 2) == {3: 1}
+        assert pair_count(stats, REGION, 1, CODE, 1) == 1
+        assert pair_count(stats, CODE, 1, REGION, 1) == 1
+        assert pair_count(stats, REGION, 1, CODE, 3) == 0
+        assert cooccurring(stats, CODE, REGION, 1) == {1: 1, 2: 1, 4: 1}
+        assert cooccurring(stats, CODE, REGION, 2) == {3: 1}
 
     def test_ingest_rejects_ragged_rows(self):
         with pytest.raises(DataError):
             StatsStore(2).ingest([(1, 2, 3)])
         with pytest.raises(DataError):
             StatsStore(2).ingest([(1, 2), (1,)])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_narrow_rows_count_as_the_list_form(self, dtype):
+        # packing (vid << 32) | vid in a narrow dtype would wrap silently
+        rows = [[1, 2], [3, 4], [1, 4], [1, 2]]
+        listed, narrow = StatsStore(2), StatsStore(2)
+        want = delta_view(listed.ingest(rows))
+        assert delta_view(narrow.ingest(np.array(rows, dtype=dtype))) == want
+        assert narrow.single == listed.single
+        for pair in ((0, 1), (1, 0)):
+            assert [a.tolist() for a in narrow.table(*pair)] == [
+                a.tolist() for a in listed.table(*pair)
+            ]
 
     @pytest.mark.parametrize("vid", [-1, 2**31, 2**70])
     def test_ingest_rejects_ids_that_do_not_pack(self, vid):
