@@ -203,7 +203,8 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     tuning = _tuning(ns)
-    for flag, path in (("--out", ns.out), ("--snapshot", ns.snapshot)):
+    outputs = (("--out", ns.out), ("--metrics", ns.metrics), ("--snapshot", ns.snapshot))
+    for flag, path in outputs:
         _check_output(flag, path)
 
     schema, rows = load_csv(ns.input, tokens)
@@ -274,15 +275,11 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         strategy.seed,
     )
 
-    with _writing(ns.metrics):
-        metrics_handle = open(ns.metrics, "w", encoding="utf-8") if ns.metrics else None
-    try:
-        reports = run_stream(
-            state, strategy, remaining, metrics_handle, include_timings=ns.timings
-        )
-    finally:
-        if metrics_handle is not None:
-            metrics_handle.close()
+    reports = run_stream(state, strategy, remaining)
+    if ns.metrics:
+        lines = "".join(report.to_json_line(ns.timings) + "\n" for report in reports)
+        with _writing(ns.metrics):
+            write_atomic(ns.metrics, lambda handle: handle.write(lines))
     for report in reports[-1:]:
         log.info(
             "batch %d: flagged %d, repaired %d (%d changed), remaining errors: %s",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParseError
-from .relation import NULL_ID, CellRef, RelationStore, Schema
+from .relation import NULL_ID, RelationStore, Schema, union_cells
 
 T1 = 0
 T2 = 1
@@ -256,8 +256,12 @@ def _satisfies(
     return all(_eval_predicate(pred, row1, row2, store) for pred in dc.predicates)
 
 
-def _cells(dc: DenialConstraint, role: int, tid: int) -> list[CellRef]:
-    return [CellRef(tid, attr) for attr in dc.var_attrs[role]]
+def _cells(dc: DenialConstraint, role: int, tids) -> np.ndarray:
+    """The cells `dc` reads through `role` in each of the ascending `tids`, as
+    (tid, attr) rows in (tid, attr) order."""
+    attrs = dc.var_attrs[role]
+    tids = np.asarray(tids, dtype=np.int64)
+    return np.stack([np.repeat(tids, len(attrs)), np.tile(attrs, len(tids))], axis=1)
 
 
 def _fd_violations(
@@ -265,7 +269,7 @@ def _fd_violations(
     store: RelationStore,
     probe_tids: np.ndarray,
     reference_tids: np.ndarray,
-) -> set[CellRef]:
+) -> np.ndarray:
     """`violations` for an FD-shaped rule, over the value-id columns.
 
     A null key or right-hand cell takes no part, as in the pairwise path.  The
@@ -284,8 +288,7 @@ def _fd_violations(
     key = np.unique(_whole_rows(rows[:, :-1]), return_inverse=True)[1]
     first = np.unique(_whole_rows(rows), return_index=True)[1]
     rhs_values = np.bincount(key[first])
-    flagged = tids[is_probe & (rhs_values[key] > 1)]
-    return {cell for tid in flagged.tolist() for cell in _cells(dc, T1, tid)}
+    return _cells(dc, T1, tids[is_probe & (rhs_values[key] > 1)])
 
 
 def _whole_rows(rows: np.ndarray) -> np.ndarray:
@@ -299,7 +302,7 @@ def _pair_violations(
     store: RelationStore,
     probe_tids: list[int],
     reference_tids: list[int],
-) -> set[CellRef]:
+) -> np.ndarray:
     """`violations` for any other pair rule: a hash join on the cross-tuple EQ keys.
 
     Every tuple is bucketed by its key in the t1 role and in the t2 role; a
@@ -332,15 +335,15 @@ def _pair_violations(
             key = key_of(tid, attrs)
             if key is not None:
                 buckets[key].append(tid)
-    flagged: set[CellRef] = set()
+    as_t1, as_t2 = [], []
     for tid in probe_tids:
         partners = by_t2.get(key_of(tid, t1_attrs), ())
         if any(u != tid and _satisfies(dc, store, tid, u, rows) for u in partners):
-            flagged.update(_cells(dc, T1, tid))
+            as_t1.append(tid)
         partners = by_t1.get(key_of(tid, t2_attrs), ())
         if any(u != tid and _satisfies(dc, store, u, tid, rows) for u in partners):
-            flagged.update(_cells(dc, T2, tid))
-    return flagged
+            as_t2.append(tid)
+    return union_cells([_cells(dc, T1, as_t1), _cells(dc, T2, as_t2)], store.n_attrs)
 
 
 def violations(
@@ -348,8 +351,9 @@ def violations(
     store: RelationStore,
     probe: Iterable[int],
     reference: Iterable[int] = (),
-) -> set[CellRef]:
-    """Cells of `probe` tuples that take part in a violation of `dc`.
+) -> np.ndarray:
+    """Cells of `probe` tuples that take part in a violation of `dc`, as
+    distinct (tid, attr) rows in (tid, attr) order.
 
     A one-tuple rule flags the cells it reads in each probe tuple that
     satisfies it.  For a pair rule, a probe tuple that plays t1 in a
@@ -368,12 +372,7 @@ def violations(
     probe_tids = _tids(store, probe)
     if dc.arity == 1:
         rows = dict(zip(probe_tids.tolist(), store.values[probe_tids].tolist()))
-        return {
-            cell
-            for tid in rows
-            if _satisfies(dc, store, tid, None, rows)
-            for cell in _cells(dc, T1, tid)
-        }
+        return _cells(dc, T1, [tid for tid in rows if _satisfies(dc, store, tid, None, rows)])
 
     reference_tids = np.setdiff1d(_tids(store, reference), probe_tids, assume_unique=True)
     if dc.fd_shape is not None:

@@ -1,7 +1,8 @@
 """Error detectors: null cells, denial-constraint violations, and (for
 benchmarking) exact diffs against a ground-truth table.
 
-Each detector returns the set of cells it flags.  Detectors operate under a
+Each detector returns the cells it flags as distinct (tid, attr) rows of a
+`(k, 2)` int64 array in (tid, attr) order.  Detectors operate under a
 scope: only `probe` tuples have their cells flagged, while `reference`
 tuples may witness a pair violation as the partner of a probe tuple.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dc import DenialConstraint, violations
 from .errors import ConfigError, DataError
-from .relation import NULL_ID, CellRef, RelationStore
+from .relation import NULL_ID, RelationStore, union_cells
 
 DETECTOR_NAMES = ("null", "dc", "perfect")
 
@@ -41,13 +42,13 @@ class DetectionScope:
         return cls(tuple(probe), tuple(sorted(tid for tid in set(reference) if tid not in probe)))
 
 
-def _flagged(probe: np.ndarray, wrong: np.ndarray) -> set[CellRef]:
+def _flagged(probe: np.ndarray, wrong: np.ndarray) -> np.ndarray:
     """The cells where `wrong`, a mask with one row per probe tid, holds."""
     rows, attrs = np.nonzero(wrong)
-    return set(map(CellRef, probe[rows].tolist(), attrs.tolist()))
+    return np.stack([probe[rows], attrs], axis=1)
 
 
-def detect_null(store: RelationStore, scope: DetectionScope) -> set[CellRef]:
+def detect_null(store: RelationStore, scope: DetectionScope) -> np.ndarray:
     """Flag every probe cell holding the null value."""
     probe = np.array(scope.probe, dtype=np.int64)
     return _flagged(probe, store.values[probe] == NULL_ID)
@@ -57,9 +58,10 @@ def detect_dc(
     store: RelationStore,
     dcs: Sequence[DenialConstraint],
     scope: DetectionScope,
-) -> set[CellRef]:
+) -> np.ndarray:
     """Flag probe cells taking part in any constraint violation."""
-    return set().union(*(violations(dc, store, scope.probe, scope.reference) for dc in dcs))
+    flagged = (violations(dc, store, scope.probe, scope.reference) for dc in dcs)
+    return union_cells(flagged, store.n_attrs)
 
 
 def truth_ids(store: RelationStore, ground_truth: GroundTruth, tids: Sequence[int]) -> np.ndarray:
@@ -83,7 +85,7 @@ def detect_perfect(
     store: RelationStore,
     ground_truth: GroundTruth,
     scope: DetectionScope,
-) -> set[CellRef]:
+) -> np.ndarray:
     """Flag probe cells whose current value differs from the ground truth."""
     probe = np.array(scope.probe, dtype=np.int64)
     return _flagged(probe, store.values[probe] != truth_ids(store, ground_truth, probe))
@@ -95,22 +97,22 @@ def run_detectors(
     names: Sequence[str],
     dcs: Sequence[DenialConstraint] = (),
     ground_truth: GroundTruth | None = None,
-) -> set[CellRef]:
+) -> np.ndarray:
     """Run the named detectors over one scope and union their flags."""
-    dirty: set[CellRef] = set()
+    flagged = []
     for name in names:
         if name == "null":
-            dirty |= detect_null(store, scope)
+            flagged.append(detect_null(store, scope))
         elif name == "dc":
             if not dcs:
                 raise ConfigError("the dc detector needs at least one parsed constraint")
-            dirty |= detect_dc(store, dcs, scope)
+            flagged.append(detect_dc(store, dcs, scope))
         elif name == "perfect":
             if ground_truth is None:
                 raise ConfigError("the perfect detector needs a ground-truth table")
-            dirty |= detect_perfect(store, ground_truth, scope)
+            flagged.append(detect_perfect(store, ground_truth, scope))
         else:
             raise ConfigError(
                 f"unknown detector {name!r}; expected one of {', '.join(DETECTOR_NAMES)}"
             )
-    return dirty
+    return union_cells(flagged, store.n_attrs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .featurize import FeatureBlock, Featurizer
-from .relation import CellRef, RelationStore
+from .relation import RelationStore
 
 
 @dataclass(frozen=True)
@@ -206,58 +206,39 @@ def build_training_set(
     sample of `limit` is featurized (so the block can hold fewer cells when
     sampled cells turn out to have singleton domains).
     """
-    eligible = _training_tids(store, attr, limit, rng, tids)
-    return featurizer.block(attr, eligible, _rows(store, eligible))
-
-
-def _training_tids(
-    store: RelationStore,
-    attr: int,
-    limit: int | None,
-    rng: random.Random | None,
-    tids: Sequence[int] | None,
-) -> list[int]:
-    """The trainable tuples, or a sorted sample of `limit` of them.
-
-    `random.sample` picks positions from the population's length alone, so
-    sampling ranks and mapping them to tuples selects what sampling the
-    listed tuples would, without listing every tuple in the store.
-    """
-    scoped = None if tids is None else store.trainable_tids(attr, tids)
-    n_eligible = store.trainable_count(attr) if scoped is None else len(scoped)
-    ranks: Sequence[int] = range(n_eligible)
-    if limit is not None and n_eligible > limit:
+    eligible = store.trainable_tids(attr, tids)
+    if limit is not None and len(eligible) > limit:
         if limit < 1:
             raise DataError(f"training limit must be >= 1, got {limit}")
         sampler = rng if rng is not None else random.Random(0)
-        ranks = sorted(sampler.sample(ranks, limit))
-    if scoped is None:
-        return store.trainable_at(attr, ranks)
-    return [scoped[rank] for rank in ranks]
+        eligible = eligible[sorted(sampler.sample(range(len(eligible)), limit))]
+    return featurizer.block(attr, eligible, _rows(store, eligible))
 
 
 def repair_cells(
     models: Sequence[AttributeModel],
-    cells: Sequence[CellRef],
+    cells: np.ndarray,
     store: RelationStore,
     featurizer: Featurizer,
-) -> tuple[list[tuple[CellRef, int]], int]:
-    """Most-probable-value proposals for flagged cells, in the order given.
+) -> tuple[np.ndarray, int]:
+    """Most-probable-value proposals for flagged cells, given as (tid, attr)
+    rows, as (tid, attr, vid) rows in the order given.
 
     Returns (proposals, skipped) where skipped counts cells whose candidate
     domain was a singleton: there is nothing to choose from, so they stay
     Dirty and unrepaired.
     """
-    best: dict[CellRef, int] = {}
-    for attr in sorted({cell.attr for cell in cells}):
-        tids = [cell.tid for cell in cells if cell.attr == attr]
-        block = featurizer.block(attr, tids, _rows(store, tids))
+    tid, attr = cells.T
+    vid = np.full(len(cells), -1, dtype=np.int64)
+    for column in np.flatnonzero(np.bincount(attr)).tolist():
+        at = np.flatnonzero(attr == column)
+        tids = tid[at]
+        block = featurizer.block(column, tids, _rows(store, tids))
         if not len(block):
             continue  # every cell a singleton; reduceat rejects an empty block
-        slots = _LiveRows(block.values, block.mask).best(models[attr].weights)
-        picked = block.candidates[np.arange(len(slots)), slots][block.row]
-        best.update(
-            (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
-        )
-    proposals = [(cell, best[cell]) for cell in cells if cell in best]
-    return proposals, len(cells) - len(proposals)
+        slots = _LiveRows(block.values, block.mask).best(models[column].weights)
+        best = np.full(store.n_tuples, -1, dtype=np.int64)
+        best[block.tids] = block.candidates[np.arange(len(slots)), slots][block.row]
+        vid[at] = best[tids]
+    proposed = vid >= 0
+    return np.column_stack([cells[proposed], vid[proposed]]), int(np.count_nonzero(~proposed))

@@ -345,12 +345,12 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
     # -- repair ----------------------------------------------------------------
     started = time.perf_counter()
-    pool = store.dirty_cells() if kind.revisit else store.dirty_cells(incoming)
+    pool = store.dirty_cells(None if kind.revisit else incoming)
     proposals, skipped_singleton = repair_cells(state.models, pool, store, featurizer)
 
     repairs_correct: int | None = None
     if truth is not None:
-        tid, attr, vid = np.array([(*c, v) for c, v in proposals], dtype=np.int64).reshape(-1, 3).T
+        tid, attr, vid = proposals.T
         before = store.values[tid, attr]
         moved = np.flatnonzero(vid != before)
         expected = truth_ids(store, truth, tid[moved])[np.arange(len(moved)), attr[moved]]

@@ -13,7 +13,7 @@ import csv
 import os
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
@@ -47,6 +47,17 @@ class CellStatus(IntEnum):
 class CellRef(NamedTuple):
     tid: int
     attr: int
+
+
+def union_cells(parts: Iterable[np.ndarray], n_attrs: int) -> np.ndarray:
+    """The distinct rows of `(k, 2)` int64 (tid, attr) arrays in (tid, attr)
+    order, the one form a set of cells takes, found on the packed key
+    `tid * n_attrs + attr`."""
+    cells = np.concatenate([np.empty((0, 2), dtype=np.int64), *parts])
+    keys = np.sort(cells[:, 0] * n_attrs + cells[:, 1])
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return np.stack(np.divmod(keys[distinct], n_attrs), axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +181,14 @@ def load_csv(
 
 def write_atomic(path: str | Path, write: Callable[[IO[str]], None]) -> None:
     """Let `write` fill a file beside the target, then move it over the target,
-    so a failure part-way leaves any earlier file there whole."""
+    so a failure part-way leaves any earlier file there whole.  A target that
+    exists but is no regular file, such as a device or a pipe, is written in
+    place: moving a file over it would replace it."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            write(handle)
+        return
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("w", newline="", encoding="utf-8") as handle:
@@ -232,6 +249,10 @@ def make_batches(
 _STATE, _REPAIRED_ONCE = 3, 4  # status byte bits
 
 
+def _is_dirty(status: np.ndarray) -> np.ndarray:
+    return (status & _STATE) == CellStatus.DIRTY
+
+
 class RelationStore:
     """Single-writer store for the evolving relation and its cleaning state.
 
@@ -242,7 +263,8 @@ class RelationStore:
     left unmapped until written: current value ids, value ids as first seen,
     and status bytes, each a CellStatus plus REPAIRED_ONCE from the cell's first
     repair on, through re-flags and resets (the provenance a snapshot lists).
-    The tuples whose cell is Dirty are also indexed per attribute.
+    The status bytes are the one record of which cells are Dirty.  A set of
+    cells is a `(k, 2)` int64 array of (tid, attr) rows.
     """
 
     def __init__(self, schema: Schema, null_tokens: Iterable[str] = DEFAULT_NULL_TOKENS):
@@ -251,7 +273,6 @@ class RelationStore:
         self.interner = ValueInterner(schema.n_attrs)
         self._n, self._status = 0, np.zeros((0, schema.n_attrs), dtype=np.uint8)
         self._values = self._first = np.zeros((0, schema.n_attrs), dtype=np.int32)
-        self._dirty: list[set[int]] = [set() for _ in range(schema.n_attrs)]
         # batch k spans tids [starts[k-1], starts[k])
         self._batch_starts: list[int] = [0]
 
@@ -320,68 +341,55 @@ class RelationStore:
         """Value the cell held before its first repair (current value if never repaired)."""
         return int(self.first_seen[tid, attr])
 
-    def _cells(self, entries: Iterable, width: int) -> tuple[np.ndarray, ...]:
-        columns = np.fromiter(chain.from_iterable(entries), dtype=np.int64).reshape(-1, width).T
+    def _cells(self, entries, width: int) -> tuple[np.ndarray, ...]:
+        columns = int_rows(entries, width, "cells").T
         tid, attr = columns[:2]
         outside = (tid < 0) | (tid >= self._n) | (attr < 0) | (attr >= self.n_attrs)
         for at in np.flatnonzero(outside)[:1]:
             raise DataError(f"cell {CellRef(int(tid[at]), int(attr[at]))} is out of range")
         return tuple(columns)
 
-    def mark_dirty(self, cells: Iterable[CellRef]) -> int:
-        """Flag cells for repair; returns how many were not already Dirty."""
+    def mark_dirty(self, cells: np.ndarray) -> int:
+        """Flag (tid, attr) rows for repair; returns how many distinct cells
+        were not already Dirty."""
         tid, attr = self._cells(cells, 2)
-        self._status[tid, attr] = self._status[tid, attr] & _REPAIRED_ONCE | CellStatus.DIRTY
-        before = sum(map(len, self._dirty))
-        for column, dirty in enumerate(self._dirty):
-            dirty.update(tid[attr == column].tolist())
-        return sum(map(len, self._dirty)) - before
+        status = self._status[tid, attr]
+        self._status[tid, attr] = status & _REPAIRED_ONCE | CellStatus.DIRTY
+        fresh = np.stack([tid, attr], axis=1)[~_is_dirty(status)]
+        return len(union_cells([fresh], self.n_attrs))
 
     def reset_dirty(self) -> int:
         """Revert every Dirty cell to Clean, for strategies that re-detect from scratch."""
-        reverted = sum(map(len, self._dirty))
-        for attr, dirty in enumerate(self._dirty):
-            self._status[list(dirty), attr] &= _REPAIRED_ONCE
-            dirty.clear()
-        return reverted
+        status = self._status[: self._n]
+        dirty = _is_dirty(status)
+        status[dirty] &= _REPAIRED_ONCE
+        return int(np.count_nonzero(dirty))
 
-    def dirty_cells(self, tids: Iterable[int] | None = None) -> list[CellRef]:
-        """Dirty cells in (tid, attr) order, optionally restricted to given tuples."""
-        scope = None if tids is None else set(tids)
-        return sorted(
-            CellRef(tid, attr)
-            for attr, dirty in enumerate(self._dirty)
-            for tid in (dirty if scope is None else dirty.intersection(scope))
-        )
+    def dirty_cells(self, tids: range | None = None) -> np.ndarray:
+        """Dirty cells as (tid, attr) rows in (tid, attr) order, optionally
+        only those of a range of tuples."""
+        tids = range(self._n) if tids is None else tids
+        dirty = np.flatnonzero(_is_dirty(self._status[tids.start : tids.stop : tids.step]))
+        row, attr = np.divmod(dirty, self.n_attrs)
+        return np.stack([row * tids.step + tids.start, attr], axis=1)
 
-    def trainable_tids(self, attr: int, tids: Iterable[int] | None = None) -> list[int]:
-        """Tuples whose cell at `attr` is not currently Dirty (Repaired counts as clean)."""
-        if tids is not None:
-            return [tid for tid in sorted(set(tids)) if tid not in self._dirty[attr]]
-        return self.trainable_at(attr, range(self.trainable_count(attr)))
+    def trainable_tids(self, attr: int, tids: Iterable[int] | None = None) -> np.ndarray:
+        """Tuples, ascending, whose cell at `attr` is not currently Dirty
+        (Repaired counts as clean), optionally among the given ones."""
+        if tids is None:
+            return np.flatnonzero(~_is_dirty(self._status[: self._n, attr]))
+        tids = np.array(sorted(set(tids)), dtype=np.int64)
+        return tids[~_is_dirty(self._status[tids, attr])]
 
-    def trainable_count(self, attr: int) -> int:
-        """How many tuples `trainable_tids(attr)` lists."""
-        return self.n_tuples - len(self._dirty[attr])
-
-    def trainable_at(self, attr: int, ranks: Sequence[int]) -> list[int]:
-        """The tuples at the given ascending positions of `trainable_tids(attr)`,
-        found through the sorted Dirty index without listing the rest."""
-        dirty = np.sort(np.fromiter(self._dirty[attr], dtype=np.int64))
-        # the r-th trainable tuple is r plus the Dirty tuples before it, and
-        # dirty[i] - i trainable tuples precede the i-th Dirty one
-        ranks = np.asarray(ranks, dtype=np.int64)
-        before = np.searchsorted(dirty - np.arange(len(dirty)), ranks, side="right")
-        return (ranks + before).tolist()
-
-    def apply_repairs(self, repairs: Iterable[tuple[CellRef, int]]) -> int:
-        """Set repaired values on currently-Dirty cells; returns how many changed value.
+    def apply_repairs(self, repairs: np.ndarray) -> int:
+        """Set repaired values, given as (tid, attr, vid) rows, on currently-Dirty
+        cells; returns how many changed value.
 
         Every repaired cell becomes Repaired even when the proposed value equals
         the current one.  Repairing a cell that is not Dirty, or a cell twice,
         is an error, and then no repair is applied.
         """
-        tid, attr, vid = self._cells(((*cell, vid) for cell, vid in repairs), 3)
+        tid, attr, vid = self._cells(repairs, 3)
         _, first = np.unique(tid * self.n_attrs + attr, return_index=True)
         status = np.full(len(tid), CellStatus.REPAIRED, dtype=np.uint8)  # what a repeat finds
         status[first] = self._status[tid[first], attr[first]] & _STATE
@@ -396,8 +404,6 @@ class RelationStore:
         changed = int(np.count_nonzero(self._values[tid, attr] != vid))
         self._values[tid, attr] = vid
         self._status[tid, attr] = CellStatus.REPAIRED | _REPAIRED_ONCE
-        for column, dirty in enumerate(self._dirty):
-            dirty.difference_update(tid[attr == column].tolist())
         return changed
 
     def export_csv(self, path: str | Path) -> None:
@@ -447,6 +453,4 @@ class RelationStore:
         store._first[tid, attr] = vid
         store._status = status.astype(np.uint8)
         store._status[tid, attr] |= _REPAIRED_ONCE
-        for column, dirty in enumerate(status.T == CellStatus.DIRTY):
-            store._dirty[column].update(np.flatnonzero(dirty).tolist())
         return store

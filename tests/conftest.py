@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from increpair.relation import NULL_ID, RawBatch, RelationStore, Schema
@@ -28,6 +29,19 @@ def build_store(rows, attrs, null_tokens=("", "NULL", "empty")) -> RelationStore
     store = RelationStore(Schema(tuple(attrs)), null_tokens)
     store.append_batch(RawBatch(1, tuple(tuple(row) for row in rows)))
     return store
+
+
+def cell_rows(entries) -> np.ndarray:
+    """CellRefs, or (CellRef, value id) repairs, as the int64 rows the engine
+    takes and returns: (tid, attr) or (tid, attr, vid).  A set comes out in
+    (tid, attr) order, the order in which the engine returns a set of cells."""
+    if isinstance(entries, (set, frozenset)):
+        entries = sorted(entries)
+    rows = [
+        (*entry[0], *entry[1:]) if isinstance(entry[0], tuple) else tuple(entry)
+        for entry in entries
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(rows[0]) if rows else 2)
 
 
 def original_canonical(store: RelationStore, tid: int, attr: int) -> str | None:

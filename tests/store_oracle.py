@@ -131,10 +131,6 @@ class ListStore:
         scope = range(self.n_tuples) if tids is None else sorted(set(tids))
         return [tid for tid in scope if tid not in dirty]
 
-    def trainable_at(self, attr: int, ranks: Sequence[int]) -> list[int]:
-        trainable = self.trainable_tids(attr)
-        return [trainable[rank] for rank in ranks]
-
     def apply_repairs(self, repairs: Iterable[tuple[CellRef, int]]) -> int:
         changed = 0
         for cell, vid in repairs:

@@ -167,7 +167,7 @@ class TestErrorsAndExitCodes:
         assert run(argv + [flag, bad]) == 1
         assert "internal error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--out", "--snapshot"])
+    @pytest.mark.parametrize("flag", ["--out", "--metrics", "--snapshot"])
     def test_output_failing_after_the_stream_is_config_error(
         self, tmp_path, clean_csv, monkeypatch, flag
     ):

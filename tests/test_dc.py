@@ -28,7 +28,7 @@ from increpair.detectors import DetectionScope, detect_dc
 from increpair.errors import DataError, ParseError
 from increpair.relation import CellRef, Schema
 
-from conftest import build_store
+from conftest import build_store, cell_rows
 
 SCHEMA = Schema(("hospital_name", "zip_code", "facility_type"))
 
@@ -136,9 +136,10 @@ def brute_force(dc: DenialConstraint, store, probe, reference=()):
 
 
 def probe_cells(groups, probe):
-    """The cells of the oracle's groups that belong to probe tuples."""
+    """The cells of the oracle's groups that belong to probe tuples, as the
+    (tid, attr) rows `violations` lists."""
     probe = set(probe)
-    return {cell for group in groups for cell in group if cell.tid in probe}
+    return cell_rows({cell for group in groups for cell in group if cell.tid in probe}).tolist()
 
 
 FIXTURE_ROWS = [
@@ -164,16 +165,16 @@ class TestViolations:
         assert len(groups) == len(expected_pairs)
         for group in groups:
             assert len(group) == 4  # name + zip in both tuples
-        cells = violations(self.pair_dc, self.store, everyone)
-        assert cells == {CellRef(tid, attr) for tid in (0, 1, 4) for attr in (0, 1)}
+        cells = violations(self.pair_dc, self.store, everyone).tolist()
+        assert cells == [[tid, attr] for tid in (0, 1, 4) for attr in (0, 1)]
         assert cells == probe_cells(groups, everyone)
 
     def test_empty_probe_empty_result(self):
-        assert violations(self.pair_dc, self.store, []) == set()
+        assert violations(self.pair_dc, self.store, []).shape == (0, 2)
 
     def test_null_constant_flags_single_cell(self):
         dc = parse_dc('EQ(t1.facility_type,"empty")', SCHEMA)
-        assert violations(dc, self.store, range(self.store.n_tuples)) == {CellRef(3, 2)}
+        assert violations(dc, self.store, range(self.store.n_tuples)).tolist() == [[3, 2]]
 
     def test_null_never_joins_across_tuples(self):
         dc = parse_dc("EQ(t1.facility_type,t2.facility_type)&NEQ(t1.zip_code,t2.zip_code)", SCHEMA)
@@ -181,29 +182,29 @@ class TestViolations:
             [("a", "1", None), ("b", "2", None), ("c", "3", "x")],
             SCHEMA.attributes,
         )
-        assert violations(dc, store, range(3)) == set()
+        assert violations(dc, store, range(3)).tolist() == []
 
     def test_neq_on_null_cell_is_false(self):
         dc = parse_dc('NEQ(t1.facility_type,"clinic")', SCHEMA)
         cells = violations(dc, self.store, range(self.store.n_tuples))
-        flagged_tids = {cell.tid for cell in cells}
+        flagged_tids = set(cells[:, 0].tolist())
         assert 3 not in flagged_tids  # the NULL cell abstains
         assert flagged_tids == {2, 4}
 
     def test_probe_scoping_matches_filtered_global(self):
         probe = [1]
         reference = [0, 2, 3, 4]
-        scoped = violations(self.pair_dc, self.store, probe, reference)
+        scoped = violations(self.pair_dc, self.store, probe, reference).tolist()
         assert scoped == probe_cells(brute_force(self.pair_dc, self.store, probe, reference), probe)
         # only the probe tuple's cells are reported
-        assert scoped == {CellRef(1, 0), CellRef(1, 1)}
+        assert scoped == [[1, 0], [1, 1]]
 
     def test_probe_tuple_may_take_either_role(self):
         # constraint is asymmetric: only (t1=0-ish, t2=1-ish) ordering satisfies it
         dc = parse_dc('EQ(t1.facility_type,"clinic")&NEQ(t1.zip_code,t2.zip_code)&EQ(t1.hospital_name,t2.hospital_name)', SCHEMA)
-        all_cells = violations(dc, self.store, range(self.store.n_tuples))
-        probe_only = violations(dc, self.store, [1], reference=[0, 2, 3, 4])
-        assert probe_only == {cell for cell in all_cells if cell.tid == 1}
+        all_cells = violations(dc, self.store, range(self.store.n_tuples)).tolist()
+        probe_only = violations(dc, self.store, [1], reference=[0, 2, 3, 4]).tolist()
+        assert probe_only == [cell for cell in all_cells if cell[0] == 1]
         assert probe_only == probe_cells(brute_force(dc, self.store, [1], [0, 2, 3, 4]), [1])
 
     def test_out_of_range_probe(self):
@@ -221,18 +222,16 @@ class TestViolations:
             [("grace", "1", "mercy"), ("mercy", "2", "clinic")], SCHEMA.attributes
         )
         # tuple 1 plays t1 (name, zip), tuple 0 plays t2 (zip, facility_type)
-        assert violations(dc, store, range(2)) == {
-            CellRef(1, 0), CellRef(1, 1), CellRef(0, 1), CellRef(0, 2)
-        }
-        assert violations(dc, store, [0], reference=[1]) == {CellRef(0, 1), CellRef(0, 2)}
-        assert violations(dc, store, [0], reference=[1]) == probe_cells(
+        assert violations(dc, store, range(2)).tolist() == [[0, 1], [0, 2], [1, 0], [1, 1]]
+        assert violations(dc, store, [0], reference=[1]).tolist() == [[0, 1], [0, 2]]
+        assert violations(dc, store, [0], reference=[1]).tolist() == probe_cells(
             brute_force(dc, store, [0], [1]), [0]
         )
 
     def test_constraint_without_join_key(self):
         dc = parse_dc("NEQ(t1.zip_code,t2.zip_code)", SCHEMA)
         everyone = range(self.store.n_tuples)
-        cells = violations(dc, self.store, everyone)
+        cells = violations(dc, self.store, everyone).tolist()
         assert cells == probe_cells(brute_force(dc, self.store, everyone), everyone)
 
 
@@ -261,7 +260,7 @@ class TestRandomizedOracle:
             split = rng.randint(0, n)
             probe, reference = tids[split:], tids[:split]
             for dc in rules:
-                got = violations(dc, store, probe, reference)
+                got = violations(dc, store, probe, reference).tolist()
                 want = probe_cells(brute_force(dc, store, probe, reference), probe)
                 assert got == want, (trial, dc.dc_id, rows)
 
@@ -276,8 +275,8 @@ def test_symmetric_constraint_is_role_invariant():
     # evaluating per-tuple probes and unioning must reproduce the global view
     union = set()
     for tid in range(30):
-        union |= violations(dc, store, [tid], reference=set(range(30)) - {tid})
-    assert union == full
+        union |= set(map(tuple, violations(dc, store, [tid], set(range(30)) - {tid}).tolist()))
+    assert cell_rows(union).tolist() == full.tolist()
 
 
 # --- both search paths against the pairwise oracle ---------------------------
@@ -347,8 +346,8 @@ def check_against_oracle(case):
 
     def check():
         want = probe_cells(brute_force(dc, store, probe, reference), probe)
-        assert violations(dc, store, probe, reference) == want
-        assert detect_dc(store, [dc], DetectionScope.over(probe, reference)) == want
+        assert violations(dc, store, probe, reference).tolist() == want
+        assert detect_dc(store, [dc], DetectionScope.over(probe, reference)).tolist() == want
 
     check()
     # detection reads post-repair values
@@ -357,8 +356,8 @@ def check_against_oracle(case):
         CellRef(tid, attr): store.interner.intern(attr, FD_VALUES[vid])
         for tid, attr, vid in repairs
     }
-    store.mark_dirty(fixes)
-    store.apply_repairs(fixes.items())
+    store.mark_dirty(cell_rows(fixes))
+    store.apply_repairs(cell_rows(fixes.items()))
     check()
     return dc
 
@@ -401,7 +400,7 @@ class TestFdPass:
             roles = [rng.choice("prn") for _ in range(n)]
             probe = [tid for tid in range(n) if roles[tid] == "p"]
             reference = [tid for tid in range(n) if roles[tid] == "r"]
-            got = violations(dc, store, probe, reference)
+            got = violations(dc, store, probe, reference).tolist()
             want = probe_cells(brute_force(dc, store, probe, reference), probe)
             assert got == want, (trial, rows, roles)
 
@@ -418,7 +417,7 @@ class TestFdPass:
             return _satisfies(*args)
 
         monkeypatch.setattr(dc_module, "_satisfies", counting)
-        assert violations(fd, store, range(200)) == want
+        assert violations(fd, store, range(200)).tolist() == want
         assert len(want) == 200 * 2  # every tuple's p and q cells
         assert calls == []
         violations(general, store, range(200))
@@ -442,4 +441,4 @@ def test_pairwise_search_stops_at_first_violation(monkeypatch):
     # one partner per role is enough
     assert len(calls) <= 2 * 200
     # every tuple plays t1 (p, q) and t2 (p, r)
-    assert flagged == {CellRef(tid, attr) for tid in range(200) for attr in (0, 1, 2)}
+    assert flagged.tolist() == [[tid, attr] for tid in range(200) for attr in (0, 1, 2)]

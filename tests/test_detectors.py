@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from increpair.detectors import (
     run_detectors,
 )
 from increpair.errors import ConfigError, DataError
-from increpair.relation import CellRef, Schema
+from increpair.relation import Schema
 
 from conftest import build_store
 
@@ -52,9 +53,9 @@ class TestScope:
 class TestNullDetector:
     def test_flags_probe_nulls_only(self, store):
         dirty = detect_null(store, DetectionScope.over([2, 3]))
-        assert sorted(dirty) == [CellRef(2, 0), CellRef(3, 1)]
+        assert dirty.tolist() == [[2, 0], [3, 1]]
         dirty = detect_null(store, DetectionScope.over([0, 1], reference=[2, 3]))
-        assert sorted(dirty) == []
+        assert dirty.shape == (0, 2)
 
 
 class TestDcDetector:
@@ -62,12 +63,12 @@ class TestDcDetector:
         scope = DetectionScope.over([1], reference=[0, 2, 3])
         dirty = detect_dc(store, [PAIR_RULE], scope)
         # tuples 0 and 1 violate jointly, but only tuple 1 is in the probe
-        assert sorted(dirty) == [CellRef(1, 0), CellRef(1, 1)]
+        assert dirty.tolist() == [[1, 0], [1, 1]]
 
     def test_unions_every_rule(self, store):
         zip_rule = parse_dc('EQ(t1.zip,"10003")', SCHEMA)
         dirty = detect_dc(store, [PAIR_RULE, zip_rule], DetectionScope.over([1, 2], reference=[0]))
-        assert sorted(dirty) == [CellRef(1, 0), CellRef(1, 1), CellRef(2, 1)]
+        assert dirty.tolist() == [[1, 0], [1, 1], [2, 1]]
 
 
 class TestPerfectDetector:
@@ -79,12 +80,12 @@ class TestPerfectDetector:
             ("grace", None),     # the stored null is genuinely null
         ]
         dirty = detect_perfect(store, truth, DetectionScope.over(range(4)))
-        assert sorted(dirty) == [CellRef(1, 1), CellRef(2, 0)]
+        assert dirty.tolist() == [[1, 1], [2, 0]]
 
     def test_probe_scoped(self, store):
         truth = [("x", "1")] * 4
         dirty = detect_perfect(store, truth, DetectionScope.over([0]))
-        assert {cell.tid for cell in dirty} == {0}
+        assert set(dirty[:, 0].tolist()) == {0}
 
     def test_short_ground_truth_rejected(self, store):
         with pytest.raises(DataError):
@@ -107,14 +108,17 @@ class TestDispatch:
             ground_truth=truth,
         )
         # perfect finds nothing (truth == data); null finds 2; dc finds the pair
-        assert sorted(dirty) == [
-            CellRef(0, 0),
-            CellRef(0, 1),
-            CellRef(1, 0),
-            CellRef(1, 1),
-            CellRef(2, 0),
-            CellRef(3, 1),
-        ]
+        assert dirty.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [3, 1]]
+
+    def test_union_is_distinct_rows_in_cell_order(self, store):
+        null_name = parse_dc('EQ(t1.name,"")', SCHEMA)  # "" is a null token
+        dirty = run_detectors(
+            store, DetectionScope.over(range(4)), ["null", "dc"], dcs=[PAIR_RULE, null_name]
+        )
+        # null flags (2, 0) and (3, 1) first; the rules then flag tuples 0 and 1,
+        # and (2, 0) again
+        assert dirty.dtype == np.int64
+        assert dirty.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [3, 1]]
 
     def test_missing_companions_rejected(self, store):
         scope = DetectionScope.over([0])

@@ -24,16 +24,15 @@ from increpair.models import (
     Hyperparams,
     _loss_and_grad,
     _rows,
-    _training_tids,
     build_training_set,
     repair_cells,
     train,
 )
-from increpair.relation import CellRef
+from increpair.relation import CellRef, CellStatus
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
 import fit_oracle
-from conftest import build_store
+from conftest import build_store, cell_rows
 
 
 def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, int]:
@@ -313,7 +312,7 @@ class TestBuildTrainingSet:
 
     def test_dirty_cells_excluded(self, trainable_world):
         store, featurizer = trainable_world
-        store.mark_dirty([CellRef(0, 1)])
+        store.mark_dirty(cell_rows([CellRef(0, 1)]))
         assert len(build_training_set(store, 1, featurizer)) == 3
 
     def test_limit_subsamples_reproducibly(self, trainable_world):
@@ -331,12 +330,18 @@ class TestBuildTrainingSet:
         assert len(examples) == 0  # both are singleton-domain cells
 
 
-def listed_training_tids(store, attr, limit, rng, tids):
-    """The selection as made by listing every trainable tuple, then sampling."""
-    eligible = store.trainable_tids(attr, tids)
+def listed_training_tids(store, featurizer, attr, limit, rng, tids):
+    """The selection as made by listing every tuple whose status is not Dirty,
+    sampling positions in that list, and dropping singleton-domain cells."""
+    scope = range(store.n_tuples) if tids is None else sorted(set(tids))
+    eligible = [tid for tid in scope if store.status(tid, attr) is not CellStatus.DIRTY]
     if len(eligible) > limit:
-        eligible = sorted(rng.sample(eligible, limit))
-    return eligible
+        eligible = [eligible[rank] for rank in sorted(rng.sample(range(len(eligible)), limit))]
+    return [
+        tid
+        for tid in eligible
+        if featurizer.domain(CellRef(tid, attr), store.tuple_values(tid)).size >= 2
+    ]
 
 
 class TestTrainingSample:
@@ -350,25 +355,50 @@ class TestTrainingSample:
     )
     def test_sampled_ranks_pick_the_listed_sample(self, n_rows, dirty, limit, seed, scoped):
         store = build_store([(f"r{i % 7}", f"v{i % 5}") for i in range(n_rows)], ("r", "v"))
-        store.mark_dirty([CellRef(tid, 1) for tid in dirty if tid < n_rows])
+        store.mark_dirty(cell_rows([CellRef(tid, 1) for tid in dirty if tid < n_rows]))
+        stats = StatsStore(2)
+        stats.ingest(store.values)
+        featurizer = Featurizer(stats, correlation_matrix(stats, scratch_accumulator(stats)), 0.0)
         tids = range(n_rows // 3, n_rows) if scoped else None
         for attr in range(2):  # attribute 0 has no Dirty cells
-            got = _training_tids(store, attr, limit, random.Random(seed), tids)
-            want = listed_training_tids(store, attr, limit, random.Random(seed), tids)
-            assert got == want
+            rng = random.Random(seed)
+            got = build_training_set(store, attr, featurizer, limit, rng, tids).tids
+            want = listed_training_tids(store, featurizer, attr, limit, random.Random(seed), tids)
+            assert got.tolist() == want
 
 
 class TestRepairCells:
     def test_singletons_skipped_and_counted(self, trainable_world):
         store, featurizer = trainable_world
         models = [AttributeModel.fresh(a, 2) for a in range(2)]
-        cells = [CellRef(0, 1), CellRef(2, 1)]  # multi-candidate, singleton
+        cells = cell_rows([CellRef(0, 1), CellRef(2, 1)])  # multi-candidate, singleton
         proposals, skipped = repair_cells(models, cells, store, featurizer)
         assert skipped == 1
-        assert len(proposals) == 1
-        cell, vid = proposals[0]
-        assert cell == CellRef(0, 1)
-        assert vid in featurizer.domain(cell, store.tuple_values(0)).candidates
+        (tid, attr, vid), = proposals.tolist()
+        assert (tid, attr) == (0, 1)
+        assert vid in featurizer.domain(CellRef(0, 1), store.tuple_values(0)).candidates
+
+    def test_two_attributes_keep_the_given_order(self):
+        rows = [("h", "b"), ("h", "c"), ("i", "b"), ("i", "d"), ("h", "d"), ("j", "e")]
+        store = build_store(rows, ("region", "code"))
+        stats = StatsStore(2)
+        stats.ingest(store.values)
+        featurizer = Featurizer(stats, correlation_matrix(stats, scratch_accumulator(stats)), 0.0)
+        weights = np.random.default_rng(5).normal(size=(2, 2))
+        models = [AttributeModel(attr, weights[attr]) for attr in range(2)]
+        # tuple 5's code domain is the singleton {e}; the attributes interleave
+        order = [CellRef(3, 1), CellRef(0, 0), CellRef(5, 1), CellRef(1, 1), CellRef(2, 0)]
+        proposals, skipped = repair_cells(models, cell_rows(order), store, featurizer)
+        assert skipped == 1
+        expected = []
+        for cell in order:
+            values = store.tuple_values(cell.tid)
+            domain = featurizer.domain(cell, values)
+            if domain.size >= 2:
+                _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
+                expected.append((cell, domain.candidates[best]))
+        assert [cell for cell, _ in expected] == [order[i] for i in (0, 1, 3, 4)]
+        assert proposals.tolist() == cell_rows(expected).tolist()
 
     def test_trained_model_prefers_frequent_co_occurrer(self, trainable_world):
         store, featurizer = trainable_world
@@ -377,9 +407,9 @@ class TestRepairCells:
         train(model, examples, Hyperparams(epochs=300, learning_rate=1.0))
         # b appears twice with region h; c and e once each
         proposals, _ = repair_cells(
-            [AttributeModel.fresh(0, 2), model], [CellRef(1, 1)], store, featurizer
+            [AttributeModel.fresh(0, 2), model], cell_rows([CellRef(1, 1)]), store, featurizer
         )
-        (_, vid), = proposals
+        (_, _, vid), = proposals.tolist()
         assert store.interner.resolve(1, vid) == "b"
 
     def test_matches_one_cell_prediction_in_pool_order(self):
@@ -403,9 +433,9 @@ class TestRepairCells:
             if domain.size >= 2:
                 _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
                 expected.append((cell, domain.candidates[best]))
-        proposals, skipped = repair_cells(models, cells, store, featurizer)
-        assert proposals == expected
-        assert all(type(vid) is int for _, vid in proposals)
+        proposals, skipped = repair_cells(models, cell_rows(cells), store, featurizer)
+        assert proposals.dtype == np.int64
+        assert proposals.tolist() == cell_rows(expected).tolist()
         assert skipped == len(cells) - len(expected)
 
     @settings(deadline=None, max_examples=40)
@@ -427,7 +457,7 @@ class TestRepairCells:
         models = [AttributeModel(attr, weights[attr]) for attr in range(3)]
         cells = [CellRef(tid, attr) for tid in range(store.n_tuples) for attr in range(3)]
         cells = rng.sample(cells, rng.randint(1, len(cells)))
-        proposals, _ = repair_cells(models, cells, store, featurizer)
+        proposals, _ = repair_cells(models, cell_rows(cells), store, featurizer)
         expected = []
         for cell in cells:
             values = store.tuple_values(cell.tid)
@@ -435,7 +465,7 @@ class TestRepairCells:
             if domain.size >= 2:
                 _, best = predict(models[cell.attr], featurizer.tensor(domain, values))
                 expected.append((cell, domain.candidates[best]))
-        assert proposals == expected
+        assert proposals.tolist() == cell_rows(expected).tolist()
 
 
 def grouped_world(rows, cap=50):
@@ -481,7 +511,7 @@ class TestRepairMatchesPaddedOracle:
         weights = np.random.default_rng(seed).normal(scale=scale, size=(3, 3))
         models = [AttributeModel(attr, weights[attr]) for attr in range(3)]
         cells = [CellRef(tid, attr) for tid in range(store.n_tuples) for attr in range(3)]
-        proposals, _ = repair_cells(models, cells, store, featurizer)
+        proposals, _ = repair_cells(models, cell_rows(cells), store, featurizer)
         want = {}
         tids = list(range(store.n_tuples))
         for attr in range(3):
@@ -491,7 +521,7 @@ class TestRepairMatchesPaddedOracle:
             want.update(
                 (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
             )
-        assert dict(proposals) == want
+        assert {CellRef(tid, attr): vid for tid, attr, vid in proposals.tolist()} == want
 
     def test_narrow_block_with_overflowing_rows(self):
         """Nine-value domains of a 36-slot attribute make a 16-slot block.
@@ -514,9 +544,10 @@ class TestRepairMatchesPaddedOracle:
         overflowed = np.isnan(probs).all(axis=1)
         assert overflowed.any() and not overflowed.all()
         models = [AttributeModel.fresh(attr, 3) for attr in range(2)] + [AttributeModel(2, weights)]
-        proposals, _ = repair_cells(models, [CellRef(tid, 2) for tid in tids], store, featurizer)
+        cells = cell_rows([CellRef(tid, 2) for tid in tids])
+        proposals, _ = repair_cells(models, cells, store, featurizer)
         picked = fit_oracle.picks(weights, full)
-        assert [vid for _, vid in proposals] == picked.tolist()
+        assert proposals[:, 2].tolist() == picked.tolist()
         assert (picked[overflowed] == full.candidates[overflowed, 0]).all()
 
 
@@ -557,10 +588,10 @@ class TestDuplicateRowsMatchPaddedOracle:
 
         models = [AttributeModel.fresh(a, 3) for a in range(3)]
         models[attr] = model
-        cells = [CellRef(tid, attr) for tid in tids]
+        cells = cell_rows([CellRef(tid, attr) for tid in tids])
         proposals, skipped = repair_cells(models, cells, store, featurizer)
         picked = fit_oracle.picks(model.weights, full)
-        assert proposals == [
-            (CellRef(tid, attr), vid) for tid, vid in zip(block.tids.tolist(), picked.tolist())
+        assert proposals.tolist() == [
+            [tid, attr, vid] for tid, vid in zip(block.tids.tolist(), picked.tolist())
         ]
         assert skipped == len(tids) - len(block)

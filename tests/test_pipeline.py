@@ -28,7 +28,7 @@ from increpair.relation import (
     make_batches,
 )
 
-from conftest import original_canonical
+from conftest import cell_rows, original_canonical
 from store_oracle import truth_scan
 
 SCHEMA = Schema(("ctx", "val"))
@@ -188,19 +188,23 @@ class TestTruthInternedByALaterBatch:
 
     def test_revisit_detection_matches_a_string_scan(self):
         store = RelationStore(SCHEMA)
+
+        def revisit_flags():
+            """`detect_perfect` over every tuple, checked against a string scan."""
+            revisit = DetectionScope.over(range(store.n_tuples))
+            flags = detect_perfect(store, TRUTH, revisit).tolist()
+            assert flags == cell_rows(truth_scan(store, TRUTH, revisit.probe)).tolist()
+            return flags
+
         store.append_batch(BATCHES[0])
         assert truth_ids(store, TRUTH, [0]).tolist() == [[1, -1]]
-        revisit = DetectionScope.over(range(store.n_tuples))
-        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
+        revisit_flags()
         store.append_batch(BATCHES[1])
         assert truth_ids(store, TRUTH, [0]).tolist() == [[1, store.interner.lookup(1, "v9")]]
-        revisit = DetectionScope.over(range(store.n_tuples))
-        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
-        assert detect_perfect(store, TRUTH, revisit) == {CellRef(0, 1)}
-        store.mark_dirty([CellRef(0, 1)])
-        store.apply_repairs([(CellRef(0, 1), store.interner.lookup(1, "v9"))])
-        assert detect_perfect(store, TRUTH, revisit) == truth_scan(store, TRUTH, revisit.probe)
-        assert detect_perfect(store, TRUTH, revisit) == set()
+        assert revisit_flags() == [[0, 1]]
+        store.mark_dirty(cell_rows([CellRef(0, 1)]))
+        store.apply_repairs(cell_rows([(CellRef(0, 1), store.interner.lookup(1, "v9"))]))
+        assert revisit_flags() == []
 
 
 class TestProbeAccounting:
@@ -330,10 +334,10 @@ class TestEvaluate:
             RawBatch(1, (("a", "wrong"), ("b", "wrong"), ("c", "fine")))
         )
         truth = [("a", "right"), ("b", "right"), ("c", "fine")]
-        store.mark_dirty([CellRef(0, 1), CellRef(1, 1)])
+        store.mark_dirty(cell_rows([CellRef(0, 1), CellRef(1, 1)]))
         right = store.interner.intern(1, "right")
         off = store.interner.intern(1, "off")
-        store.apply_repairs([(CellRef(0, 1), right), (CellRef(1, 1), off)])
+        store.apply_repairs(cell_rows([(CellRef(0, 1), right), (CellRef(1, 1), off)]))
         metrics = evaluate(store, truth)
         assert metrics["repairs_changed"] == 2
         assert metrics["repairs_correct"] == 1

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import stat
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +21,10 @@ from increpair.relation import (
     ValueInterner,
     load_csv,
     make_batches,
+    write_atomic,
 )
 
-from conftest import build_store, failing_writes, original_canonical
+from conftest import build_store, cell_rows, failing_writes, original_canonical
 from store_oracle import ListStore
 
 
@@ -189,6 +194,15 @@ class TestStoreLifecycle:
         assert store.mark_dirty([cell]) == 0
         assert store.status(0, 0) is CellStatus.DIRTY
 
+    def test_mark_dirty_counts_each_newly_dirty_cell_once(self):
+        store = build_store([("x", "y"), ("z", "w")], ("a", "b"))
+        store.mark_dirty(cell_rows([CellRef(0, 0), CellRef(0, 1)]))
+        store.apply_repairs(cell_rows([(CellRef(0, 1), store.value(0, 1))]))
+        # a duplicate row, an already-Dirty cell and a re-flagged Repaired cell
+        flagged = cell_rows([CellRef(1, 0), CellRef(1, 0), CellRef(0, 0), CellRef(0, 1)])
+        assert store.mark_dirty(flagged) == 2
+        assert store.dirty_cells().tolist() == [[0, 0], [0, 1], [1, 0]]
+
     def test_mark_dirty_validates_range(self):
         store = build_store([("x", "y")], ("a", "b"))
         with pytest.raises(DataError):
@@ -197,12 +211,12 @@ class TestStoreLifecycle:
     def test_repair_requires_dirty(self):
         store = build_store([("x", "y")], ("a", "b"))
         with pytest.raises(DataError, match="only Dirty"):
-            store.apply_repairs([(CellRef(0, 0), 1)])
+            store.apply_repairs(cell_rows([(CellRef(0, 0), 1)]))
 
     def test_repair_changes_value_and_status(self):
         store = build_store([("x", "y"), ("z", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0)])
-        changed = store.apply_repairs([(CellRef(0, 0), store.interner.lookup(0, "z"))])
+        changed = store.apply_repairs(cell_rows([(CellRef(0, 0), store.interner.lookup(0, "z"))]))
         assert changed == 1
         assert store.canonical(0, 0) == "z"
         assert store.status(0, 0) is CellStatus.REPAIRED
@@ -212,7 +226,7 @@ class TestStoreLifecycle:
     def test_unchanged_repair_still_marks_repaired(self):
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0)])
-        changed = store.apply_repairs([(CellRef(0, 0), store.value(0, 0))])
+        changed = store.apply_repairs(cell_rows([(CellRef(0, 0), store.value(0, 0))]))
         assert changed == 0
         assert store.status(0, 0) is CellStatus.REPAIRED
 
@@ -220,10 +234,10 @@ class TestStoreLifecycle:
         store = build_store([("x", "y"), ("z", "y"), ("w", "y")], ("a", "b"))
         cell = CellRef(0, 0)
         store.mark_dirty([cell])
-        store.apply_repairs([(cell, store.interner.lookup(0, "z"))])
+        store.apply_repairs(cell_rows([(cell, store.interner.lookup(0, "z"))]))
         store.mark_dirty([cell])  # a revisiting strategy re-flags it
         assert store.status(0, 0) is CellStatus.DIRTY
-        store.apply_repairs([(cell, store.interner.lookup(0, "w"))])
+        store.apply_repairs(cell_rows([(cell, store.interner.lookup(0, "w"))]))
         assert store.canonical(0, 0) == "w"
         assert original_canonical(store, 0, 0) == "x"
 
@@ -231,12 +245,12 @@ class TestStoreLifecycle:
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0)])
         with pytest.raises(DataError):
-            store.apply_repairs([(CellRef(0, 0), 99)])
+            store.apply_repairs(cell_rows([(CellRef(0, 0), 99)]))
 
     def test_reset_dirty_spares_repaired(self):
         store = build_store([("x", "y"), ("z", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0), CellRef(1, 0)])
-        store.apply_repairs([(CellRef(0, 0), store.interner.lookup(0, "z"))])
+        store.apply_repairs(cell_rows([(CellRef(0, 0), store.interner.lookup(0, "z"))]))
         assert store.reset_dirty() == 1
         assert store.status(0, 0) is CellStatus.REPAIRED
         assert store.status(1, 0) is CellStatus.CLEAN
@@ -244,16 +258,16 @@ class TestStoreLifecycle:
     def test_dirty_cells_sorted_and_scoped(self):
         store = build_store([("x", "y"), ("z", "w")], ("a", "b"))
         store.mark_dirty([CellRef(1, 1), CellRef(0, 0), CellRef(1, 0)])
-        assert store.dirty_cells() == [CellRef(0, 0), CellRef(1, 0), CellRef(1, 1)]
-        assert store.dirty_cells([1]) == [CellRef(1, 0), CellRef(1, 1)]
+        assert store.dirty_cells().tolist() == [[0, 0], [1, 0], [1, 1]]
+        assert store.dirty_cells(range(1, 2)).tolist() == [[1, 0], [1, 1]]
 
     def test_trainable_excludes_dirty_only(self):
         store = build_store([("x", "y"), ("z", "w"), ("u", "v")], ("a", "b"))
         store.mark_dirty([CellRef(1, 0), CellRef(2, 0)])
-        store.apply_repairs([(CellRef(2, 0), store.value(2, 0))])
-        assert store.trainable_tids(0) == [0, 2]
-        assert store.trainable_tids(1) == [0, 1, 2]
-        assert store.trainable_tids(0, [1, 2]) == [2]
+        store.apply_repairs(cell_rows([(CellRef(2, 0), store.value(2, 0))]))
+        assert store.trainable_tids(0).tolist() == [0, 2]
+        assert store.trainable_tids(1).tolist() == [0, 1, 2]
+        assert store.trainable_tids(0, [2, 1, 2]).tolist() == [2]
 
     def test_mark_dirty_sets_status_per_cell(self):
         store = build_store([("x", "y")], ("a", "b"))
@@ -286,10 +300,22 @@ class TestExportAndSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        """Moving a finished file over a pipe or a device would replace it."""
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        write_atomic(pipe, lambda handle: handle.write("line\n"))
+        reader.join(timeout=10)
+        assert received == ["line\n"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+
     def test_dict_round_trip_preserves_everything(self):
         store = build_store([("x", "y"), ("z", "w")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0), CellRef(1, 1)])
-        store.apply_repairs([(CellRef(0, 0), store.interner.lookup(0, "z"))])
+        store.apply_repairs(cell_rows([(CellRef(0, 0), store.interner.lookup(0, "z"))]))
         clone = RelationStore.from_dict(store.to_dict())
         assert clone.schema == store.schema
         assert clone.n_tuples == store.n_tuples
@@ -316,63 +342,7 @@ class TestExportAndSerialization:
         assert current == [[r[0], r[1]] for r in rows]
 
 
-def scanned_dirty(store, tids=None):
-    """Dirty cells found by reading every status byte, the reference for the index."""
-    scope = range(store.n_tuples) if tids is None else sorted(set(tids))
-    return [
-        CellRef(tid, attr)
-        for tid in scope
-        for attr in range(store.n_attrs)
-        if store.status(tid, attr) is CellStatus.DIRTY
-    ]
-
-
-def check_dirty_index(store, tids):
-    assert store.dirty_cells() == scanned_dirty(store)
-    assert store.dirty_cells(tids) == scanned_dirty(store, tids)
-    for attr in range(store.n_attrs):
-        dirty = {cell.tid for cell in scanned_dirty(store) if cell.attr == attr}
-        expected = [tid for tid in range(store.n_tuples) if tid not in dirty]
-        assert store.trainable_tids(attr) == expected
-        assert store.trainable_tids(attr, tids) == [t for t in sorted(set(tids)) if t not in dirty]
-
-
-N_ROWS, N_ATTRS = 12, 3
-cells = st.builds(CellRef, st.integers(0, N_ROWS - 1), st.integers(0, N_ATTRS - 1))
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("mark"), st.lists(cells, max_size=8)),
-        st.tuples(st.just("repair"), st.lists(st.integers(0, 50), max_size=6)),
-        st.tuples(st.just("reset"), st.none()),
-        st.tuples(st.just("round_trip"), st.none()),
-    ),
-    max_size=25,
-)
-
-
-class TestDirtyIndex:
-    @given(operations, st.lists(st.integers(0, N_ROWS - 1), max_size=6))
-    def test_index_equals_status_scan(self, ops, tids):
-        rows = [
-            tuple(f"v{(tid * 7 + attr) % 4}" for attr in range(N_ATTRS)) for tid in range(N_ROWS)
-        ]
-        store = build_store(rows, [f"a{attr}" for attr in range(N_ATTRS)])
-        for op, arg in ops:
-            if op == "mark":
-                store.mark_dirty(arg)
-            elif op == "repair":
-                dirty = scanned_dirty(store)
-                picked = sorted({dirty[i % len(dirty)] for i in arg}) if dirty else []
-                values = [1 + cell.tid % (store.interner.size(cell.attr) - 1) for cell in picked]
-                store.apply_repairs(zip(picked, values))
-            elif op == "reset":
-                expected = len(scanned_dirty(store))
-                assert store.reset_dirty() == expected
-            else:
-                store = RelationStore.from_dict(store.to_dict())
-            check_dirty_index(store, tids)
-
-
+N_ATTRS = 3
 VOCAB = (None, "a", "b", "c", "d")
 store_operations = st.lists(
     st.one_of(
@@ -407,14 +377,13 @@ def check_same_store(store, oracle):
             assert store.original_value(tid, attr) == oracle.original_value(tid, attr)
             assert store.status(tid, attr) is oracle.status(tid, attr)
             assert store.canonical(tid, attr) == oracle.canonical(tid, attr)
-    assert store.dirty_cells() == oracle.dirty_cells()
-    assert store.dirty_cells(range(0, oracle.n_tuples, 2)) == oracle.dirty_cells(
-        range(0, oracle.n_tuples, 2)
-    )
+    assert store.dirty_cells().tolist() == cell_rows(oracle.dirty_cells()).tolist()
+    evens = range(0, oracle.n_tuples, 2)
+    assert store.dirty_cells(evens).tolist() == cell_rows(oracle.dirty_cells(evens)).tolist()
+    scope = [*range(oracle.n_tuples - 1, -1, -3)] * 2  # descending, with repeats
     for attr in range(N_ATTRS):
-        assert store.trainable_tids(attr) == oracle.trainable_tids(attr)
-        ranks = range(0, store.trainable_count(attr), 2)
-        assert store.trainable_at(attr, ranks) == oracle.trainable_at(attr, ranks)
+        assert store.trainable_tids(attr).tolist() == oracle.trainable_tids(attr)
+        assert store.trainable_tids(attr, scope).tolist() == oracle.trainable_tids(attr, scope)
     assert store.to_dict() == oracle.to_dict()
 
 
@@ -430,7 +399,7 @@ class TestMatchesListOracle:
                 assert store.append_batch(raw) == oracle.append_batch(raw)
             elif op == "mark" and oracle.n_tuples:
                 picked = [CellRef(tid % oracle.n_tuples, attr) for tid, attr in arg]
-                assert store.mark_dirty(picked) == oracle.mark_dirty(picked)
+                assert store.mark_dirty(cell_rows(picked)) == oracle.mark_dirty(picked)
             elif op == "repair":
                 dirty = oracle.dirty_cells()
                 picked = {dirty[i % len(dirty)]: pick for i, pick in arg} if dirty else {}
@@ -438,7 +407,7 @@ class TestMatchesListOracle:
                     (cell, pick % oracle.interner.size(cell.attr) if pick else oracle.value(*cell))
                     for cell, pick in picked.items()
                 ]
-                assert store.apply_repairs(repairs) == oracle.apply_repairs(repairs)
+                assert store.apply_repairs(cell_rows(repairs)) == oracle.apply_repairs(repairs)
             elif op == "reset":
                 assert store.reset_dirty() == oracle.reset_dirty()
             elif op == "reflag":
@@ -449,7 +418,7 @@ class TestMatchesListOracle:
                     if oracle.status(tid, attr) is CellStatus.REPAIRED
                 ]
                 picked = [repaired[i % len(repaired)] for i in arg] if repaired else []
-                assert store.mark_dirty(picked) == oracle.mark_dirty(picked)
+                assert store.mark_dirty(cell_rows(picked)) == oracle.mark_dirty(picked)
             elif op == "round_trip":
                 store = RelationStore.from_dict(store.to_dict())
             check_same_store(store, oracle)

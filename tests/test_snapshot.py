@@ -23,15 +23,15 @@ from increpair.relation import (
 )
 from increpair.snapshot import load_run, load_store, save_run, save_store
 
-from conftest import failing_writes, original_canonical
+from conftest import cell_rows, failing_writes, original_canonical
 
 
 def seeded_store():
     store = RelationStore(Schema(("a", "b")))
     store.append_batch(RawBatch(1, (("x", "y"), ("x", None), ("z", "y"))))
-    store.mark_dirty([CellRef(1, 1)])
+    store.mark_dirty(cell_rows([CellRef(1, 1)]))
     fixed = store.interner.intern(1, "y")
-    store.apply_repairs([(CellRef(1, 1), fixed)])
+    store.apply_repairs(cell_rows([(CellRef(1, 1), fixed)]))
     return store
 
 
