@@ -8,11 +8,14 @@ hashes its per-batch metric lines followed by the repaired CSV (sha256).  The
 grid is seeds 1-2 x {hc-sep, hc-acc, ihc+ikl, ihc+wkl, ihc-re+ikl, ihc-re+none}
 x {perfect, null, null+dc}, without hc-sep under null+dc (34 runs), all run
 once at the default domain cap and once more at `--domain-cap 3`, where the
-cap cuts domains.  The data is 700x5 `fd_rows` from bench/workloads.py with
-3 % injected errors, split into 7 batches, with ground truth attached.
+cap cuts domains.  A second rule set (a one-tuple rule, a rule with two
+cross-tuple NEQs and a rule with no EQ key) runs under null+dc for the five
+strategies that take dc, on both seeds (10 runs).  The data is 700x5
+`fd_rows` from bench/workloads.py with 3 % injected errors, split into 7
+batches, with ground truth attached.
 
 A change that must keep the engine's outputs byte for byte passes `--check`
-against digests taken before it.  Not collected by pytest: it runs 68
+against digests taken before it.  Not collected by pytest: it runs 78
 streams.
 """
 
@@ -50,6 +53,12 @@ STRATEGIES = {
 DETECTORS = ("perfect", "null", "null,dc")
 DOMAIN_CAPS = (None, 3)
 RULES = "EQ(t1.c0,t2.c0) & NEQ(t1.c1,t2.c1)\nEQ(t1.c2,t2.c2) & NEQ(t1.c3,t2.c4)\n"
+# labelled "rules2/..."; the first rule reads one tuple, the third has no EQ key
+RULES2 = (
+    'EQ(t1.c2,"a2v8") & NEQ(t1.c3,"a3v11")\n'
+    "EQ(t1.c0,t2.c0) & NEQ(t1.c1,t2.c1) & NEQ(t1.c2,t2.c3)\n"
+    'EQ(t1.c0,"k3") & EQ(t2.c0,"k3") & NEQ(t1.c1,t2.c1)\n'
+)
 N_ROWS, N_ATTRS, N_PROTOS, VOCAB, N_KEYS = 700, 5, 60, 25, 50
 ERROR_RATE = 0.03
 BATCHES = 7
@@ -65,7 +74,12 @@ def configurations():
                     label = f"seed{seed}/{name}/{detectors}"
                     if cap is not None:
                         label += f"/cap{cap}"
-                    yield label, seed, kind, skip, detectors, cap
+                    yield label, "rules.dc", seed, kind, skip, detectors, cap
+    for seed in SEEDS:
+        for name, (kind, skip) in STRATEGIES.items():
+            if kind != "hc-sep":
+                label = f"rules2/seed{seed}/{name}/null,dc"
+                yield label, "rules2.dc", seed, kind, skip, "null,dc", None
 
 
 def write_csv(path: Path, rows) -> None:
@@ -82,13 +96,15 @@ def write_inputs(workdir: Path, seed: int) -> None:
     write_csv(workdir / f"dirty{seed}.csv", dirty)
 
 
-def digest(workdir: Path, seed: int, kind: str, skip: str, detectors: str, cap) -> str:
+def digest(
+    workdir: Path, rules: str, seed: int, kind: str, skip: str, detectors: str, cap
+) -> str:
     out, metrics = workdir / "out.csv", workdir / "metrics.jsonl"
     argv = [
         "clean",
         "--input", str(workdir / f"dirty{seed}.csv"),
         "--ground-truth", str(workdir / f"truth{seed}.csv"),
-        "--dcs", str(workdir / "rules.dc"),
+        "--dcs", str(workdir / rules),
         "--strategy", kind,
         "--skip", skip,
         "--detectors", detectors,
@@ -110,11 +126,12 @@ def compute() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / "rules.dc").write_text(RULES, encoding="utf-8")
+        (workdir / "rules2.dc").write_text(RULES2, encoding="utf-8")
         for seed in SEEDS:
             write_inputs(workdir, seed)
         return {
-            label: digest(workdir, seed, kind, skip, detectors, cap)
-            for label, seed, kind, skip, detectors, cap in configurations()
+            label: digest(workdir, *config)
+            for label, *config in configurations()
         }
 
 
