@@ -1,6 +1,6 @@
 """Denial constraints: a small conjunction language of EQ/NEQ predicates over
-one or two tuples, plus an evaluator that finds the cells of the inspected
-tuples that take part in a violation.
+one or two tuples, plus one counting pass over the value-id columns that
+finds the cells of the inspected tuples that take part in a violation.
 
 A constraint is violated when ALL of its predicates hold simultaneously for
 some tuple (single-tuple constraints) or some tuple pair.  Null cells never
@@ -10,11 +10,12 @@ satisfy is EQ against a constant that is itself a configured null token.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -67,45 +68,21 @@ class DenialConstraint:
         return tuple(sorted(attrs[T1])), tuple(sorted(attrs[T2]))
 
     @cached_property
-    def join_keys(self) -> tuple[tuple[int, int], ...]:
-        """(t1 attr, t2 attr) pairs from cross-tuple EQ predicates, for hash joining."""
-        keys = []
-        for pred in self.predicates:
-            if (
-                pred.op == "EQ"
-                and isinstance(pred.rhs, TupleRef)
-                and pred.lhs.var != pred.rhs.var
-            ):
-                first, second = pred.lhs, pred.rhs
-                if first.var == T2:
-                    first, second = second, first
-                keys.append((first.attr, second.attr))
-        return tuple(sorted(set(keys)))
+    def symmetric(self) -> bool:
+        """Whether the rule reads the same with t1 and t2 swapped, so that a
+        tuple plays t1 in a violating pair exactly when it plays t2 in one."""
 
-    @cached_property
-    def fd_shape(self) -> tuple[tuple[int, ...], int] | None:
-        """(key attrs, right-hand attr) when the rule is the FD `keys -> rhs`.
+        def terms(swap: bool) -> set:
+            return {
+                (pred.op, frozenset(_swapped(ref) if swap else ref for ref in (pred.lhs, pred.rhs)))
+                for pred in self.predicates
+            }
 
-        That is: every predicate compares t1.a with t2.a on one attribute a,
-        at least one is EQ, exactly one is NEQ, and the NEQ attribute is not a
-        key.  Any other rule gives None.
-        """
-        keys: set[int] = set()
-        rhs: list[int] = []
-        for pred in self.predicates:
-            if not (
-                isinstance(pred.rhs, TupleRef)
-                and pred.lhs.var != pred.rhs.var
-                and pred.lhs.attr == pred.rhs.attr
-            ):
-                return None
-            if pred.op == "EQ":
-                keys.add(pred.lhs.attr)
-            else:
-                rhs.append(pred.lhs.attr)
-        if not keys or len(rhs) != 1 or rhs[0] in keys:
-            return None
-        return tuple(sorted(keys)), rhs[0]
+        return terms(False) == terms(True)
+
+
+def _swapped(ref: TupleRef | Const) -> TupleRef | Const:
+    return TupleRef(T1 + T2 - ref.var, ref.attr) if isinstance(ref, TupleRef) else ref
 
 
 class _Scanner:
@@ -201,8 +178,14 @@ def parse_dc(line: str, schema: Schema, dc_id: str = "dc", lineno: int | None = 
     return dc
 
 
+# a line up to its first `#` outside a quoted constant; constants have no
+# escapes, and an unterminated one runs to the end for the parser to report
+_CODE = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
+
+
 def parse_dc_file(path, schema: Schema) -> list[DenialConstraint]:
-    """Read constraints one per line; `#` starts a comment, blank lines are skipped."""
+    """Read constraints one per line; `#` outside a quoted constant starts a
+    comment, blank lines are skipped."""
     constraints: list[DenialConstraint] = []
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
@@ -211,139 +194,12 @@ def parse_dc_file(path, schema: Schema) -> list[DenialConstraint]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"constraint file {path} is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE.match(raw).group().strip()
         if not line:
             continue
         dc_id = f"dc_{len(constraints) + 1}"
         constraints.append(parse_dc(line, schema, dc_id=dc_id, lineno=lineno))
     return constraints
-
-
-def _eval_predicate(
-    pred: Predicate,
-    row1: Sequence[int],
-    row2: Sequence[int] | None,
-    store: RelationStore,
-) -> bool:
-    lhs_row = row1 if pred.lhs.var == T1 else row2
-    lv = lhs_row[pred.lhs.attr]
-    if isinstance(pred.rhs, Const):
-        if lv == NULL_ID:
-            # a null cell only ever matches EQ against a null-token constant
-            return pred.op == "EQ" and pred.rhs.text in store.null_tokens
-        equal = store.interner.resolve(pred.lhs.attr, lv) == pred.rhs.text
-    else:
-        rhs_row = row1 if pred.rhs.var == T1 else row2
-        rv = rhs_row[pred.rhs.attr]
-        if lv == NULL_ID or rv == NULL_ID:
-            return False
-        if pred.lhs.attr == pred.rhs.attr:
-            equal = lv == rv
-        else:
-            equal = store.interner.resolve(pred.lhs.attr, lv) == store.interner.resolve(
-                pred.rhs.attr, rv
-            )
-    return equal if pred.op == "EQ" else not equal
-
-
-def _satisfies(
-    dc: DenialConstraint, store: RelationStore, t1: int, t2: int | None, rows=None
-) -> bool:
-    """Whether tuple t1 (and t2, for a pair rule) satisfy every predicate.
-    `rows` maps tids to rows already read out of the store, if given."""
-    read = store.tuple_values if rows is None else rows.__getitem__
-    row1, row2 = read(t1), None if t2 is None else read(t2)
-    return all(_eval_predicate(pred, row1, row2, store) for pred in dc.predicates)
-
-
-def _cells(dc: DenialConstraint, role: int, tids) -> np.ndarray:
-    """The cells `dc` reads through `role` in each of the ascending `tids`, as
-    (tid, attr) rows in (tid, attr) order."""
-    attrs = dc.var_attrs[role]
-    tids = np.asarray(tids, dtype=np.int64)
-    return np.stack([np.repeat(tids, len(attrs)), np.tile(attrs, len(tids))], axis=1)
-
-
-def _fd_violations(
-    dc: DenialConstraint,
-    store: RelationStore,
-    probe_tids: np.ndarray,
-    reference_tids: np.ndarray,
-) -> np.ndarray:
-    """`violations` for an FD-shaped rule, over the value-id columns.
-
-    A null key or right-hand cell takes no part, as in the pairwise path.  The
-    distinct (key, right-hand value) rows give each key's number of right-hand
-    values.  A probe tuple whose key holds two or more has a partner with
-    another value, and the rule is symmetric in t1 and t2, so its cells are
-    flagged.
-    """
-    keys, rhs = dc.fd_shape
-    tids = np.concatenate([probe_tids, reference_tids])
-    rows = store.values[tids[:, None], [*keys, rhs]]
-    live = (rows != NULL_ID).all(axis=1)
-    is_probe = (np.arange(len(tids)) < len(probe_tids))[live]
-    tids, rows = tids[live], rows[live]
-    # number the distinct keys, and find one row per distinct (key, right-hand value)
-    key = np.unique(_whole_rows(rows[:, :-1]), return_inverse=True)[1]
-    first = np.unique(_whole_rows(rows), return_index=True)[1]
-    rhs_values = np.bincount(key[first])
-    return _cells(dc, T1, tids[is_probe & (rhs_values[key] > 1)])
-
-
-def _whole_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one opaque value, so rows compare whole."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-
-
-def _pair_violations(
-    dc: DenialConstraint,
-    store: RelationStore,
-    probe_tids: list[int],
-    reference_tids: list[int],
-) -> np.ndarray:
-    """`violations` for any other pair rule: a hash join on the cross-tuple EQ keys.
-
-    Every tuple is bucketed by its key in the t1 role and in the t2 role; a
-    rule without such a key puts every tuple in one bucket under the empty
-    key.  A tuple with a null key cell joins nothing.
-    """
-    keys = dc.join_keys
-    t1_attrs = [first for first, _ in keys]
-    t2_attrs = [second for _, second in keys]
-    # value ids are interned per attribute, so a key joining two different
-    # attributes compares strings
-    cross = [first != second for first, second in keys]
-
-    rows = store.values.tolist()
-
-    def key_of(tid: int, attrs: list[int]) -> tuple[int | str, ...] | None:
-        row = rows[tid]
-        values = tuple(row[attr] for attr in attrs)
-        if NULL_ID in values:
-            return None
-        return tuple(
-            store.interner.resolve(attr, vid) if by_string else vid
-            for attr, vid, by_string in zip(attrs, values, cross)
-        )
-
-    by_t1: defaultdict[tuple[int | str, ...], list[int]] = defaultdict(list)
-    by_t2: defaultdict[tuple[int | str, ...], list[int]] = defaultdict(list)
-    for tid in probe_tids + reference_tids:
-        for attrs, buckets in ((t1_attrs, by_t1), (t2_attrs, by_t2)):
-            key = key_of(tid, attrs)
-            if key is not None:
-                buckets[key].append(tid)
-    as_t1, as_t2 = [], []
-    for tid in probe_tids:
-        partners = by_t2.get(key_of(tid, t1_attrs), ())
-        if any(u != tid and _satisfies(dc, store, tid, u, rows) for u in partners):
-            as_t1.append(tid)
-        partners = by_t1.get(key_of(tid, t2_attrs), ())
-        if any(u != tid and _satisfies(dc, store, u, tid, rows) for u in partners):
-            as_t2.append(tid)
-    return union_cells([_cells(dc, T1, as_t1), _cells(dc, T2, as_t2)], store.n_attrs)
 
 
 def violations(
@@ -361,23 +217,149 @@ def violations(
     has its t2 cells flagged.  The partner may come from `probe` or
     `reference`; a reference tuple's own cells are never flagged.
 
-    An FD-shaped rule (see `DenialConstraint.fd_shape`) counts each key's
-    distinct right-hand values with `np.unique` over the value-id columns of
-    the probe and reference tuples.  Every other rule takes the pairwise
-    search: it buckets the tuples by the rule's cross-tuple EQ keys and tests
-    each probe tuple against the partners in its buckets, stopping at the
-    first violating one in each role.  A probe tuple without a violating
-    partner is tested against its whole bucket.
+    Everything is read off the value-id columns of the probe and reference
+    rows.  Each predicate that reads one tuple becomes a boolean column (see
+    `_eligible`).  A probe tuple plays t1 in a violation when it is eligible
+    as t1 and some other tuple, eligible as t2, equals it on every
+    cross-tuple EQ and differs on every cross-tuple NEQ; `_partners` counts
+    those partners without listing a pair.  The t2 role is the same count
+    with the roles swapped, and a symmetric rule skips it.
     """
     probe_tids = _tids(store, probe)
     if dc.arity == 1:
-        rows = dict(zip(probe_tids.tolist(), store.values[probe_tids].tolist()))
-        return _cells(dc, T1, [tid for tid in rows if _satisfies(dc, store, tid, None, rows)])
+        return _cells(dc, T1, probe_tids[_eligible(dc, store, T1, probe_tids)])
 
     reference_tids = np.setdiff1d(_tids(store, reference), probe_tids, assume_unique=True)
-    if dc.fd_shape is not None:
-        return _fd_violations(dc, store, probe_tids, reference_tids)
-    return _pair_violations(dc, store, probe_tids.tolist(), reference_tids.tolist())
+    tids = np.concatenate([probe_tids, reference_tids])
+    eq, neq = _cross_pairs(dc)
+    # each cross-tuple comparison (a, b) as the t1 column a and the t2
+    # column b, both in attribute a's id space
+    columns = (
+        [store.values[tids, a] for a, _ in eq + neq],
+        [_ids_of(store, store.values[tids, b], b, a) for a, b in eq + neq],
+    )
+    eligible = [_eligible(dc, store, var, tids) for var in (T1, T2)]
+    # a tuple that would violate the rule with itself as the partner
+    with_itself = eligible[T1] & eligible[T2]
+    for index, (first, second) in enumerate(zip(*columns)):
+        with_itself &= (first == second) if index < len(eq) else (first != second)
+    is_probe = np.arange(len(tids)) < len(probe_tids)
+    flagged = []
+    for role in (T1,) if dc.symmetric else (T1, T2):
+        other = T1 + T2 - role
+        mine = eligible[role] & is_probe
+        count = _partners(columns[role], columns[other], mine, eligible[other], len(eq))
+        hit = count - with_itself[mine] > 0
+        flagged.append(_cells(dc, role, tids[mine][hit]))
+    return union_cells(flagged, store.n_attrs)
+
+
+def _cross_pairs(dc: DenialConstraint) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The distinct (t1 attr, t2 attr) pairs that the rule's cross-tuple EQ
+    and NEQ predicates compare."""
+    found: dict[str, set[tuple[int, int]]] = {"EQ": set(), "NEQ": set()}
+    for pred in dc.predicates:
+        if isinstance(pred.rhs, TupleRef) and pred.lhs.var != pred.rhs.var:
+            first, second = (pred.lhs, pred.rhs) if pred.lhs.var == T1 else (pred.rhs, pred.lhs)
+            found[pred.op].add((first.attr, second.attr))
+    return sorted(found["EQ"]), sorted(found["NEQ"])
+
+
+def _ids_of(store: RelationStore, column: np.ndarray, attr: int, onto: int) -> np.ndarray:
+    """A column of `attr`'s value ids as the ids `onto` gives the same strings.
+
+    Ids are issued per attribute, so comparing two attributes compares
+    strings.  A string `onto` never issued becomes -1, which equals no cell's
+    id; null stays null.  The lookup is made at every call, because a later
+    batch may intern the string in `onto`."""
+    if attr == onto:
+        return column
+    strings = store.interner.observed_strings(attr)
+    ids = np.array([NULL_ID, *store.interner.lookup_column(onto, strings)], dtype=np.int64)
+    return ids[column]
+
+
+def _eligible(dc: DenialConstraint, store: RelationStore, var: int, tids: np.ndarray) -> np.ndarray:
+    """Which tuples `tids` may play `var`: every predicate that reads only
+    `var` holds, and no cell `var` compares with the other tuple is null."""
+    eligible = np.ones(len(tids), dtype=bool)
+    for pred in dc.predicates:
+        if isinstance(pred.rhs, TupleRef) and pred.lhs.var != pred.rhs.var:
+            # a null cell never satisfies a comparison with the other tuple
+            ref = pred.lhs if pred.lhs.var == var else pred.rhs
+            eligible &= store.values[tids, ref.attr] != NULL_ID
+        elif pred.lhs.var == var:
+            eligible &= _holds(pred, store, tids)
+    return eligible
+
+
+def _holds(pred: Predicate, store: RelationStore, tids: np.ndarray) -> np.ndarray:
+    """Whether a predicate over one tuple holds in each of the tuples `tids`."""
+    left = store.values[tids, pred.lhs.attr]
+    if isinstance(pred.rhs, Const):
+        vid = store.interner.lookup(pred.lhs.attr, pred.rhs.text)
+        holds = (left == (-1 if vid is None else vid)) == (pred.op == "EQ")
+        # a null cell only ever matches EQ against a null-token constant
+        null_holds = pred.op == "EQ" and pred.rhs.text in store.null_tokens
+        return np.where(left == NULL_ID, null_holds, holds)
+    right_attr = pred.rhs.attr
+    right = _ids_of(store, store.values[tids, right_attr], right_attr, pred.lhs.attr)
+    holds = (left == right) == (pred.op == "EQ")
+    return holds & (left != NULL_ID) & (right != NULL_ID)
+
+
+def _partners(
+    own: list[np.ndarray],
+    partner: list[np.ndarray],
+    mine: np.ndarray,
+    theirs: np.ndarray,
+    n_eq: int,
+) -> np.ndarray:
+    """For each row where `mine` holds, the number of rows where `theirs`
+    holds whose `partner` columns equal its `own` columns in the first `n_eq`
+    places and differ from them in every other.
+
+    Counting the rows that are equal in the first `n_eq` places plus a
+    subset S of the others is one grouping of both sides together.  By
+    inclusion and exclusion, the rows that differ in all k others number the
+    sum of those counts over every S, signed by (-1)^|S|: 2^k groupings."""
+    n_mine = int(np.count_nonzero(mine))
+    n = n_mine + int(np.count_nonzero(theirs))
+    both = [np.concatenate([ours[mine], them[theirs]]) for ours, them in zip(own, partner)]
+    keyed = _group(both[:n_eq], n)
+    count = np.zeros(n_mine, dtype=np.int64)
+    for size in range(len(both) - n_eq + 1):
+        for subset in combinations(both[n_eq:], size):
+            group = _group([keyed, *subset], n) if subset else keyed
+            matches = np.bincount(group[n_mine:], minlength=int(group.max(initial=0)) + 1)
+            count += (-1) ** size * matches[group[:n_mine]]
+    return count
+
+
+def _group(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Ids for the rows of `n`-long columns of ids of -1 or more: equal rows
+    get equal ids, all below 4n.  The columns are packed into one int64 key,
+    renumbered densely only when its range exceeds 4n: up to there, a
+    `bincount` over the range costs less than the sort of `np.unique`."""
+    ids, span = np.zeros(n, dtype=np.int64), 1
+    for column in columns:
+        radix = int(column.max(initial=-1)) + 2
+        if span * radix >= 2**63:
+            # renumber first, so the packed key stays within int64
+            ids, span = np.unique(ids, return_inverse=True)[1], n
+        ids *= radix
+        ids += column
+        ids += 1
+        span *= radix
+    return ids if span <= 4 * n else np.unique(ids, return_inverse=True)[1]
+
+
+def _cells(dc: DenialConstraint, role: int, tids) -> np.ndarray:
+    """The cells `dc` reads through `role` in each of the ascending `tids`, as
+    (tid, attr) rows in (tid, attr) order."""
+    attrs = dc.var_attrs[role]
+    tids = np.asarray(tids, dtype=np.int64)
+    return np.stack([np.repeat(tids, len(attrs)), np.tile(attrs, len(tids))], axis=1)
 
 
 def _tids(store: RelationStore, tids: Iterable[int]) -> np.ndarray:

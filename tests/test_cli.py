@@ -633,7 +633,7 @@ class TestResumeFuzz:
 # reach the engine; one in four is then broken at a random place by a stray
 # token, or ends in bytes that are not UTF-8.
 CSV_FIELDS = ["", " ", "x", "y", "z", "NULL", "empty", "é", '"a,b"', '"q""q"', '"two\nlines"']
-DC_REFS = ["t1.a", "t2.a", "t1.b", "t2.b", "t1.c", "t2.c", '"x"', '"k0"', '""']
+DC_REFS = ["t1.a", "t2.a", "t1.b", "t2.b", "t1.c", "t2.c", '"x"', '"k0"', '""', '"x#1"', '"#"']
 NOISE = [",", '"', "(", ")", "&", "#", ".", "t3", "zz", "LT", "\x00", "\r", "\n", " "]
 
 
@@ -660,8 +660,8 @@ def csv_files(draw):
 @st.composite
 def constraint_files(draw):
     """1-3 rules of 1-3 EQ/NEQ predicates, each comparing an attribute a, b or
-    c of either tuple with another or with a constant, with blank and comment
-    lines among them."""
+    c of either tuple with another or with a constant (some holding `#`), with
+    blank and comment lines among them."""
     lines = []
     for _ in range(draw(st.integers(1, 3))):
         predicates = [

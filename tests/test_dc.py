@@ -6,29 +6,20 @@ tuples' cells in those groups, so every check goes through `probe_cells`.
 
 from __future__ import annotations
 
-import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from increpair import dc as dc_module
-from increpair.dc import (
-    Const,
-    DenialConstraint,
-    Predicate,
-    TupleRef,
-    parse_dc,
-    parse_dc_file,
-    violations,
-    _satisfies,
-)
+from increpair.dc import Const, TupleRef, _group, parse_dc, parse_dc_file, violations
 from increpair.detectors import DetectionScope, detect_dc
 from increpair.errors import DataError, ParseError
-from increpair.relation import CellRef, Schema
+from increpair.relation import CellRef, RawBatch, Schema
 
 from conftest import build_store, cell_rows
+from dc_oracle import brute_force, probe_cells
 
 SCHEMA = Schema(("hospital_name", "zip_code", "facility_type"))
 
@@ -42,7 +33,6 @@ class TestParsing:
         assert dc.predicates[0].lhs == TupleRef(0, 0)
         assert dc.predicates[0].rhs == TupleRef(1, 0)
         assert dc.var_attrs == ((0, 1), (0, 1))
-        assert dc.join_keys == ((0, 0),)
 
     def test_single_tuple_constraint_with_constant(self):
         dc = parse_dc('EQ(t1.facility_type,"empty")', SCHEMA)
@@ -104,6 +94,16 @@ class TestParseFile:
         assert [dc.dc_id for dc in dcs] == ["dc_1", "dc_2"]
         assert [dc.arity for dc in dcs] == [1, 2]
 
+    def test_hash_inside_a_constant_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text(
+            'EQ(t1.hospital_name,"x#1") & EQ(t1.zip_code,"y")\n'
+            'EQ(t1.facility_type,"#") & NEQ(t1.zip_code,"a#b")  # trailing "#" comment\n'
+        )
+        first, second = parse_dc_file(path, SCHEMA)
+        assert [pred.rhs for pred in first.predicates] == [Const("x#1"), Const("y")]
+        assert [pred.rhs for pred in second.predicates] == [Const("#"), Const("a#b")]
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("# fine\nEQ(t1.bogus,t2.bogus)\n")
@@ -113,33 +113,6 @@ class TestParseFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_dc_file(tmp_path / "absent.txt", SCHEMA)
-
-
-def brute_force(dc: DenialConstraint, store, probe, reference=()):
-    """O(n^2) oracle: try every ordered pair touching the probe set."""
-    probe = sorted(set(probe))
-    pool = sorted(set(probe) | set(reference))
-    groups = set()
-    if dc.arity == 1:
-        for tid in probe:
-            if _satisfies(dc, store, tid, None):
-                groups.add(frozenset(CellRef(tid, a) for a in dc.var_attrs[0]))
-        return groups
-    for t, u in itertools.permutations(pool, 2):
-        if t not in probe and u not in probe:
-            continue
-        if _satisfies(dc, store, t, u):
-            cells = {CellRef(t, a) for a in dc.var_attrs[0]}
-            cells.update(CellRef(u, a) for a in dc.var_attrs[1])
-            groups.add(frozenset(cells))
-    return groups
-
-
-def probe_cells(groups, probe):
-    """The cells of the oracle's groups that belong to probe tuples, as the
-    (tid, attr) rows `violations` lists."""
-    probe = set(probe)
-    return cell_rows({cell for group in groups for cell in group if cell.tid in probe}).tolist()
 
 
 FIXTURE_ROWS = [
@@ -245,6 +218,8 @@ class TestRandomizedOracle:
             parse_dc('EQ(t1.r,"v0")&NEQ(t1.q,t2.q)', schema),
             parse_dc('NEQ(t1.p,t2.q)', schema),
             parse_dc('EQ(t1.q,"v1")', schema),
+            # four cross-tuple NEQs: 16 inclusion-exclusion terms
+            parse_dc("NEQ(t1.p,t2.q)&NEQ(t1.q,t2.r)&NEQ(t1.r,t2.p)&NEQ(t1.q,t2.q)", schema),
         ]
         for trial in range(40):
             n = rng.randint(2, 24)
@@ -299,12 +274,13 @@ def fd_rules(draw):
 
 @st.composite
 def general_rules(draw):
-    """Any rule: cross-attribute keys, constants, one-tuple predicates, no key, many NEQs."""
+    """Any rule: cross-attribute keys, constants, one-tuple predicates, no key,
+    up to four cross-tuple NEQs."""
     ref = st.tuples(st.sampled_from(("t1", "t2")), st.sampled_from(FD_SCHEMA.attributes))
     # "" is a null token, so EQ against it matches null cells
     const = st.sampled_from(("v0", "v1", ""))
     predicates = []
-    for index in range(draw(st.integers(1, 3))):
+    for index in range(draw(st.integers(1, 4))):
         var, attr = draw(ref)
         if index == 0:
             var = "t1"  # a rule must reference t1
@@ -372,7 +348,7 @@ class TestFdPass:
     @settings(max_examples=300, deadline=None)
     @given(dc_cases(fd_rules()))
     def test_matches_pairwise_oracle(self, case):
-        assert check_against_oracle(case).fd_shape is not None
+        check_against_oracle(case)
 
     @pytest.mark.parametrize(
         "text, shape",
@@ -390,8 +366,10 @@ class TestFdPass:
         ],
     )
     def test_fd_shape_classification(self, text, shape):
+        """The oracle agrees on rules that state an FD `keys -> rhs` (`shape`)
+        and on near misses (None); an FD flags the keys and right-hand cell of
+        each probe tuple whose non-null key meets two right-hand values."""
         dc = parse_dc(text, FD_SCHEMA)
-        assert dc.fd_shape == shape
         rng = random.Random(text)
         for trial in range(30):
             n = rng.randint(2, 20)
@@ -403,42 +381,86 @@ class TestFdPass:
             got = violations(dc, store, probe, reference).tolist()
             want = probe_cells(brute_force(dc, store, probe, reference), probe)
             assert got == want, (trial, rows, roles)
+            if shape is not None:
+                assert got == fd_cells(rows, probe, reference, *shape), (trial, rows, roles)
 
-    def test_single_bucket_never_evaluates_pairs(self, monkeypatch):
-        rows = [("k", f"v{tid % 5}", "x", "y") for tid in range(200)]
+
+def fd_cells(rows, probe, reference, keys, rhs):
+    """The cells an FD `keys -> rhs` flags in `probe`, from each key's set of
+    right-hand values over the probe and reference rows without nulls."""
+    key = {tid: tuple(rows[tid][a] for a in keys) for tid in {*probe, *reference}}
+    live = {tid for tid in key if None not in (*key[tid], rows[tid][rhs])}
+    values = {}
+    for tid in live:
+        values.setdefault(key[tid], set()).add(rows[tid][rhs])
+    flagged = [tid for tid in sorted(live & set(probe)) if len(values[key[tid]]) > 1]
+    return [[tid, attr] for tid in flagged for attr in sorted({*keys, rhs})]
+
+
+class TestCountingCases:
+    """Fixed cases for the partner count: strings one attribute never issued,
+    duplicate NEQs, and rules whose two roles differ."""
+
+    def test_partner_string_never_interned_in_the_other_attribute(self):
+        # "w" never appears under p and "z" never under r: EQ(t1.p, t2.q)
+        # cannot hold for t2 = 1, NEQ(t1.r, t2.s) holds for t2 = 0
+        dc = parse_dc("EQ(t1.p,t2.q)&NEQ(t1.r,t2.s)", FD_SCHEMA)
+        store = build_store([("k", "k", "a", "z"), ("k", "w", "a", "a")], FD_SCHEMA.attributes)
+        assert not dc.symmetric
+        # tuple 1 plays t1 (p, r) against tuple 0 as t2 (q, s), and no other pair violates
+        assert violations(dc, store, [0], [1]).tolist() == [[0, 1], [0, 3]]
+        assert violations(dc, store, [1], [0]).tolist() == [[1, 0], [1, 2]]
+        # a later batch issues "w" under p, so tuple 1 now matches as t2
+        store.append_batch(RawBatch(2, (("w", "x", "b", "b"),)))
+        for probe in ([0], [1], [2], [0, 1, 2]):
+            reference = sorted({0, 1, 2} - set(probe))
+            want = probe_cells(brute_force(dc, store, probe, reference), probe)
+            assert violations(dc, store, probe, reference).tolist() == want
+        assert violations(dc, store, [1], [0, 2]).tolist() == [[1, 0], [1, 1], [1, 2], [1, 3]]
+
+    def test_one_neq_listed_twice_in_both_orientations(self):
+        once = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
+        twice = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)&NEQ(t2.r,t1.q)", FD_SCHEMA)
+        same_attr = parse_dc("NEQ(t1.q,t2.q)&EQ(t1.p,t2.p)&NEQ(t2.q,t1.q)", FD_SCHEMA)
+        rng = random.Random(11)
+        rows = [tuple(rng.choice(FD_VALUES[:4]) for _ in range(4)) for _ in range(25)]
         store = build_store(rows, FD_SCHEMA.attributes)
-        fd = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)", FD_SCHEMA)
-        general = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
-        want = probe_cells(brute_force(fd, store, range(200)), range(200))
-        calls = []
+        probe, reference = range(0, 25, 2), range(1, 25, 2)
+        assert violations(twice, store, probe, reference).tolist() == violations(
+            once, store, probe, reference
+        ).tolist()
+        for dc in (twice, same_attr):
+            want = probe_cells(brute_force(dc, store, probe, reference), probe)
+            assert violations(dc, store, probe, reference).tolist() == want
 
-        def counting(*args):
-            calls.append(args)
-            return _satisfies(*args)
+    def test_asymmetric_rule_flags_each_role_its_own_cells(self):
+        # t1 reads (p, q, r) and t2 reads (p, s); only (t1 = 0, t2 = 1) violates
+        dc = parse_dc('EQ(t1.p,t2.p)&EQ(t1.q,"v1")&NEQ(t1.r,t2.s)', FD_SCHEMA)
+        store = build_store([("k", "v1", "a", "b"), ("k", "v2", "c", "c")], FD_SCHEMA.attributes)
+        assert not dc.symmetric
+        assert violations(dc, store, [0, 1]).tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 3]]
+        assert violations(dc, store, [1], [0]).tolist() == [[1, 0], [1, 3]]
+        want = probe_cells(brute_force(dc, store, [0, 1]), [0, 1])
+        assert violations(dc, store, [0, 1]).tolist() == want
 
-        monkeypatch.setattr(dc_module, "_satisfies", counting)
-        assert violations(fd, store, range(200)).tolist() == want
-        assert len(want) == 200 * 2  # every tuple's p and q cells
-        assert calls == []
-        violations(general, store, range(200))
-        assert calls  # the wrapper does see the pairwise path
+    @pytest.mark.parametrize(
+        "text, symmetric",
+        [
+            ("EQ(t1.p,t2.p)&NEQ(t1.q,t2.q)", True),
+            ("NEQ(t2.q,t1.q)&EQ(t2.p,t1.p)", True),
+            ('EQ(t1.p,"v0")&EQ(t2.p,"v0")&NEQ(t1.q,t2.q)', True),
+            ("EQ(t1.p,t2.q)&EQ(t1.q,t2.p)", True),
+            ("EQ(t1.p,t2.q)", False),
+            ('EQ(t1.p,"v0")&NEQ(t1.q,t2.q)', False),
+            ("EQ(t1.p,t2.p)&NEQ(t1.q,t1.r)", False),
+        ],
+    )
+    def test_symmetry(self, text, symmetric):
+        assert parse_dc(text, FD_SCHEMA).symmetric is symmetric
 
-
-def test_pairwise_search_stops_at_first_violation(monkeypatch):
-    # one key bucket in which every ordered pair violates the general rule
-    rows = [("k", "a", "b", f"s{tid}") for tid in range(200)]
-    store = build_store(rows, FD_SCHEMA.attributes)
-    dc = parse_dc("EQ(t1.p,t2.p)&NEQ(t1.q,t2.r)", FD_SCHEMA)
-    assert dc.fd_shape is None
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return _satisfies(*args)
-
-    monkeypatch.setattr(dc_module, "_satisfies", counting)
-    flagged = violations(dc, store, range(200))
-    # one partner per role is enough
-    assert len(calls) <= 2 * 200
-    # every tuple plays t1 (p, q) and t2 (p, r)
-    assert flagged.tolist() == [[tid, attr] for tid in range(200) for attr in (0, 1, 2)]
+    def test_group_renumbers_before_the_packed_key_overflows(self):
+        # five columns of ids near 2**31 need far more than 63 bits packed
+        rng = np.random.default_rng(3)
+        rows = rng.choice([-1, 0, 2**31 - 2, 2**31 - 1, 7], size=(200, 5))
+        want = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        assert _group(rows.T, len(rows)).tolist() == want.tolist()
