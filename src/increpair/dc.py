@@ -364,7 +364,10 @@ def _cells(dc: DenialConstraint, role: int, tids) -> np.ndarray:
 
 def _tids(store: RelationStore, tids: Iterable[int]) -> np.ndarray:
     """Distinct tuple ids in ascending order, each checked to lie in the store."""
-    tids = np.sort(np.fromiter(set(tids), dtype=np.int64))
+    tids = np.sort(np.fromiter(tids, dtype=np.int64))
+    distinct = np.ones(len(tids), dtype=bool)
+    distinct[1:] = tids[1:] != tids[:-1]
+    tids = tids[distinct]
     for tid in tids[(tids < 0) | (tids >= store.n_tuples)][:1]:
         raise DataError(f"tuple id {tid} is out of range")
     return tids

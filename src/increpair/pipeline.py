@@ -47,8 +47,8 @@ from .models import (
 )
 from .relation import RawBatch, RelationStore
 # record_training, should_retrain_ikl/wkl and joint_distribution are the
-# gate's reference path; run_batch gates on count deltas instead.  They stay
-# importable from here for tools that patch the engine by name.
+# gate's reference path; run_batch gates on the kept pair tables instead.
+# They stay importable from here for tools that patch the engine by name.
 from .skipper import (  # noqa: F401
     SkipperState,
     record_counts,
@@ -56,7 +56,6 @@ from .skipper import (  # noqa: F401
     should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
-    track_counts,
 )
 from .stats import (  # noqa: F401
     EntropyAccumulator,
@@ -387,12 +386,10 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
 
 def _count(state: RunState, rows: Sequence[Sequence[int]]) -> None:
-    """Count a batch's rows into the statistics and entropy sums and, with the
-    drift gate on, add the value pairs they change to its D."""
-    delta = state.stats.ingest(rows)
-    apply_delta(state.entropy, state.stats, delta)
-    if state.strategy.skip != "none":
-        track_counts(state.skipper, delta)
+    """Count a batch's rows into the statistics and entropy sums.  The drift
+    gate needs no upkeep here: it keeps the pair tables its attributes trained
+    on, which `ingest` replaces rather than edits."""
+    apply_delta(state.entropy, state.stats, state.stats.ingest(rows))
 
 
 def recount(state: RunState) -> None:

@@ -10,19 +10,20 @@ maximum, so on the same reference the weighted rule fires no more often.
 
 Two paths compute the same divergences.  The reference path
 (`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
-joint distributions.  The engine's path (`record_counts`, `track_counts`,
-`count_divergence`, `should_retrain`) keeps, per trained attribute, the row
-count n' at training and the training-time count z'_k of each value pair k
-changed since (the set D), and evaluates
+joint distributions.  The engine's path (`record_counts`, `count_divergence`,
+`should_retrain`) keeps, per trained attribute, the row count n' at training
+and a reference to each pair table as it stood then.  `StatsStore.ingest`
+replaces tables and never edits them, so keeping one costs no copy, and
+attributes that train at the same batch share it.  Counts only grow, so
+every value pair kept from training is still in the current table, and
 
-    KL = sum_{k in D, z_k > 0} (z_k/n) log((z_k/n) / max(z'_k/n', floor))
-         + log(n'/n) (n - sum_{k in D} z_k) / n
+    KL = sum_k (z_k/n) log((z_k/n) / max(z'_k/n', floor))
 
-where z_k is the pair's current count.  Every pair outside D kept its count,
-so its term is (z/n) log(n'/n), and the second line sums those.  That holds
-only while z/n' is not below the floor, so pairs whose training mass was
-below it (possible once n' > 1/floor) join D when training is recorded.  The
-cost is O(|D|) per attribute pair, whatever the history.
+runs term by term over the current table's pairs k, with z'_k = 0 for a pair
+that training never saw.  The cost is O(table) per attribute pair, the same
+class as the reference path.  A batch that repeats history proportionally
+gives exactly 0, as the reference path does: each z_k/n equals z'_k/n' bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .stats import DeltaCounts, StatsStore, add_counts, insertion_points
+from .stats import StatsStore
 
 DEFAULT_KL_FLOOR = 1e-6
 
 JointDist = dict[tuple[int, int], float]
 # sorted packed value pairs, oriented as in the (lower attribute, higher
-# attribute) table, and a count for each
+# attribute) table, and a positive count for each
 PairCounts = tuple[np.ndarray, np.ndarray]
 
 
@@ -49,8 +50,9 @@ class SkipperState:
     """Per attribute: the batch its model last trained at and the drift reference.
 
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
-    the value pairs of the (a, b) joint in D with the training-time count z'
-    of each.  `saved` holds whole joints for the reference rules only.
+    the pair table of a and b as it stood then: the `StatsStore.table` arrays
+    themselves, not a copy.  `saved` holds whole joints for the reference
+    rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
     """
@@ -180,54 +182,24 @@ def record_training(
     state.saved[attr] = {other: dict(dist) for other, dist in current.items()}
 
 
-# -- the engine's path: divergences from count deltas --------------------------
+# -- the engine's path: divergences from the kept tables -----------------------
 
 
 def _table(attr: int, other: int) -> tuple[int, int]:
     return (attr, other) if attr < other else (other, attr)
 
 
-def record_counts(
-    state: SkipperState,
-    attr: int,
-    stats: StatsStore,
-    batch: int,
-    floor: float = DEFAULT_KL_FLOOR,
-) -> None:
-    """Make the current counts the attribute's drift reference.
-
-    D starts empty, except for value pairs whose mass is below `floor`: their
-    saved mass is floored, so the closed form must see them term by term.
-    """
+def record_counts(state: SkipperState, attr: int, stats: StatsStore, batch: int) -> None:
+    """Make the current pair tables the attribute's drift reference."""
     if batch < 1:
         raise DataError(f"batch ordinal must be >= 1, got {batch}")
-    n = stats.n
-    partners = [other for other in range(stats.n_attrs) if other != attr]
     state.last_trained[attr] = batch
-    state.trained_n[attr] = n
-    state.baseline[attr] = {}
-    for other in partners:
-        keys, counts = stats.table(*_table(attr, other))
-        below = counts / n < floor  # never true while 1/n >= floor
-        state.baseline[attr][other] = (keys[below], counts[below])
-
-
-def track_counts(state: SkipperState, delta: DeltaCounts) -> None:
-    """Add each value pair the batch changed to D, with its count before the batch.
-
-    A pair already in D keeps its training-time count.  Call once per ingested
-    batch, before the next `record_counts`.
-    """
-    for (i, j), change in delta.pairs.items():
-        for attr, other in ((i, j), (j, i)):
-            partners = state.baseline.get(attr)
-            if partners is None:
-                continue
-            keys, z_trained = partners[other]
-            _, fresh = insertion_points(keys, change.keys)
-            partners[other], _ = add_counts(
-                keys, z_trained, change.keys[fresh], change.old[fresh]
-            )
+    state.trained_n[attr] = stats.n
+    state.baseline[attr] = {
+        other: stats.table(*_table(attr, other))
+        for other in range(stats.n_attrs)
+        if other != attr
+    }
 
 
 def count_divergence(
@@ -239,19 +211,18 @@ def count_divergence(
 ) -> float:
     """KL of the current (attr, other) joint from the one `attr` trained on.
 
-    Equal to `kl_divergence` over `joint_distribution` joints up to rounding,
-    in O(|D|); a batch that repeats history proportionally gives exactly 0.
+    Equal to `kl_divergence` over `joint_distribution` joints up to rounding;
+    a batch that repeats history proportionally gives exactly 0.
     """
     if floor <= 0:
         raise DataError(f"probability floor must be positive, got {floor}")
-    n, n_trained = stats.n, state.trained_n[attr]
-    keys, z_trained = state.baseline[attr][other]
-    table_keys, table_counts = stats.table(*_table(attr, other))
-    current = table_counts[np.searchsorted(table_keys, keys)]  # every pair in D occurs
-    p = current / n
-    terms = (p * np.log(p / np.maximum(z_trained / n_trained, floor))).tolist()
-    terms.append(math.log(n_trained / n) * (n - int(current.sum())) / n)
-    return max(0.0, math.fsum(terms))
+    kept_keys, kept_counts = state.baseline[attr][other]
+    keys, counts = stats.table(*_table(attr, other))
+    kept = np.zeros(len(keys))
+    kept[np.searchsorted(keys, kept_keys)] = kept_counts  # counts only grow
+    p = counts / stats.n
+    terms = p * np.log(p / np.maximum(kept / state.trained_n[attr], floor))
+    return max(0.0, float(np.sum(terms)))
 
 
 def should_retrain(
@@ -263,7 +234,7 @@ def should_retrain(
     epsilon: float,
     floor: float = DEFAULT_KL_FLOOR,
 ) -> tuple[bool, int | float | None]:
-    """The `ikl` or `wkl` verdict from count deltas, as `should_retrain_ikl` or
+    """The `ikl` or `wkl` verdict from the kept tables, as `should_retrain_ikl` or
     `should_retrain_wkl` would give it on `joint_distribution` joints."""
     partners = [other for other in range(stats.n_attrs) if other != attr]
 

@@ -180,6 +180,12 @@ class TestViolations:
         assert probe_only == [cell for cell in all_cells if cell[0] == 1]
         assert probe_only == probe_cells(brute_force(dc, self.store, [1], [0, 2, 3, 4]), [1])
 
+    def test_unsorted_repeated_tids_read_as_their_sorted_distinct_set(self):
+        for dc in (self.pair_dc, parse_dc('NEQ(t1.facility_type,"clinic")', SCHEMA)):
+            shuffled = violations(dc, self.store, [4, 1, 4, 1], reference=(3, 0, 3, 1, 0))
+            ordered = violations(dc, self.store, [1, 4], reference=[0, 3])
+            assert shuffled.tolist() == ordered.tolist() != []
+
     def test_out_of_range_probe(self):
         with pytest.raises(DataError):
             violations(self.pair_dc, self.store, [99])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from increpair.skipper import (
     should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
-    track_counts,
 )
 from increpair.snapshot import load_run, save_run
 from increpair.stats import (
@@ -200,7 +200,8 @@ class TestStateBookkeeping:
         rows = [("x", "1", "p"), ("x", "2", "p"), ("y", "1", "q"), ("x", "3", "p"), ("y", "1", "p")]
         run_stream(state, strategy, make_batches(rows, count=2))
         assert state.skipper.last_trained == {0: 1, 1: 1, 2: 1}
-        assert pairs_view(*state.skipper.baseline[0][1]) == {(1, 3): 0, (2, 1): 1}
+        # the (a, b) table as batch 1 left it: (x,1), (x,2), (y,1); batch 2 added (x,3), (y,1)
+        assert pairs_view(*state.skipper.baseline[0][1]) == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
         save_run(state, tmp_path / "run.json")
         clone = load_run(tmp_path / "run.json")[0].skipper
         assert state_view(clone) == state_view(state.skipper)
@@ -220,8 +221,9 @@ def reference_joints(stats, attr):
 
 
 def same_divergence(delta_value, reference_value):
-    # the closed form sums the untouched pairs' terms as one product, and the
-    # reference's own rounding reaches ~1e-16 on divergences near 1e-5
+    # the engine sums its terms pairwise in key order and the reference one by
+    # one in dict order; the reference's own rounding reaches ~1e-16 on
+    # divergences near 1e-5
     return math.isclose(delta_value, reference_value, rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -232,8 +234,7 @@ class TestCountDivergence:
         state, reference = SkipperState(), SkipperState()
         record_counts(state, 0, stats, batch=1)
         record_training(reference, 0, reference_joints(stats, 0), batch=1)
-        track_counts(state, stats.ingest([[1, 2], [3, 3]]))
-        assert pairs_view(*state.baseline[0][1]) == {(1, 2): 1, (3, 3): 0}
+        stats.ingest([[1, 2], [3, 3]])
         expected = kl_divergence(joint_distribution(stats, 0, 1), reference.saved[0][1])
         assert same_divergence(count_divergence(state, stats, 0, 1), expected)
 
@@ -244,21 +245,42 @@ class TestCountDivergence:
         state = SkipperState()
         for attr in range(3):
             record_counts(state, attr, stats, batch=1)
-        track_counts(state, stats.ingest(rows * 2))
+        stats.ingest(rows * 2)
         for attr in range(3):
             for other in range(3):
                 if other != attr:
                     assert count_divergence(state, stats, attr, other) == 0.0
 
-    def test_pairs_below_the_floor_join_d_at_training(self):
+    def test_pair_below_the_floor_at_training_grows(self):
         stats = StatsStore(2)
         stats.ingest([[1, 1]] * 30 + [[2, 2]])  # (2, 2) has mass 1/31 < 0.05
-        state = SkipperState()
-        record_counts(state, 0, stats, batch=1, floor=0.05)
-        assert pairs_view(*state.baseline[0][1]) == {(2, 2): 1}
-        record_counts(state, 1, stats, batch=1)  # default floor: 1/31 is above it
-        assert pairs_view(*state.baseline[1][0]) == {}
+        state, reference = SkipperState(), SkipperState()
+        for attr in range(2):
+            record_counts(state, attr, stats, batch=1)
+            record_training(reference, attr, reference_joints(stats, attr), batch=1)
         assert state.trained_n == {0: 31, 1: 31}
+        stats.ingest([[2, 2]] * 9 + [[3, 1]])  # (2, 2) grows to 10/41; (3, 1) is new
+        for attr, other in ((0, 1), (1, 0)):
+            joint = reference_joints(stats, attr)[other]
+            want = kl_divergence(joint, reference.saved[attr][other], floor=0.05)
+            have = count_divergence(state, stats, attr, other, floor=0.05)
+            assert want > 0 and same_divergence(have, want), (attr, have, want)
+
+    def test_kept_tables_survive_later_batches(self):
+        # the gate keeps the tables themselves: a later ingest must replace them
+        stats = StatsStore(3)
+        stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 3]])
+        state = SkipperState()
+        record_counts(state, 1, stats, batch=1)
+        before = {
+            other: tuple(array.copy() for array in kept)
+            for other, kept in state.baseline[1].items()
+        }
+        stats.ingest([[1, 1, 2], [3, 2, 1], [2, 4, 3]])
+        for other, (keys, counts) in state.baseline[1].items():
+            assert np.array_equal(keys, before[other][0])
+            assert np.array_equal(counts, before[other][1])
+            assert not np.array_equal(stats.table(*sorted((1, other)))[1], counts)
 
     def test_unknown_rule_is_an_error(self):
         stats = StatsStore(2)
@@ -313,7 +335,6 @@ class TestDeltaPathMatchesReference:
             delta = stats.ingest(rows)
             history += rows
             apply_delta(acc, stats, delta)
-            track_counts(delta_state, delta)
             correlations = correlation_matrix(stats, acc)
             for attr in range(n_attrs):
                 joints = reference_joints(stats, attr)
@@ -340,5 +361,5 @@ class TestDeltaPathMatchesReference:
                             assert have == want == 0.0
                 if got[0]:
                     record_training(reference, attr, joints, k)
-                    record_counts(delta_state, attr, stats, k, floor)
+                    record_counts(delta_state, attr, stats, k)
             assert delta_state.last_trained == reference.last_trained
