@@ -3,8 +3,15 @@ attribute's cells at a time.
 
 A cell's candidate domain is its observed value plus every value of its
 attribute that co-occurs, anywhere in the data counted so far, with this
-tuple's value in some sufficiently correlated other attribute.  The feature
-tensor prices each candidate against each context attribute as the ratio
+tuple's value in some sufficiently correlated other attribute, often enough:
+value v enters through context value c only when Pr[v | c] >= tau, that is
+`co_occurrences(v, c) >= tau * frequency(c)` (HoloClean's domain pruning;
+Rekatsinas et al., PVLDB 10(11), 2017).  tau is a ratio, not a count, so a
+typo that co-occurs once with a frequent context value stops entering every
+domain of that value as the stream grows; tau = 0 keeps every co-occurring
+value; the pipeline runs at `DEFAULT_TAU`.  The observed value is always
+kept.  The feature tensor prices each candidate against each context
+attribute as the ratio
 `co_occurrences(candidate, context value) / frequency(context value)`, which
 by construction lies in [0, 1].
 
@@ -46,6 +53,7 @@ from .stats import LOW, SHIFT, StatsStore, add_counts
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
+DEFAULT_TAU = 0.01
 
 # A (cell, value id) pair packed into one int64 sort key, the cell in the high
 # bits, as the statistics pack a (context value, target value) pair.
@@ -195,15 +203,19 @@ class Featurizer:
         correlations: Sequence[Sequence[float]],
         omega: float = DEFAULT_OMEGA,
         cap: int = DEFAULT_DOMAIN_CAP,
+        tau: float = DEFAULT_TAU,
     ):
         if not 0.0 <= omega < 1.0:
             raise DataError(f"omega must lie in [0, 1), got {omega}")
         if cap < 1:
             raise DataError(f"domain cap must be >= 1, got {cap}")
+        if not 0.0 <= tau < 1.0:  # NaN too
+            raise DataError(f"tau must lie in [0, 1), got {tau}")
         self.stats = stats
         self.correlations = correlations
         self.omega = omega
         self.cap = cap
+        self.tau = tau
 
     def _contexts(self, attr: int, rows: np.ndarray) -> list[_Context | None]:
         """Every other attribute's `_Context` for the cells of `attr` in `rows`."""
@@ -221,7 +233,9 @@ class Featurizer:
 
         A context attribute qualifies when the cell's attribute is sufficiently
         predictable from it, i.e. their correlation (normalized over the cell
-        attribute's domain) exceeds omega.  Null is never proposed, though a null
+        attribute's domain) exceeds omega.  In each, a value is proposed only
+        when it co-occurs with the cell's context value at least
+        `tau * frequency` times.  Null is never proposed, though a null
         observed value stays in its own domain.  Beyond `cap` values, the
         candidates with the highest summed co-occurrence counts are kept
         (observed value always retained; ties broken toward lower value ids).
@@ -234,14 +248,16 @@ class Featurizer:
             # each cell's row is sorted, so the gathered keys are sorted too
             cells, positions = _gather(ctx)
             vids = ctx.keys[positions] & _LOW
+            counts = ctx.counts[positions]
             keep = (vids != NULL_ID) & (vids != observed[cells])
+            keep &= counts >= self.tau * ctx.frequency[cells]
             (union, weights), _ = add_counts(
                 union,
                 weights,
                 (cells[keep] << _SHIFT) | vids[keep],
-                ctx.counts[positions[keep]],
+                counts[keep],
             )
-            del cells, positions, vids, keep
+            del cells, positions, vids, counts, keep
         cells, sizes, starts = _runs(union, n_cells)
         if sizes.max(initial=0) > self.cap - 1:
             over = np.flatnonzero(sizes[cells] > self.cap - 1)

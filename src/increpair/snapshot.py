@@ -26,7 +26,9 @@ from .relation import RelationStore, int_rows, write_atomic
 
 FORMAT_NAME = "increpair-snapshot"
 STORE_VERSION = 1
-RUN_VERSION = 5
+# v6: the models of a v5 run were trained on candidate domains built without
+# the tau pruning, so resuming one would mix two domain rules in one stream.
+RUN_VERSION = 6
 # RunState counters carried across a snapshot, by attribute name.
 PROGRESS_KEYS = (
     "batches_done",

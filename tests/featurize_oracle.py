@@ -19,6 +19,7 @@ from increpair.errors import DataError
 from increpair.featurize import (
     DEFAULT_DOMAIN_CAP,
     DEFAULT_OMEGA,
+    DEFAULT_TAU,
     CellDomain,
     FeatureTensor,
 )
@@ -33,29 +34,35 @@ def generate_domain(
     correlations: Sequence[Sequence[float]],
     omega: float = DEFAULT_OMEGA,
     cap: int = DEFAULT_DOMAIN_CAP,
+    tau: float = DEFAULT_TAU,
 ) -> CellDomain:
     """Candidate domain of one cell given its tuple's current values.
 
     A context attribute qualifies when the cell's attribute is sufficiently
     predictable from it, i.e. their correlation (normalized over the cell
-    attribute's domain) exceeds omega.  Null is never proposed as a candidate,
-    though a null observed value stays in its own domain.  When the union
-    exceeds `cap`, the candidates with the highest summed co-occurrence counts
-    are kept (observed value always retained; ties broken toward lower value
-    ids).
+    attribute's domain) exceeds omega.  Through each, a value is proposed
+    only when Pr[value | context value] >= tau, i.e. it co-occurs with the
+    context value at least tau times that value's frequency.  Null is never
+    proposed as a candidate, though a null observed value stays in its own
+    domain.  When the union exceeds `cap`, the candidates with the highest
+    summed co-occurrence counts are kept (observed value always retained;
+    ties broken toward lower value ids).
     """
     if not 0.0 <= omega < 1.0:
         raise DataError(f"omega must lie in [0, 1), got {omega}")
     if cap < 1:
         raise DataError(f"domain cap must be >= 1, got {cap}")
+    if not 0.0 <= tau < 1.0:
+        raise DataError(f"tau must lie in [0, 1), got {tau}")
     attr = cell.attr
     observed = tuple_values[attr]
     weights: dict[int, int] = {}
     for context_attr, context_vid in enumerate(tuple_values):
         if context_attr == attr or correlations[attr][context_attr] <= omega:
             continue
+        frequency = stats.frequency(context_attr, context_vid)
         for vid, count in cooccurring(stats, attr, context_attr, context_vid).items():
-            if vid != NULL_ID:
+            if vid != NULL_ID and count >= tau * frequency:
                 weights[vid] = weights.get(vid, 0) + count
     weights.pop(observed, None)
     if len(weights) + 1 > cap:

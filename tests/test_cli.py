@@ -411,6 +411,11 @@ def as_version_1(payload):
     payload["strategy"]["hyperparams"]["seed"] = 0
 
 
+def as_version_5(payload):
+    # v5 runs built their candidate domains without the tau pruning
+    payload["version"] = 5
+
+
 def as_list(payload):
     return [payload]
 
@@ -429,6 +434,7 @@ def zero_epochs(payload):
         drop_progress,
         truncate_models,
         as_version_1,
+        as_version_5,
         as_list,
         zero_train_limit,
         zero_epochs,

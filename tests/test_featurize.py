@@ -36,6 +36,16 @@ def golden():
     return store, stats, corr
 
 
+@pytest.fixture
+def typo():
+    """Typo bx co-occurs once with region h, whose frequency is 31, so
+    Pr[bx | h] = 1/31 lies under tau = 0.05; region i holds b and bx once each."""
+    rows = [("h", "b")] * 30 + [("h", "bx"), ("i", "b"), ("i", "bx")]
+    store = build_store(rows, ("region", "code"))
+    stats, corr = stats_and_corr(store)
+    return store, stats, corr
+
+
 class TestDomain:
     def test_golden_candidates(self, golden):
         store, stats, corr = golden
@@ -99,6 +109,43 @@ class TestDomain:
         names = sorted(store.interner.resolve(CODE, v) for v in domain.candidates)
         assert names == ["x1", "x9"]
 
+    def test_rare_cooccurrence_falls_under_tau(self, typo):
+        store, stats, corr = typo
+        featurizer = Featurizer(stats, corr, omega=0.0, tau=0.05)
+        domain = featurizer.domain(CellRef(0, CODE), store.tuple_values(0))
+        assert [store.interner.resolve(CODE, v) for v in domain.candidates] == ["b"]
+        assert domain == generate_domain(
+            CellRef(0, CODE), store.tuple_values(0), stats, corr, omega=0.0, tau=0.05
+        )
+        # Pr[bx | i] = 1/2: in region i the typo stays a candidate
+        tids = [0, 31]
+        block = featurizer.block(CODE, tids, [store.tuple_values(t) for t in tids])
+        assert block.tids.tolist() == [31]
+        names = [store.interner.resolve(CODE, v) for v in block.candidates[0, :2].tolist()]
+        assert names == ["b", "bx"] and block.sizes.tolist() == [2]
+
+    def test_observed_value_under_tau_stays(self, typo):
+        store, stats, corr = typo
+        domain = Featurizer(stats, corr, omega=0.0, tau=0.05).domain(
+            CellRef(30, CODE), store.tuple_values(30)
+        )
+        names = [store.interner.resolve(CODE, v) for v in domain.candidates]
+        assert names == ["b", "bx"]
+        assert domain.observed == store.value(30, CODE)
+
+    def test_zero_tau_keeps_every_cooccurring_value(self, typo):
+        store, stats, corr = typo
+        # Pr[bx | h] = 1/31 passes any tau up to it, and only those
+        for tau, kept in (
+            (0.0, ["b", "bx"]),
+            (1 / 31, ["b", "bx"]),
+            (np.nextafter(1 / 31, 1.0), ["b"]),
+        ):
+            domain = Featurizer(stats, corr, omega=0.0, tau=tau).domain(
+                CellRef(0, CODE), store.tuple_values(0)
+            )
+            assert [store.interner.resolve(CODE, v) for v in domain.candidates] == kept
+
     def test_validation(self, golden):
         store, stats, corr = golden
         values = store.tuple_values(0)
@@ -114,6 +161,11 @@ class TestDomain:
             Featurizer(stats, corr, omega=-0.1)
         with pytest.raises(DataError):
             Featurizer(stats, corr, cap=0)
+        for tau in (-0.1, 1.0, float("nan"), float("inf")):
+            with pytest.raises(DataError):
+                generate_domain(CellRef(0, CODE), values, stats, corr, tau=tau)
+            with pytest.raises(DataError):
+                Featurizer(stats, corr, tau=tau)
 
     def test_candidates_sorted_ascending(self, golden):
         store, stats, corr = golden
@@ -225,11 +277,13 @@ def featurize_cases(draw):
     ]
     omega = draw(st.floats(0.0, 1.0, exclude_max=True))
     cap = draw(st.integers(9, 14) if wide else st.integers(1, 6))
+    # at the default tau, streams this short never prune
+    tau = draw(st.just(0.0) | st.floats(0.05, 0.6))
     tid = st.integers(0, len(rows) - 1)
     if draw(st.booleans()):  # many cells over at most 3 tuples
         tid = st.sampled_from(draw(st.lists(tid, min_size=1, max_size=3)))
     tids = draw(st.lists(tid, max_size=40))
-    return rows, counted, correlations, omega, cap, attr, tids
+    return rows, counted, correlations, omega, cap, tau, attr, tids
 
 
 def same_bits(a, b):
@@ -240,11 +294,11 @@ class TestBatchedMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(featurize_cases())
     def test_block_domain_and_tensor_equal_scalar_oracle(self, case):
-        rows, counted, correlations, omega, cap, attr, tids = case
+        rows, counted, correlations, omega, cap, tau, attr, tids = case
         store = build_store(rows, [f"c{i}" for i in range(len(rows[0]))])
         stats = StatsStore(store.n_attrs)
         stats.ingest([list(store.tuple_values(t)) for t in range(counted)])
-        featurizer = Featurizer(stats, correlations, omega, cap)
+        featurizer = Featurizer(stats, correlations, omega, cap, tau)
         slots = tensor_slots(stats, attr, cap)
 
         expected = []  # (tid, domain, tensor) of every multi-candidate cell
@@ -253,7 +307,7 @@ class TestBatchedMatchesOracle:
         for tid in tids:
             values = store.tuple_values(tid)
             cell = CellRef(tid, attr)
-            domain = generate_domain(cell, values, stats, correlations, omega, cap)
+            domain = generate_domain(cell, values, stats, correlations, omega, cap, tau)
             assert featurizer.domain(cell, values) == domain
             try:
                 tensor = generate_feature_vector(domain, values, stats, slots)
