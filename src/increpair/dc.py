@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, ParseError
-from .relation import NULL_ID, RelationStore, Schema, union_cells
+from .errors import ParseError
+from .relation import NULL_ID, RelationStore, Schema, tid_array, union_cells
 
 T1 = 0
 T2 = 1
@@ -225,11 +225,12 @@ def violations(
     those partners without listing a pair.  The t2 role is the same count
     with the roles swapped, and a symmetric rule skips it.
     """
-    probe_tids = _tids(store, probe)
+    probe_tids = store.check_tids(tid_array(probe))
     if dc.arity == 1:
         return _cells(dc, T1, probe_tids[_eligible(dc, store, T1, probe_tids)])
 
-    reference_tids = np.setdiff1d(_tids(store, reference), probe_tids, assume_unique=True)
+    reference_tids = store.check_tids(tid_array(reference))
+    reference_tids = np.setdiff1d(reference_tids, probe_tids, assume_unique=True)
     tids = np.concatenate([probe_tids, reference_tids])
     eq, neq = _cross_pairs(dc)
     # each cross-tuple comparison (a, b) as the t1 column a and the t2
@@ -354,20 +355,8 @@ def _group(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
     return ids if span <= 4 * n else np.unique(ids, return_inverse=True)[1]
 
 
-def _cells(dc: DenialConstraint, role: int, tids) -> np.ndarray:
-    """The cells `dc` reads through `role` in each of the ascending `tids`, as
-    (tid, attr) rows in (tid, attr) order."""
+def _cells(dc: DenialConstraint, role: int, tids: np.ndarray) -> np.ndarray:
+    """The cells `dc` reads through `role` in each of the ascending int64
+    `tids`, as (tid, attr) rows in (tid, attr) order."""
     attrs = dc.var_attrs[role]
-    tids = np.asarray(tids, dtype=np.int64)
     return np.stack([np.repeat(tids, len(attrs)), np.tile(attrs, len(tids))], axis=1)
-
-
-def _tids(store: RelationStore, tids: Iterable[int]) -> np.ndarray:
-    """Distinct tuple ids in ascending order, each checked to lie in the store."""
-    tids = np.sort(np.fromiter(tids, dtype=np.int64))
-    distinct = np.ones(len(tids), dtype=bool)
-    distinct[1:] = tids[1:] != tids[:-1]
-    tids = tids[distinct]
-    for tid in tids[(tids < 0) | (tids >= store.n_tuples)][:1]:
-        raise DataError(f"tuple id {tid} is out of range")
-    return tids

@@ -9,37 +9,31 @@ tuples may witness a pair violation as the partner of a probe tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dc import DenialConstraint, violations
 from .errors import ConfigError, DataError
-from .relation import NULL_ID, RelationStore, union_cells
+from .relation import NULL_ID, RelationStore, tid_array, union_cells
 
 DETECTOR_NAMES = ("null", "dc", "perfect")
 
 GroundTruth = Sequence[Sequence[str | None]]
 
 
-@dataclass(frozen=True)
-class DetectionScope:
-    probe: tuple[int, ...]
-    reference: tuple[int, ...] = ()
+class DetectionScope(NamedTuple):
+    """Ascending int64 arrays of distinct tids: `probe`, and `reference` outside it."""
+
+    probe: np.ndarray
+    reference: np.ndarray
 
     @classmethod
     def over(cls, probe: Iterable[int], reference: Iterable[int] = ()) -> "DetectionScope":
-        """Sorted distinct probe tids, and reference tids outside them; ranges need no sort."""
-        if not (isinstance(probe, range) and probe.step == 1 and probe):
-            probe_tids = tuple(sorted(set(probe)))
-            return cls(probe_tids, tuple(sorted(set(reference) - set(probe_tids))))
-        if isinstance(reference, range) and reference.step == 1:
-            before = range(reference.start, min(reference.stop, probe.start))
-            after = range(max(reference.start, probe.stop), reference.stop)
-            return cls(tuple(probe), (*before, *after))
-        return cls(tuple(probe), tuple(sorted(tid for tid in set(reference) if tid not in probe)))
+        """The scope of `tid_array(probe)`, and the reference tids outside it."""
+        probe = tid_array(probe)
+        return cls(probe, np.setdiff1d(tid_array(reference), probe, assume_unique=True))
 
 
 def _flagged(probe: np.ndarray, wrong: np.ndarray) -> np.ndarray:
@@ -50,7 +44,7 @@ def _flagged(probe: np.ndarray, wrong: np.ndarray) -> np.ndarray:
 
 def detect_null(store: RelationStore, scope: DetectionScope) -> np.ndarray:
     """Flag every probe cell holding the null value."""
-    probe = np.array(scope.probe, dtype=np.int64)
+    probe = store.check_tids(scope.probe)
     return _flagged(probe, store.values[probe] == NULL_ID)
 
 
@@ -70,8 +64,8 @@ def truth_ids(store: RelationStore, ground_truth: GroundTruth, tids: Sequence[in
     interned is -1, which equals no cell's id.  The lookup is made at every
     call, because a later batch may intern a string the truth already names."""
     tids = np.array(tids, dtype=np.int64).reshape(-1)
-    for tid in tids[tids >= len(ground_truth)][:1]:
-        raise DataError(f"ground truth has {len(ground_truth)} rows, tuple {tid} needs one")
+    for tid in tids[(tids < 0) | (tids >= len(ground_truth))][:1]:
+        raise DataError(f"tuple id {tid} is outside the ground truth's {len(ground_truth)} rows")
     rows = list(map(ground_truth.__getitem__, tids.tolist()))
     if set(map(len, rows)) - {store.n_attrs}:
         tid, row = next((t, r) for t, r in zip(tids, rows) if len(r) != store.n_attrs)
@@ -87,7 +81,7 @@ def detect_perfect(
     scope: DetectionScope,
 ) -> np.ndarray:
     """Flag probe cells whose current value differs from the ground truth."""
-    probe = np.array(scope.probe, dtype=np.int64)
+    probe = store.check_tids(scope.probe)
     return _flagged(probe, store.values[probe] != truth_ids(store, ground_truth, probe))
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .relation import DEFAULT_NULL_TOKENS
 
 ERROR_KINDS = ("typo", "swap", "null")
@@ -56,7 +56,7 @@ def inject_errors(
         if kind not in ERROR_KINDS:
             raise ConfigError(f"unknown error kind {kind!r}; expected one of {ERROR_KINDS}")
     if not rows:
-        raise ConfigError("cannot inject errors into an empty table")
+        raise DataError("cannot inject errors into an empty table")
     tokens = frozenset(null_tokens)
     n_attrs = len(rows[0])
     total_cells = len(rows) * n_attrs

@@ -49,15 +49,31 @@ class CellRef(NamedTuple):
     attr: int
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of `keys`, ascending (a plain `np.unique` imports `numpy.ma`)."""
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
+def tid_array(tids: Iterable[int]) -> np.ndarray:
+    """The one form a set of tuple ids takes: distinct ids, ascending, as
+    int64.  An ascending range is laid out with `np.arange`, never listed."""
+    if isinstance(tids, range) and tids.step > 0:
+        return np.arange(tids.start, tids.stop, tids.step, dtype=np.int64)
+    if not isinstance(tids, np.ndarray):
+        tids = np.fromiter(tids, dtype=np.int64)
+    return _distinct(tids.astype(np.int64, copy=False).reshape(-1))
+
+
 def union_cells(parts: Iterable[np.ndarray], n_attrs: int) -> np.ndarray:
     """The distinct rows of `(k, 2)` int64 (tid, attr) arrays in (tid, attr)
     order, the one form a set of cells takes, found on the packed key
     `tid * n_attrs + attr`."""
     cells = np.concatenate([np.empty((0, 2), dtype=np.int64), *parts])
-    keys = np.sort(cells[:, 0] * n_attrs + cells[:, 1])
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return np.stack(np.divmod(keys[distinct], n_attrs), axis=1)
+    keys = _distinct(cells[:, 0] * n_attrs + cells[:, 1])
+    return np.stack(np.divmod(keys, n_attrs), axis=1)
 
 
 @dataclass(frozen=True)
@@ -341,6 +357,13 @@ class RelationStore:
         """Value the cell held before its first repair (current value if never repaired)."""
         return int(self.first_seen[tid, attr])
 
+    def check_tids(self, tids: np.ndarray) -> np.ndarray:
+        """Ascending tuple ids, checked at both ends to name tuples of the store."""
+        first, last = tids[:1], tids[-1:]
+        for tid in (*first[first < 0], *last[last >= self._n])[:1]:
+            raise DataError(f"tuple id {tid} is out of range")
+        return tids
+
     def _cells(self, entries, width: int) -> tuple[np.ndarray, ...]:
         columns = int_rows(entries, width, "cells").T
         tid, attr = columns[:2]
@@ -376,9 +399,7 @@ class RelationStore:
     def trainable_tids(self, attr: int, tids: Iterable[int] | None = None) -> np.ndarray:
         """Tuples, ascending, whose cell at `attr` is not currently Dirty
         (Repaired counts as clean), optionally among the given ones."""
-        if tids is None:
-            return np.flatnonzero(~_is_dirty(self._status[: self._n, attr]))
-        tids = np.array(sorted(set(tids)), dtype=np.int64)
+        tids = self.check_tids(tid_array(range(self._n) if tids is None else tids))
         return tids[~_is_dirty(self._status[tids, attr])]
 
     def apply_repairs(self, repairs: np.ndarray) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -70,9 +71,10 @@ def insertion_points(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class PairDelta:
-    """Count changes of one attribute pair's value pairs: sorted packed keys,
-    oriented as in the (lower attribute, higher attribute) table, with each
-    pair's count before and after the batch."""
+    """Count changes of one attribute's values or one attribute pair's value
+    pairs: sorted keys, value ids or packed keys oriented as in the (lower
+    attribute, higher attribute) table, with each count before and after the
+    batch."""
 
     keys: np.ndarray
     old: np.ndarray
@@ -84,15 +86,12 @@ class PairDelta:
 
 @dataclass(frozen=True)
 class DeltaCounts:
-    """Exact count changes produced by ingesting one batch of m tuples.
-
-    `marginals[attr]` maps value -> (old, new) for every value whose frequency
-    changed; `pairs[(i, j)]` (only i < j) holds every co-occurrence count that
-    changed.
-    """
+    """Exact count changes produced by ingesting one batch of m tuples: every
+    value frequency (`marginals[attr]`) and every co-occurrence count
+    (`pairs[(i, j)]`, only i < j) that changed."""
 
     m: int
-    marginals: tuple[dict[int, tuple[int, int]], ...]
+    marginals: tuple[PairDelta, ...]
     pairs: dict[tuple[int, int], PairDelta]
 
 
@@ -122,19 +121,14 @@ class StatsStore:
     def ingest(self, rows: Sequence[Sequence[int]]) -> DeltaCounts:
         """Count a batch of value-id rows and report exactly what changed."""
         values = int_rows(rows, self.n_attrs, "rows of value ids")
-        if not len(values):
-            return DeltaCounts(0, tuple({} for _ in self.single), {})
-        if values.min() < 0 or values.max() >= ID_LIMIT:
+        if values.min(initial=0) < 0 or values.max(initial=0) >= ID_LIMIT:
             raise DataError("value ids must lie in [0, 2**31)")
         marginals = []
         for attr, table in enumerate(self.single):
             vids, counts = np.unique(values[:, attr], return_counts=True)
-            changed = {}
-            for vid, count in zip(vids.tolist(), counts.tolist()):
-                old = table.get(vid, 0)
-                changed[vid] = (old, old + count)
-                table[vid] = old + count
-            marginals.append(changed)
+            old = np.fromiter(map(table.get, vids.tolist(), repeat(0)), np.int64, len(vids))
+            table.update(zip(vids.tolist(), (old + counts).tolist()))
+            marginals.append(PairDelta(vids, old, old + counts))
         pairs = {}
         for i in range(self.n_attrs):
             for j in range(i + 1, self.n_attrs):
@@ -260,15 +254,14 @@ def apply_delta(acc: EntropyAccumulator, stats_after: StatsStore, delta: DeltaCo
             f"delta of {m} rows does not connect accumulator at n={n_old}"
             f" to statistics at n={stats_after.n}"
         )
-    for attr, changed in enumerate(delta.marginals):
-        total = sum(new - old for old, new in changed.values())
+    for attr, change in enumerate(delta.marginals):
+        total = int(np.sum(change.new - change.old))
         if total != m:
             raise DataError(
                 f"marginal deltas for attribute {attr} sum to {total}, expected {m}"
             )
-    for attr, changed in enumerate(delta.marginals):
-        counts = np.array(list(changed.values()), dtype=np.int64).reshape(-1, 2)
-        acc.marginal[attr] += _c_ln_c_change(counts[:, 0], counts[:, 1])
+    for attr, change in enumerate(delta.marginals):
+        acc.marginal[attr] += _c_ln_c_change(change.old, change.new)
     for key, change in delta.pairs.items():
         acc.pair[key] += _c_ln_c_change(change.old, change.new)
     acc.n = n_old + m

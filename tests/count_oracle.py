@@ -77,23 +77,32 @@ def pairs_view(keys: np.ndarray, *columns: np.ndarray) -> dict:
 
 def delta_view(delta: DeltaCounts):
     """(m, marginal changes, pair changes) of a delta, in `DictCounts.ingest`'s shapes."""
+    marginals = tuple(
+        dict(zip(change.keys.tolist(), zip(change.old.tolist(), change.new.tolist())))
+        for change in delta.marginals
+    )
     pairs = {
         key: pairs_view(change.keys, change.old, change.new)
         for key, change in delta.pairs.items()
     }
-    return delta.m, delta.marginals, pairs
+    return delta.m, marginals, pairs
+
+
+def changes(changed: dict[int, tuple[int, int]]) -> PairDelta:
+    """The engine's form of `{key: (old, new)}` count changes."""
+    keys = sorted(changed)
+    old, new = (np.array([changed[k][side] for k in keys], dtype=np.int64) for side in (0, 1))
+    return PairDelta(np.array(keys, dtype=np.int64), old, new)
 
 
 def delta_from_dicts(m, marginals, pairs) -> DeltaCounts:
-    """The engine's delta for changes given as `{(value_i, value_j): (old, new)}` dicts."""
-    packed = {}
-    for key, changed in pairs.items():
-        items = sorted(changed.items())
-        keys = np.array([(vi << SHIFT) | vj for (vi, vj), _ in items], dtype=np.int64)
-        old = np.array([o for _, (o, _) in items], dtype=np.int64)
-        new = np.array([n for _, (_, n) in items], dtype=np.int64)
-        packed[key] = PairDelta(keys, old, new)
-    return DeltaCounts(m, tuple(marginals), packed)
+    """The engine's delta for changes given as `{vid: (old, new)}` and
+    `{(value_i, value_j): (old, new)}` dicts."""
+    packed = {
+        key: changes({(vi << SHIFT) | vj: change for (vi, vj), change in changed.items()})
+        for key, changed in pairs.items()
+    }
+    return DeltaCounts(m, tuple(map(changes, marginals)), packed)
 
 
 def cooccurring(

@@ -191,6 +191,17 @@ class TestErrorsAndExitCodes:
         # whether a count fits depends on the data, so this one stays exit 2
         assert run(["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "61"]) == 2
 
+    @pytest.mark.parametrize("command", ["inject", "clean"])
+    def test_header_only_csv_is_data_error(self, tmp_path, command):
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ("city", "zip", "state"), [])
+        argv = {
+            "inject": ["inject", "--input", empty, "--out-dirty", tmp_path / "d.csv",
+                       "--out-truth", tmp_path / "t.csv"],
+            "clean": ["clean", "--input", empty, "--strategy", "ihc", "--batches", "1"],
+        }[command]
+        assert run(argv) == 2
+
     @pytest.mark.parametrize("role", ["clean-input", "clean-truth", "eval", "inject"])
     def test_non_utf8_csv_is_data_error(self, tmp_path, clean_csv, role):
         latin = tmp_path / "latin.csv"

@@ -14,6 +14,7 @@ from increpair.detectors import (
     detect_null,
     detect_perfect,
     run_detectors,
+    truth_ids,
 )
 from increpair.errors import ConfigError, DataError
 from increpair.relation import Schema
@@ -35,19 +36,47 @@ def store():
     return build_store(ROWS, SCHEMA.attributes)
 
 
+# tid sets in each form a caller passes: ranges (stepped, reversed, empty),
+# lists with repeats, and narrow arrays
+tid_sets = st.one_of(
+    st.builds(range, st.integers(0, 12), st.integers(0, 12), st.integers(-3, 3).filter(bool)),
+    st.lists(st.integers(0, 12)),
+    st.lists(st.integers(0, 12)).map(lambda tids: np.array(tids, dtype=np.int32)),
+)
+
+
 class TestScope:
     def test_over_sorts_and_dedupes(self):
         scope = DetectionScope.over([3, 1, 1], reference=[2, 3, 0])
-        assert scope.probe == (1, 3)
-        assert scope.reference == (0, 2)  # probe tids removed from reference
+        assert scope.probe.tolist() == [1, 3]
+        assert scope.reference.tolist() == [0, 2]  # probe tids removed from reference
 
-    @given(*[st.integers(0, 12)] * 4)
-    def test_ranges_read_off_as_the_sorted_tuples(self, start, stop, ref_start, ref_stop):
-        probe, reference = range(start, stop), range(ref_start, ref_stop)
+    @given(tid_sets, tid_sets)
+    def test_ranges_read_off_as_the_sorted_tuples(self, probe, reference):
         scope = DetectionScope.over(probe, reference)
-        assert scope == DetectionScope.over(list(probe), list(reference))
-        assert type(scope.probe) is tuple and type(scope.reference) is tuple
-        assert DetectionScope.over(probe) == DetectionScope.over(list(probe))
+        assert scope.probe.tolist() == sorted(set(probe))
+        assert scope.reference.tolist() == sorted(set(reference) - set(probe))
+        assert scope.probe.dtype == scope.reference.dtype == np.int64
+        assert DetectionScope.over(probe).reference.tolist() == []
+
+
+class TestTidsOutsideTheStore:
+    DETECTORS = {
+        "null": detect_null,
+        "dc": lambda store, scope: detect_dc(store, [PAIR_RULE], scope),
+        "perfect": lambda store, scope: detect_perfect(store, ROWS, scope),
+    }
+
+    @pytest.mark.parametrize("tid", [-1, len(ROWS)])
+    @pytest.mark.parametrize("name", DETECTORS)
+    def test_probe_rejected(self, store, name, tid):
+        with pytest.raises(DataError, match=f"tuple id {tid} is out of range"):
+            self.DETECTORS[name](store, DetectionScope.over([0, tid]))
+
+    @pytest.mark.parametrize("tid", [-1, len(ROWS)])
+    def test_truth_rows_rejected(self, store, tid):
+        with pytest.raises(DataError, match=f"tuple id {tid} is outside the ground truth"):
+            truth_ids(store, ROWS, [0, tid])
 
 
 class TestNullDetector:

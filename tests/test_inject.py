@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from increpair.errors import ConfigError
+from increpair.errors import ConfigError, DataError
 from increpair.inject import ERROR_KINDS, inject_errors
 
 ROWS = [[f"left{i % 4}", f"right{i % 3}", f"tail{i % 5}"] for i in range(40)]
@@ -44,7 +44,7 @@ class TestContract:
             inject_errors(ROWS, 0.1, kinds=("smudge",))
         with pytest.raises(ConfigError, match="at least one"):
             inject_errors(ROWS, 0.1, kinds=())
-        with pytest.raises(ConfigError, match="empty table"):
+        with pytest.raises(DataError, match="empty table"):
             inject_errors([], 0.1)
 
 

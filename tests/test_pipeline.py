@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -370,3 +373,45 @@ class TestRepairedCellsBecomeTrainable:
         # the repaired cell is Repaired, hence eligible again
         assert state.store.status(0, 1) is CellStatus.REPAIRED
         assert 0 in state.store.trainable_tids(1)
+
+
+# Every strategy kind over all three detectors, the drift gate on for the
+# incremental kinds, then a snapshot round trip, in a fresh interpreter.
+FOUR_STRATEGIES = """
+import sys, tempfile
+from pathlib import Path
+from increpair.dc import parse_dc
+from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
+from increpair.relation import RelationStore, Schema, make_batches
+from increpair.snapshot import load_run, save_run
+
+schema = Schema(("city", "zip", "state"))
+truth = [(f"city{i % 4}", f"zip{i % 4}", f"state{i % 2}") for i in range(60)]
+dirty = [list(row) for row in truth]
+for i in range(0, 60, 7):
+    dirty[i][i % 3] = None
+for i in range(3, 60, 11):
+    dirty[i][1] = "zip9"
+rule = parse_dc("EQ(t1.city,t2.city)&NEQ(t1.zip,t2.zip)", schema)
+with tempfile.TemporaryDirectory() as work:
+    for kind in StrategyKind:
+        strategy = Strategy(
+            kind, ("null", "dc", "perfect"), skip="ikl" if kind.incremental else "none"
+        )
+        state = RunState(RelationStore(schema), strategy, [rule], truth)
+        run_stream(state, strategy, make_batches(dirty, count=4))
+        save_run(state, Path(work) / "run.json")
+        load_run(Path(work) / "run.json")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_engine_path_imports_numpy_ma():
+    """A plain `np.unique`, or `np.isin` over a wide range, imports `numpy.ma`
+    on first use: about 1.2 MB of resident memory and 10 ms per process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", FOUR_STRATEGIES], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -269,6 +269,12 @@ class TestStoreLifecycle:
         assert store.trainable_tids(1).tolist() == [0, 1, 2]
         assert store.trainable_tids(0, [2, 1, 2]).tolist() == [2]
 
+    @pytest.mark.parametrize("tid", [-1, 3])
+    def test_trainable_rejects_tids_outside_the_store(self, tid):
+        store = build_store([("x", "y"), ("z", "w"), ("u", "v")], ("a", "b"))
+        with pytest.raises(DataError, match="out of range"):
+            store.trainable_tids(0, [0, tid])
+
     def test_mark_dirty_sets_status_per_cell(self):
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 1)])

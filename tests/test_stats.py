@@ -144,17 +144,18 @@ class TestCounts:
         stats = StatsStore(2)
         stats.ingest([(1, 1)])
         delta = stats.ingest([(1, 2), (1, 1)])
-        assert delta.m == 2
-        assert delta.marginals[0] == {1: (1, 3)}
-        assert delta.marginals[1] == {1: (1, 2), 2: (0, 1)}
-        assert delta_view(delta)[2][(0, 1)] == {(1, 1): (1, 2), (1, 2): (0, 1)}
+        m, marginals, pairs = delta_view(delta)
+        assert m == 2
+        assert marginals[0] == {1: (1, 3)}
+        assert marginals[1] == {1: (1, 2), 2: (0, 1)}
+        assert pairs[(0, 1)] == {(1, 1): (1, 2), (1, 2): (0, 1)}
 
     def test_empty_ingest_is_a_noop_delta(self):
         stats = golden_stats()
         delta = stats.ingest([])
         assert delta.m == 0
         assert all(not changed for changed in delta.marginals)
-        assert not delta.pairs
+        assert all(not changed for changed in delta.pairs.values())
 
     @given(
         st.lists(
@@ -312,14 +313,13 @@ class TestApplyDelta:
 
     def test_rejects_inconsistent_marginals(self):
         stats = StatsStore(2)
-        delta = stats.ingest([(1, 1), (2, 2)])
-        broken = delta.marginals[0].copy()
-        broken[1] = (0, 5)
+        m, marginals, pairs = delta_view(stats.ingest([(1, 1), (2, 2)]))
+        broken = {**marginals[0], 1: (0, 5)}
         with pytest.raises(DataError, match="marginal deltas"):
             apply_delta(
                 EntropyAccumulator(2),
                 stats,
-                type(delta)(delta.m, (broken, delta.marginals[1]), delta.pairs),
+                delta_from_dicts(m, (broken, marginals[1]), pairs),
             )
 
     @settings(deadline=None, max_examples=40)
