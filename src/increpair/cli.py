@@ -262,6 +262,7 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         store = RelationStore(schema, tokens)
         state = RunState(store, strategy, dcs, ground_truth)
         remaining = batches
+    del rows  # the batches hold the same values as tuples; the lists are not read again
 
     log.info(
         "cleaning %s with %s: %d batches (%d done), omega=%g skip=%s epsilon=%g seed=%d",

@@ -17,11 +17,12 @@ by construction lies in [0, 1].
 
 `Featurizer.block` does this with numpy for a whole set of cells: per context
 attribute it slices the rows of the context values the cells hold out of the
-store's packed co-occurrence table, merges the candidates into one sorted
-union of (cell, value) keys context by context, cuts each domain to its
-heaviest values and fills the stacked tensor with one float64 division per
-context.  `Featurizer.domain` and `Featurizer.tensor` run the same code on a
-single cell, whose tensor spans all of its attribute's `tensor_slots`.
+store's packed co-occurrence table, sorts every context's candidates
+together into one union of (cell, value) keys with their counts summed, cuts
+each domain to its heaviest values and fills the stacked tensor with one
+float64 division per context.  `Featurizer.domain` and `Featurizer.tensor`
+run the same code on a single cell, whose tensor spans all of its
+attribute's `tensor_slots`.
 
 A domain and a tensor read only the tuple's current row and the statistics,
 so `block` computes them once per distinct row among its cells and maps each
@@ -241,23 +242,27 @@ class Featurizer:
         (observed value always retained; ties broken toward lower value ids).
         """
         n_cells = len(observed)
-        union = weights = np.empty(0, dtype=np.int64)
+        proposed, proposed_counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for context_attr, ctx in enumerate(contexts):
             if ctx is None or self.correlations[attr][context_attr] <= self.omega:
                 continue
-            # each cell's row is sorted, so the gathered keys are sorted too
             cells, positions = _gather(ctx)
             vids = ctx.keys[positions] & _LOW
             counts = ctx.counts[positions]
             keep = (vids != NULL_ID) & (vids != observed[cells])
             keep &= counts >= self.tau * ctx.frequency[cells]
-            (union, weights), _ = add_counts(
-                union,
-                weights,
-                (cells[keep] << _SHIFT) | vids[keep],
-                counts[keep],
-            )
+            proposed.append((cells[keep] << _SHIFT) | vids[keep])
+            proposed_counts.append(counts[keep])
             del cells, positions, vids, counts, keep
+        # each cell's row is sorted, so each context's keys are a sorted run,
+        # which a stable sort merges; integer counts sum exactly in any order
+        proposed = np.concatenate(proposed)
+        order = np.argsort(proposed, kind="stable")
+        proposed = proposed[order]
+        firsts = np.flatnonzero(np.diff(proposed, prepend=-1))  # keys are >= 0
+        union = proposed[firsts]
+        weights = np.add.reduceat(np.concatenate(proposed_counts)[order], firsts)
+        del proposed, proposed_counts, order
         cells, sizes, starts = _runs(union, n_cells)
         if sizes.max(initial=0) > self.cap - 1:
             over = np.flatnonzero(sizes[cells] > self.cap - 1)

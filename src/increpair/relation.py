@@ -153,6 +153,21 @@ class RawBatch:
         return len(self.rows)
 
 
+class _ParsedFields(dict):
+    """Raw CSV field -> its trimmed text, or None for a null token, parsed on
+    first lookup.  A trimmed text is stored under itself too, so `" a"` and
+    `"a"` give one object."""
+
+    def __init__(self, null_tokens: frozenset[str]):
+        super().__init__()
+        self.null_tokens = null_tokens
+
+    def __missing__(self, field: str) -> str | None:
+        text = field.strip()
+        value = self[field] = None if text in self.null_tokens else self.setdefault(text, text)
+        return value
+
+
 def load_csv(
     path: str | Path,
     null_tokens: Iterable[str] = DEFAULT_NULL_TOKENS,
@@ -161,9 +176,11 @@ def load_csv(
 
     Every field is whitespace-trimmed; trimmed fields matching a null token
     come back as None.  Ragged rows raise with their file line number.
+    Equal values in the returned rows are one string object: each distinct
+    raw field is parsed once, through a memo that lives only for this call.
     """
     path = Path(path)
-    tokens = frozenset(null_tokens)
+    parse = _ParsedFields(frozenset(null_tokens)).__getitem__
     try:
         # utf-8-sig drops the byte-order mark spreadsheets write first
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -172,20 +189,18 @@ def load_csv(
             if header is None:
                 raise DataError(f"{path}: file is empty")
             schema = Schema(tuple(name.strip() for name in header))
+            n_attrs = schema.n_attrs  # at least 2, so a blank line is ragged too
             rows: list[list[str | None]] = []
+            append = rows.append
             for record in reader:
-                if not record:
-                    continue
-                if len(record) != schema.n_attrs:
+                if len(record) != n_attrs:
+                    if not record:
+                        continue
                     raise DataError(
                         f"{path}: row at line {reader.line_num} has {len(record)} fields,"
-                        f" expected {schema.n_attrs}"
+                        f" expected {n_attrs}"
                     )
-                parsed: list[str | None] = []
-                for field in record:
-                    text = field.strip()
-                    parsed.append(None if text in tokens else text)
-                rows.append(parsed)
+                append(list(map(parse, record)))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,10 +12,13 @@ cap cuts domains.  A second rule set (a one-tuple rule, a rule with two
 cross-tuple NEQs and a rule with no EQ key) runs under null+dc for the five
 strategies that take dc, on both seeds (10 runs).  The data is 700x5
 `fd_rows` from bench/workloads.py with 3 % injected errors, split into 7
-batches, with ground truth attached.
+batches, with ground truth attached.  One more stream, labelled
+"skewed/...", draws its rows from 6 prototypes instead of 60, so each value
+fills over 100 rows and a value seen once beside it falls under the
+candidate domains' tau = 0.01: the only stream here that tau prunes.
 
 A change that must keep the engine's outputs byte for byte passes `--check`
-against digests taken before it.  Not collected by pytest: it runs 78
+against digests taken before it.  Not collected by pytest: it runs 79
 streams.
 """
 
@@ -60,6 +63,7 @@ RULES2 = (
     'EQ(t1.c0,"k3") & EQ(t2.c0,"k3") & NEQ(t1.c1,t2.c1)\n'
 )
 N_ROWS, N_ATTRS, N_PROTOS, VOCAB, N_KEYS = 700, 5, 60, 25, 50
+SKEWED_PROTOS = 6
 ERROR_RATE = 0.03
 BATCHES = 7
 
@@ -74,12 +78,13 @@ def configurations():
                     label = f"seed{seed}/{name}/{detectors}"
                     if cap is not None:
                         label += f"/cap{cap}"
-                    yield label, "rules.dc", seed, kind, skip, detectors, cap
+                    yield label, "rules.dc", "", seed, kind, skip, detectors, cap
     for seed in SEEDS:
         for name, (kind, skip) in STRATEGIES.items():
             if kind != "hc-sep":
                 label = f"rules2/seed{seed}/{name}/null,dc"
-                yield label, "rules2.dc", seed, kind, skip, "null,dc", None
+                yield label, "rules2.dc", "", seed, kind, skip, "null,dc", None
+    yield "skewed/seed1/ihc+ikl/perfect", "rules.dc", "skewed", 1, "ihc", "ikl", "perfect", None
 
 
 def write_csv(path: Path, rows) -> None:
@@ -89,21 +94,21 @@ def write_csv(path: Path, rows) -> None:
         writer.writerows([["" if v is None else v for v in row] for row in rows])
 
 
-def write_inputs(workdir: Path, seed: int) -> None:
-    truth = fd_rows(seed, N_ROWS, N_ATTRS, N_PROTOS, VOCAB, N_KEYS)
+def write_inputs(workdir: Path, seed: int, n_protos: int = N_PROTOS, prefix: str = "") -> None:
+    truth = fd_rows(seed, N_ROWS, N_ATTRS, n_protos, VOCAB, N_KEYS)
     dirty, _ = inject_errors(truth, ERROR_RATE, seed=seed + 1)
-    write_csv(workdir / f"truth{seed}.csv", truth)
-    write_csv(workdir / f"dirty{seed}.csv", dirty)
+    write_csv(workdir / f"truth{prefix}{seed}.csv", truth)
+    write_csv(workdir / f"dirty{prefix}{seed}.csv", dirty)
 
 
 def digest(
-    workdir: Path, rules: str, seed: int, kind: str, skip: str, detectors: str, cap
+    workdir: Path, rules: str, prefix: str, seed: int, kind: str, skip: str, detectors: str, cap
 ) -> str:
     out, metrics = workdir / "out.csv", workdir / "metrics.jsonl"
     argv = [
         "clean",
-        "--input", str(workdir / f"dirty{seed}.csv"),
-        "--ground-truth", str(workdir / f"truth{seed}.csv"),
+        "--input", str(workdir / f"dirty{prefix}{seed}.csv"),
+        "--ground-truth", str(workdir / f"truth{prefix}{seed}.csv"),
         "--dcs", str(workdir / rules),
         "--strategy", kind,
         "--skip", skip,
@@ -129,6 +134,7 @@ def compute() -> dict[str, str]:
         (workdir / "rules2.dc").write_text(RULES2, encoding="utf-8")
         for seed in SEEDS:
             write_inputs(workdir, seed)
+        write_inputs(workdir, 1, SKEWED_PROTOS, "skewed")
         return {
             label: digest(workdir, *config)
             for label, *config in configurations()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import stat
 import threading
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from increpair.errors import DataError
 from increpair.relation import (
+    DEFAULT_NULL_TOKENS,
     NULL_ID,
     CellRef,
     CellStatus,
@@ -80,7 +82,61 @@ class TestInterner:
         assert [interner.resolve(0, i) for i in ids] == values
 
 
+def load_rows_per_field(path, null_tokens=DEFAULT_NULL_TOKENS) -> list[list[str | None]]:
+    """Scalar reference for `load_csv`'s rows: every field trimmed and checked
+    against the null tokens on its own, one new string per field."""
+    tokens = frozenset(null_tokens)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        records = list(csv.reader(handle))[1:]
+    rows = []
+    for record in records:
+        if not record:
+            continue
+        parsed = []
+        for field in record:
+            text = field.strip()
+            parsed.append(None if text in tokens else text)
+        rows.append(parsed)
+    return rows
+
+
+padding = st.sampled_from(["", " ", "  ", "\t", " \t"])
+csv_fields = st.tuples(
+    padding,
+    st.one_of(
+        st.sampled_from(["", "NULL", "empty", "??", "n/a", "a", "a b", "b,c"]),
+        st.text(alphabet="ab ,\t?", max_size=4),
+    ),
+    padding,
+).map("".join)
+null_token_sets = st.sampled_from([DEFAULT_NULL_TOKENS, frozenset({"??"}), frozenset({"n/a", ""})])
+
+
 class TestLoadCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda width: st.lists(st.lists(csv_fields, min_size=width, max_size=width), max_size=12)
+        ),
+        null_token_sets,
+    )
+    def test_rows_equal_the_per_field_reference(self, tmp_path_factory, records, null_tokens):
+        path = tmp_path_factory.getbasetemp() / "per-field.csv"
+        width = len(records[0]) if records else 2
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([[f"c{i}" for i in range(width)], *records])
+        _, rows = load_csv(path, null_tokens)
+        assert rows == load_rows_per_field(path, null_tokens)
+
+    def test_equal_values_share_one_object(self, tmp_path):
+        path = tmp_path / "t.csv"
+        # longer than one character: CPython keeps one object per 1-char string anyway
+        path.write_text("a,b,c\n xy ,xy,NULL\nxy , yz,\nyz,xy ,zw\n")
+        _, rows = load_csv(path)
+        values = [value for row in rows for value in row if value is not None]
+        assert values == ["xy", "xy", "xy", "yz", "yz", "xy", "zw"]
+        assert len({id(value) for value in values}) == len(set(values)) == 3
+
     def test_parses_and_nullifies(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n x , NULL \nv,empty\n,\n")
