@@ -35,7 +35,7 @@ from .relation import (
     make_batches,
 )
 from .skipper import SkipperState, kl_divergence
-from .snapshot import load_run, load_store, save_run, save_store
+from .snapshot import load_run, save_run
 from .stats import (
     EntropyAccumulator,
     StatsStore,
@@ -81,7 +81,6 @@ __all__ = [
     "kl_divergence",
     "load_csv",
     "load_run",
-    "load_store",
     "make_batches",
     "parse_dc",
     "parse_dc_file",
@@ -89,7 +88,6 @@ __all__ = [
     "run_detectors",
     "run_stream",
     "save_run",
-    "save_store",
     "scratch_accumulator",
     "train",
     "violations",

@@ -109,6 +109,8 @@ class Strategy:
             raise ConfigError(
                 f"{self.kind.value} always retrains; skip must be 'none'"
             )
+        if not self.detectors:
+            raise ConfigError("at least one detector is required")
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ConfigError(f"unknown detector {name!r}")

@@ -354,23 +354,8 @@ class RelationStore:
             raise DataError(f"batch {k} has not been appended")
         return range(self._batch_starts[k - 1], self._batch_starts[k])
 
-    def value(self, tid: int, attr: int) -> int:
-        return int(self.values[tid, attr])
-
     def tuple_values(self, tid: int) -> list[int]:
         return self.values[tid].tolist()
-
-    def canonical(self, tid: int, attr: int) -> str | None:
-        """Current value as a string, with None standing in for null."""
-        vid = self.value(tid, attr)
-        return None if vid == NULL_ID else self.interner.resolve(attr, vid)
-
-    def status(self, tid: int, attr: int) -> CellStatus:
-        return CellStatus(self._status[: self._n][tid, attr] & _STATE)
-
-    def original_value(self, tid: int, attr: int) -> int:
-        """Value the cell held before its first repair (current value if never repaired)."""
-        return int(self.first_seen[tid, attr])
 
     def check_tids(self, tids: np.ndarray) -> np.ndarray:
         """Ascending tuple ids, checked at both ends to name tuples of the store."""

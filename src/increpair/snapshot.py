@@ -1,4 +1,4 @@
-"""Versioned snapshot container: persist a bare store or a full run mid-stream.
+"""Versioned snapshot container: persist a run mid-stream.
 
 Snapshots are canonical JSON (sorted keys, no whitespace), so the same state
 always serializes to the same bytes on one platform, and restoring then
@@ -25,7 +25,6 @@ from .pipeline import RunState, Strategy, recount
 from .relation import RelationStore, int_rows, write_atomic
 
 FORMAT_NAME = "increpair-snapshot"
-STORE_VERSION = 1
 # v6: the models of a v5 run were trained on candidate domains built without
 # the tau pruning, so resuming one would mix two domain rules in one stream.
 RUN_VERSION = 6
@@ -41,11 +40,6 @@ PROGRESS_KEYS = (
 T = TypeVar("T")
 
 
-def _dump(payload: dict, path: str | Path) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    write_atomic(path, lambda handle: handle.write(text))
-
-
 def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
     if not isinstance(payload, dict):
         raise DataError(f"{where} is a {type(payload).__name__}, not an object")
@@ -54,7 +48,7 @@ def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
         raise DataError(f"{where} lacks {', '.join(missing)}")
 
 
-def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, ...]) -> dict:
+def _load(path: str | Path, keys: tuple[str, ...]) -> dict:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -66,14 +60,10 @@ def _load(path: str | Path, expected_kind: str, version: int, keys: tuple[str, .
     _require(payload, (), f"snapshot {path}")
     if payload.get("format") != FORMAT_NAME:
         raise DataError(f"snapshot {path} has unknown format {payload.get('format')!r}")
-    if payload.get("kind") != expected_kind:
-        raise DataError(
-            f"snapshot {path} holds a {payload.get('kind')!r}, expected {expected_kind!r}"
-        )
-    if payload.get("version") != version:
-        raise DataError(
-            f"unsupported {expected_kind} snapshot version {payload.get('version')!r}"
-        )
+    if payload.get("kind") != "run":
+        raise DataError(f"snapshot {path} holds a {payload.get('kind')!r}, expected 'run'")
+    if payload.get("version") != RUN_VERSION:
+        raise DataError(f"unsupported run snapshot version {payload.get('version')!r}")
     _require(payload, keys, f"snapshot {path}")
     return payload
 
@@ -93,40 +83,22 @@ def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload)
         raise DataError(f"snapshot {path} has a malformed {name} section: {exc!r}") from exc
 
 
-def save_store(store: RelationStore, path: str | Path) -> None:
-    _dump(
-        {
-            "format": FORMAT_NAME,
-            "kind": "store",
-            "version": STORE_VERSION,
-            "store": store.to_dict(),
-        },
-        path,
-    )
-
-
-def load_store(path: str | Path) -> RelationStore:
-    payload = _load(path, "store", STORE_VERSION, ("store",))
-    return _section(path, "store", RelationStore.from_dict, payload["store"])
-
-
 def save_run(state: RunState, path: str | Path, config: dict | None = None) -> None:
     """Persist a full run: store, strategy, models, last training batches, counters."""
     last_trained = sorted([attr, k] for attr, k in state.skipper.last_trained.items())
-    _dump(
-        {
-            "format": FORMAT_NAME,
-            "kind": "run",
-            "version": RUN_VERSION,
-            "store": state.store.to_dict(),
-            "strategy": state.strategy.to_dict(),
-            "models": [model.to_dict() for model in state.models],
-            "skipper": {"last_trained": last_trained},
-            "progress": {key: getattr(state, key) for key in PROGRESS_KEYS},
-            "config": config or {},
-        },
-        path,
-    )
+    payload = {
+        "format": FORMAT_NAME,
+        "kind": "run",
+        "version": RUN_VERSION,
+        "store": state.store.to_dict(),
+        "strategy": state.strategy.to_dict(),
+        "models": [model.to_dict() for model in state.models],
+        "skipper": {"last_trained": last_trained},
+        "progress": {key: getattr(state, key) for key in PROGRESS_KEYS},
+        "config": config or {},
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    write_atomic(path, lambda handle: handle.write(text))
 
 
 def load_run(path: str | Path) -> tuple[RunState, dict]:
@@ -138,9 +110,7 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     serialized: callers re-attach them via `RunState.attach_inputs` before
     resuming.
     """
-    payload = _load(
-        path, "run", RUN_VERSION, ("store", "strategy", "models", "skipper", "progress", "config")
-    )
+    payload = _load(path, ("store", "strategy", "models", "skipper", "progress", "config"))
     _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
     _require(payload["config"], (), f"snapshot {path} config")
     if not all(isinstance(payload["progress"][key], int) for key in PROGRESS_KEYS):

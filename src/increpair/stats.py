@@ -1,16 +1,16 @@
 """Streaming frequency statistics with incrementally maintained conditional
 entropies and the correlations derived from them.
 
-Counts are exact integers accumulated batch by batch: a per-attribute value
-frequency map and, for every ordered attribute pair (context, target), a
-co-occurrence table of sorted unique int64 keys `context vid << 32 | target
-vid` with an int64 count array.  A context value's row is the key slice from
-`vid << 32` to `(vid + 1) << 32`, found with `searchsorted`.  Both
-orientations are kept so either attribute can act as the context.  `ingest`
-counts a batch per attribute pair with one `np.unique` and merges it into
-both tables with `add_counts`, which finds each new key's place with
-`searchsorted` and scatters old and new keys into the union through a
-boolean mask.
+Counts are exact integers accumulated batch by batch, all in one layout: a
+table of sorted unique int64 keys with an int64 count array.  Each attribute
+has one keyed by value id, and every ordered attribute pair (context, target)
+one keyed by `context vid << 32 | target vid`.  A context value's row is the
+key slice from `vid << 32` to `(vid + 1) << 32`, found with `searchsorted`.
+Both orientations are kept so either attribute can act as the context.
+`ingest` counts a batch per attribute and per attribute pair with one
+`np.unique` each and merges it into the tables with `add_counts`, which
+finds each new key's place with `searchsorted` and scatters old and new keys
+into the union through a boolean mask.
 
 Conditional entropy H(X|Y), in nats, with z the co-occurrence count and w the
 conditioning value's marginal count, is
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,8 +102,8 @@ class StatsStore:
             raise DataError("statistics need at least two attributes")
         self.n_attrs = n_attrs
         self.n = 0
-        self.single: list[dict[int, int]] = [{} for _ in range(n_attrs)]
         empty = np.empty(0, dtype=np.int64)
+        self._marginals: list[tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * n_attrs
         self._tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {
             (i, j): (empty, empty) for i in range(n_attrs) for j in range(n_attrs) if i != j
         }
@@ -124,10 +123,9 @@ class StatsStore:
         if values.min(initial=0) < 0 or values.max(initial=0) >= ID_LIMIT:
             raise DataError("value ids must lie in [0, 2**31)")
         marginals = []
-        for attr, table in enumerate(self.single):
+        for attr in range(self.n_attrs):
             vids, counts = np.unique(values[:, attr], return_counts=True)
-            old = np.fromiter(map(table.get, vids.tolist(), repeat(0)), np.int64, len(vids))
-            table.update(zip(vids.tolist(), (old + counts).tolist()))
+            self._marginals[attr], old = add_counts(*self._marginals[attr], vids, counts)
             marginals.append(PairDelta(vids, old, old + counts))
         pairs = {}
         for i in range(self.n_attrs):
@@ -144,11 +142,13 @@ class StatsStore:
         positive counts.  Read-only: `ingest` replaces, never edits, them."""
         return self._tables[(attr_a, attr_b)]
 
-    def frequency(self, attr: int, vid: int) -> int:
-        return self.single[attr].get(vid, 0)
+    @property
+    def single(self) -> list[dict[int, int]]:
+        """Each attribute's value counts as a `{vid: count}` dict, built on each read."""
+        return [dict(zip(vids.tolist(), counts.tolist())) for vids, counts in self._marginals]
 
     def distinct_count(self, attr: int) -> int:
-        return len(self.single[attr])
+        return len(self._marginals[attr][0])
 
     def iter_pairs(self, attr_a: int, attr_b: int) -> Iterator[tuple[int, int, int]]:
         """(value_a, value_b, count) triples with count > 0, in key order."""
@@ -161,7 +161,7 @@ class StatsStore:
         frequency entry and the row it opens in each of the N-1 tables it
         conditions, a value pair one entry per orientation.  The engine does
         not read it; bench/stream.py reports it as `stats.live_bytes`."""
-        values = sum(len(table) for table in self.single)
+        values = sum(len(vids) for vids, _ in self._marginals)
         per_value = 96 + 72 * (self.n_attrs - 1)
         pair_entries = sum(len(keys) for (i, j), (keys, _) in self._tables.items() if i < j)
         return per_value * values + 192 * pair_entries + 112 * len(self._tables)
@@ -196,10 +196,12 @@ def cond_entropy_scratch(stats: StatsStore, x_attr: int, y_attr: int) -> float:
     if stats.n == 0:
         raise DataError("no tuples ingested")
     n = stats.n
-    marginals = stats.single[y_attr]
+    keys, z = stats.table(y_attr, x_attr)
+    vids, counts = stats._marginals[y_attr]
+    w = counts[np.searchsorted(vids, keys >> SHIFT)]  # each pair's context value count
     total = 0.0
-    for context_vid, _, z in stats.iter_pairs(y_attr, x_attr):
-        total -= (z / n) * math.log(z / marginals[context_vid])
+    for z_xy, w_y in zip(z.tolist(), w.tolist()):
+        total -= (z_xy / n) * math.log(z_xy / w_y)
     return total
 
 
@@ -211,7 +213,7 @@ def scratch_accumulator(stats: StatsStore) -> EntropyAccumulator:
     """Accumulator rebuilt from scratch over the store's current counts."""
     acc = EntropyAccumulator(stats.n_attrs)
     acc.n = stats.n
-    acc.marginal = [_c_ln_c(table.values()) for table in stats.single]
+    acc.marginal = [_c_ln_c(counts.tolist()) for _, counts in stats._marginals]
     for i, j in acc.pair:
         acc.pair[(i, j)] = _c_ln_c(stats.table(i, j)[1].tolist())
     return acc

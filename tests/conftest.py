@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from increpair.relation import NULL_ID, RawBatch, RelationStore, Schema
+from increpair.relation import _STATE, NULL_ID, CellStatus, RawBatch, RelationStore, Schema
 
 # Four rows over (region, code).  Region h appears three times and co-occurs
 # with codes b, c, e; region i appears once with code d.  Every frozen number
@@ -44,10 +44,33 @@ def cell_rows(entries) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, len(rows[0]) if rows else 2)
 
 
+def value_of(store: RelationStore, tid: int, attr: int) -> int:
+    """A cell's current value id."""
+    return int(store.values[tid, attr])
+
+
+def original_of(store: RelationStore, tid: int, attr: int) -> int:
+    """A cell's value id before its first repair (its current one if never repaired)."""
+    return int(store.first_seen[tid, attr])
+
+
+def status_of(store: RelationStore, tid: int, attr: int) -> CellStatus:
+    """A cell's state, without the bit that records a past repair."""
+    return CellStatus(store._status[: store.n_tuples][tid, attr] & _STATE)
+
+
+def _string(store: RelationStore, attr: int, vid: int) -> str | None:
+    return None if vid == NULL_ID else store.interner.resolve(attr, vid)
+
+
+def canonical_of(store: RelationStore, tid: int, attr: int) -> str | None:
+    """A cell's current value as a string, None for null."""
+    return _string(store, attr, value_of(store, tid, attr))
+
+
 def original_canonical(store: RelationStore, tid: int, attr: int) -> str | None:
     """A cell's value before its first repair as a string, None for null."""
-    vid = store.original_value(tid, attr)
-    return None if vid == NULL_ID else store.interner.resolve(attr, vid)
+    return _string(store, attr, original_of(store, tid, attr))
 
 
 class HalfWriter:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta, StatsStore
+from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta, StatsStore, add_counts
 
 
 class DictCounts:
@@ -125,7 +125,8 @@ def weighted_stats(tuple_counts: dict[tuple[int, ...], int], n_attrs: int) -> St
     for row, count in tuple_counts.items():
         stats.n += count
         for attr, vid in enumerate(row):
-            stats.single[attr][vid] = stats.single[attr].get(vid, 0) + count
+            vids, counts = np.array([vid], dtype=np.int64), np.array([count], dtype=np.int64)
+            stats._marginals[attr], _ = add_counts(*stats._marginals[attr], vids, counts)
         for i in range(n_attrs):
             for j in range(i + 1, n_attrs):
                 key = np.array([(row[i] << SHIFT) | row[j]], dtype=np.int64)

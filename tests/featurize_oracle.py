@@ -57,10 +57,11 @@ def generate_domain(
     attr = cell.attr
     observed = tuple_values[attr]
     weights: dict[int, int] = {}
+    single = stats.single
     for context_attr, context_vid in enumerate(tuple_values):
         if context_attr == attr or correlations[attr][context_attr] <= omega:
             continue
-        frequency = stats.frequency(context_attr, context_vid)
+        frequency = single[context_attr].get(context_vid, 0)
         for vid, count in cooccurring(stats, attr, context_attr, context_vid).items():
             if vid != NULL_ID and count >= tau * frequency:
                 weights[vid] = weights.get(vid, 0) + count
@@ -93,10 +94,11 @@ def generate_feature_vector(
     values = np.zeros((slots, n_attrs), dtype=np.float64)
     mask = np.zeros(slots, dtype=bool)
     mask[: domain.size] = True
+    single = stats.single
     for context_attr, context_vid in enumerate(tuple_values):
         if context_attr == attr:
             continue
-        frequency = stats.frequency(context_attr, context_vid)
+        frequency = single[context_attr].get(context_vid, 0)
         if frequency <= 0:
             raise DataError(
                 f"statistics hold no count for attribute {context_attr}"

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 from increpair.errors import DataError
 from increpair.relation import NULL_DISPLAY, NULL_ID, CellRef, CellStatus, RawBatch, Schema
 
+from conftest import canonical_of
+
 
 class ListInterner:
     """Per-attribute bijection between observed strings and dense ids, id 0 for null."""
@@ -167,6 +169,6 @@ def truth_scan(store, ground_truth, probe: Sequence[int]) -> set[CellRef]:
         CellRef(tid, attr)
         for tid in probe
         for attr in range(store.n_attrs)
-        if store.canonical(tid, attr) != ground_truth[tid][attr]
+        if canonical_of(store, tid, attr) != ground_truth[tid][attr]
     }
 

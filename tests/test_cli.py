@@ -128,6 +128,19 @@ class TestErrorsAndExitCodes:
              "--batches", "2", "--detectors", "perfect"]
         ) == 1
 
+    def test_empty_detector_list_is_config_error(self, clean_csv):
+        # a stream with no detector can flag nothing
+        assert run(
+            ["clean", "--input", clean_csv, "--strategy", "ihc",
+             "--batches", "2", "--detectors", ","]
+        ) == 1
+
+    def test_empty_detector_list_from_env_is_config_error(self, clean_csv, monkeypatch):
+        monkeypatch.setenv("INCREPAIR_DETECTORS", ",")
+        assert run(
+            ["clean", "--input", clean_csv, "--strategy", "ihc", "--batches", "2"]
+        ) == 1
+
     @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1")])
     def test_bad_training_setting_is_config_error(self, clean_csv, flag, value):
         assert run(
@@ -439,6 +452,10 @@ def zero_epochs(payload):
     payload["strategy"]["hyperparams"]["epochs"] = 0
 
 
+def no_detectors(payload):
+    payload["strategy"]["detectors"] = []
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -449,6 +466,7 @@ def zero_epochs(payload):
         as_list,
         zero_train_limit,
         zero_epochs,
+        no_detectors,
     ],
 )
 def test_resume_from_malformed_snapshot_is_data_error(tmp_path, clean_csv, mangle):

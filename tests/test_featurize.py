@@ -16,7 +16,7 @@ from increpair.models import AttributeModel, Hyperparams, train
 from increpair.relation import NULL_ID, CellRef, RawBatch, RelationStore, Schema
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
-from conftest import GOLDEN_ATTRS, GOLDEN_ROWS, build_store
+from conftest import GOLDEN_ATTRS, GOLDEN_ROWS, build_store, value_of
 import fit_oracle
 from featurize_oracle import block_width, generate_domain, generate_feature_vector
 
@@ -56,7 +56,7 @@ class TestDomain:
         names = [store.interner.resolve(CODE, vid) for vid in domain.candidates]
         assert names == ["b", "c", "e"]
         assert domain.observed_index == 0
-        assert domain.observed == store.value(0, CODE)
+        assert domain.observed == value_of(store, 0, CODE)
         assert domain.size == 3
 
     def test_observed_value_always_present(self, golden):
@@ -73,7 +73,7 @@ class TestDomain:
         domain = generate_domain(
             CellRef(0, CODE), store.tuple_values(0), stats, corr, omega=0.9
         )
-        assert domain.candidates == (store.value(0, CODE),)
+        assert domain.candidates == (value_of(store, 0, CODE),)
 
     def test_null_not_a_candidate(self):
         store = build_store(
@@ -131,7 +131,7 @@ class TestDomain:
         )
         names = [store.interner.resolve(CODE, v) for v in domain.candidates]
         assert names == ["b", "bx"]
-        assert domain.observed == store.value(30, CODE)
+        assert domain.observed == value_of(store, 30, CODE)
 
     def test_zero_tau_keeps_every_cooccurring_value(self, typo):
         store, stats, corr = typo
@@ -212,6 +212,26 @@ class TestFeatureTensor:
         )
         with pytest.raises(DataError, match="out of step"):
             generate_feature_vector(domain, [99, domain.observed], stats)
+
+    def test_engine_rejects_stale_counts(self, golden):
+        store, stats, corr = golden
+        featurizer = Featurizer(stats, corr, omega=0.0)
+        domain = featurizer.domain(CellRef(0, CODE), store.tuple_values(0))
+        with pytest.raises(DataError, match="attribute 0 value id 99; counts are out of step"):
+            featurizer.tensor(domain, [99, domain.observed])
+
+    def test_block_rejects_stale_counts(self):
+        # region 99 was never counted; the code cell's domain of several values
+        # comes through zone, so `block` keeps the cell rather than dropping a
+        # singleton before it reads the region's counts
+        rows = [("h", "b", "p"), ("h", "c", "p"), ("i", "d", "q"), ("h", "e", "p")]
+        store = build_store(rows, ("region", "code", "zone"))
+        stats, corr = stats_and_corr(store)
+        featurizer = Featurizer(stats, corr, omega=0.0)
+        row = store.tuple_values(0)
+        assert featurizer.block(CODE, [0], [row]).sizes.tolist() == [3]
+        with pytest.raises(DataError, match="attribute 0 value id 99; counts are out of step"):
+            featurizer.block(CODE, [0], [[99, *row[1:]]])
 
     def test_ratios_bounded_by_one(self):
         rng = random.Random(5)

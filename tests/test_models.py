@@ -32,7 +32,7 @@ from increpair.relation import CellRef, CellStatus
 from increpair.stats import StatsStore, correlation_matrix, scratch_accumulator
 
 import fit_oracle
-from conftest import build_store, cell_rows
+from conftest import build_store, cell_rows, status_of, value_of
 
 
 def predict(model: AttributeModel, tensor: FeatureTensor) -> tuple[np.ndarray, int]:
@@ -308,7 +308,7 @@ class TestBuildTrainingSet:
             domain = featurizer.domain(CellRef(tid, 1), store.tuple_values(tid))
             row = examples.row[i]
             assert examples.observed_index[row] == domain.observed_index
-            assert examples.candidates[row, examples.observed_index[row]] == store.value(tid, 1)
+            assert examples.candidates[row, examples.observed_index[row]] == value_of(store, tid, 1)
 
     def test_dirty_cells_excluded(self, trainable_world):
         store, featurizer = trainable_world
@@ -334,7 +334,7 @@ def listed_training_tids(store, featurizer, attr, limit, rng, tids):
     """The selection as made by listing every tuple whose status is not Dirty,
     sampling positions in that list, and dropping singleton-domain cells."""
     scope = range(store.n_tuples) if tids is None else sorted(set(tids))
-    eligible = [tid for tid in scope if store.status(tid, attr) is not CellStatus.DIRTY]
+    eligible = [tid for tid in scope if status_of(store, tid, attr) is not CellStatus.DIRTY]
     if len(eligible) > limit:
         eligible = [eligible[rank] for rank in sorted(rng.sample(range(len(eligible)), limit))]
     return [

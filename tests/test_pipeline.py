@@ -31,7 +31,7 @@ from increpair.relation import (
     make_batches,
 )
 
-from conftest import cell_rows, original_canonical
+from conftest import canonical_of, cell_rows, original_canonical, status_of
 from store_oracle import truth_scan
 
 SCHEMA = Schema(("ctx", "val"))
@@ -155,26 +155,26 @@ class TestStrategyContrast:
         # once v9 dominates the rebuilt statistics
         assert reports[1].cells_flagged == 1
         assert reports[1].remaining_errors == 0
-        assert state.store.canonical(0, 1) == "v9"
+        assert canonical_of(state.store, 0, 1) == "v9"
         assert original_canonical(state.store, 0, 1) == "bad"
 
     def test_ihc_re_revisits_and_corrects(self):
         state, reports = run_two_batches(StrategyKind.IHC_RE)
         assert reports[1].remaining_errors == 0
-        assert state.store.canonical(0, 1) == "v9"
+        assert canonical_of(state.store, 0, 1) == "v9"
 
     def test_ihc_leaves_prior_batches_alone(self):
         state, reports = run_two_batches(StrategyKind.IHC)
         assert reports[1].cells_flagged == 0  # incoming batch is clean
         assert reports[1].repairs_attempted == 0
-        assert state.store.canonical(0, 1) == "v1"  # first repair stands
+        assert canonical_of(state.store, 0, 1) == "v1"  # first repair stands
         assert reports[1].remaining_errors == 1
 
     def test_hc_sep_ignores_history(self):
         state, reports = run_two_batches(StrategyKind.HC_SEP)
         # batch 2 statistics must cover batch 2 alone
         assert state.stats.n == 4
-        assert state.store.canonical(0, 1) == "v1"
+        assert canonical_of(state.store, 0, 1) == "v1"
         assert reports[1].remaining_errors == 1
 
 
@@ -371,7 +371,7 @@ class TestRepairedCellsBecomeTrainable:
     def test_repaired_cell_feeds_next_training(self):
         state, _ = run_two_batches(StrategyKind.IHC)
         # the repaired cell is Repaired, hence eligible again
-        assert state.store.status(0, 1) is CellStatus.REPAIRED
+        assert status_of(state.store, 0, 1) is CellStatus.REPAIRED
         assert 0 in state.store.trainable_tids(1)
 
 

@@ -26,13 +26,22 @@ from increpair.relation import (
     write_atomic,
 )
 
-from conftest import build_store, cell_rows, failing_writes, original_canonical
+from conftest import (
+    build_store,
+    canonical_of,
+    cell_rows,
+    failing_writes,
+    original_canonical,
+    original_of,
+    status_of,
+    value_of,
+)
 from store_oracle import ListStore
 
 
 def display(store, tid, attr):
     """A cell's current value as the string it resolves to, "" for null."""
-    return store.interner.resolve(attr, store.value(tid, attr))
+    return store.interner.resolve(attr, value_of(store, tid, attr))
 
 
 class TestSchema:
@@ -238,9 +247,9 @@ class TestStoreLifecycle:
 
     def test_values_and_canonical(self):
         store = build_store([("x", None)], ("a", "b"))
-        assert store.value(0, 1) == NULL_ID
-        assert store.canonical(0, 0) == "x"
-        assert store.canonical(0, 1) is None
+        assert value_of(store, 0, 1) == NULL_ID
+        assert canonical_of(store, 0, 0) == "x"
+        assert canonical_of(store, 0, 1) is None
         assert display(store, 0, 1) == ""
 
     def test_mark_dirty_counts_new_flags_only(self):
@@ -248,12 +257,12 @@ class TestStoreLifecycle:
         cell = CellRef(0, 0)
         assert store.mark_dirty([cell]) == 1
         assert store.mark_dirty([cell]) == 0
-        assert store.status(0, 0) is CellStatus.DIRTY
+        assert status_of(store, 0, 0) is CellStatus.DIRTY
 
     def test_mark_dirty_counts_each_newly_dirty_cell_once(self):
         store = build_store([("x", "y"), ("z", "w")], ("a", "b"))
         store.mark_dirty(cell_rows([CellRef(0, 0), CellRef(0, 1)]))
-        store.apply_repairs(cell_rows([(CellRef(0, 1), store.value(0, 1))]))
+        store.apply_repairs(cell_rows([(CellRef(0, 1), value_of(store, 0, 1))]))
         # a duplicate row, an already-Dirty cell and a re-flagged Repaired cell
         flagged = cell_rows([CellRef(1, 0), CellRef(1, 0), CellRef(0, 0), CellRef(0, 1)])
         assert store.mark_dirty(flagged) == 2
@@ -274,17 +283,17 @@ class TestStoreLifecycle:
         store.mark_dirty([CellRef(0, 0)])
         changed = store.apply_repairs(cell_rows([(CellRef(0, 0), store.interner.lookup(0, "z"))]))
         assert changed == 1
-        assert store.canonical(0, 0) == "z"
-        assert store.status(0, 0) is CellStatus.REPAIRED
+        assert canonical_of(store, 0, 0) == "z"
+        assert status_of(store, 0, 0) is CellStatus.REPAIRED
         assert original_canonical(store, 0, 0) == "x"
         assert store.to_dict()["original"] == [[0, 0, store.interner.lookup(0, "x")]]
 
     def test_unchanged_repair_still_marks_repaired(self):
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 0)])
-        changed = store.apply_repairs(cell_rows([(CellRef(0, 0), store.value(0, 0))]))
+        changed = store.apply_repairs(cell_rows([(CellRef(0, 0), value_of(store, 0, 0))]))
         assert changed == 0
-        assert store.status(0, 0) is CellStatus.REPAIRED
+        assert status_of(store, 0, 0) is CellStatus.REPAIRED
 
     def test_first_original_survives_reflag_and_second_repair(self):
         store = build_store([("x", "y"), ("z", "y"), ("w", "y")], ("a", "b"))
@@ -292,9 +301,9 @@ class TestStoreLifecycle:
         store.mark_dirty([cell])
         store.apply_repairs(cell_rows([(cell, store.interner.lookup(0, "z"))]))
         store.mark_dirty([cell])  # a revisiting strategy re-flags it
-        assert store.status(0, 0) is CellStatus.DIRTY
+        assert status_of(store, 0, 0) is CellStatus.DIRTY
         store.apply_repairs(cell_rows([(cell, store.interner.lookup(0, "w"))]))
-        assert store.canonical(0, 0) == "w"
+        assert canonical_of(store, 0, 0) == "w"
         assert original_canonical(store, 0, 0) == "x"
 
     def test_repair_validates_value_id(self):
@@ -308,8 +317,8 @@ class TestStoreLifecycle:
         store.mark_dirty([CellRef(0, 0), CellRef(1, 0)])
         store.apply_repairs(cell_rows([(CellRef(0, 0), store.interner.lookup(0, "z"))]))
         assert store.reset_dirty() == 1
-        assert store.status(0, 0) is CellStatus.REPAIRED
-        assert store.status(1, 0) is CellStatus.CLEAN
+        assert status_of(store, 0, 0) is CellStatus.REPAIRED
+        assert status_of(store, 1, 0) is CellStatus.CLEAN
 
     def test_dirty_cells_sorted_and_scoped(self):
         store = build_store([("x", "y"), ("z", "w")], ("a", "b"))
@@ -320,7 +329,7 @@ class TestStoreLifecycle:
     def test_trainable_excludes_dirty_only(self):
         store = build_store([("x", "y"), ("z", "w"), ("u", "v")], ("a", "b"))
         store.mark_dirty([CellRef(1, 0), CellRef(2, 0)])
-        store.apply_repairs(cell_rows([(CellRef(2, 0), store.value(2, 0))]))
+        store.apply_repairs(cell_rows([(CellRef(2, 0), value_of(store, 2, 0))]))
         assert store.trainable_tids(0).tolist() == [0, 2]
         assert store.trainable_tids(1).tolist() == [0, 1, 2]
         assert store.trainable_tids(0, [2, 1, 2]).tolist() == [2]
@@ -334,7 +343,7 @@ class TestStoreLifecycle:
     def test_mark_dirty_sets_status_per_cell(self):
         store = build_store([("x", "y")], ("a", "b"))
         store.mark_dirty([CellRef(0, 1)])
-        assert [store.status(0, attr) for attr in range(2)] == [
+        assert [status_of(store, 0, attr) for attr in range(2)] == [
             CellStatus.CLEAN,
             CellStatus.DIRTY,
         ]
@@ -383,9 +392,9 @@ class TestExportAndSerialization:
         assert clone.n_tuples == store.n_tuples
         for tid in range(store.n_tuples):
             for attr in range(store.n_attrs):
-                assert clone.value(tid, attr) == store.value(tid, attr)
-                assert clone.status(tid, attr) == store.status(tid, attr)
-                assert clone.original_value(tid, attr) == store.original_value(tid, attr)
+                assert value_of(clone, tid, attr) == value_of(store, tid, attr)
+                assert status_of(clone, tid, attr) == status_of(store, tid, attr)
+                assert original_of(clone, tid, attr) == original_of(store, tid, attr)
         assert clone.batch_tids(1) == store.batch_tids(1)
 
     @given(
@@ -399,7 +408,7 @@ class TestExportAndSerialization:
         store = build_store(rows, ("a", "b"), null_tokens=())
         clone = RelationStore.from_dict(store.to_dict())
         current = [
-            [clone.canonical(tid, attr) for attr in range(2)] for tid in range(clone.n_tuples)
+            [canonical_of(clone, tid, attr) for attr in range(2)] for tid in range(clone.n_tuples)
         ]
         assert current == [[r[0], r[1]] for r in rows]
 
@@ -435,10 +444,10 @@ def check_same_store(store, oracle):
     for tid in range(oracle.n_tuples):
         assert store.tuple_values(tid) == oracle.tuple_values(tid)
         for attr in range(N_ATTRS):
-            assert store.value(tid, attr) == oracle.value(tid, attr)
-            assert store.original_value(tid, attr) == oracle.original_value(tid, attr)
-            assert store.status(tid, attr) is oracle.status(tid, attr)
-            assert store.canonical(tid, attr) == oracle.canonical(tid, attr)
+            assert value_of(store, tid, attr) == oracle.value(tid, attr)
+            assert original_of(store, tid, attr) == oracle.original_value(tid, attr)
+            assert status_of(store, tid, attr) is oracle.status(tid, attr)
+            assert canonical_of(store, tid, attr) == oracle.canonical(tid, attr)
     assert store.dirty_cells().tolist() == cell_rows(oracle.dirty_cells()).tolist()
     evens = range(0, oracle.n_tuples, 2)
     assert store.dirty_cells(evens).tolist() == cell_rows(oracle.dirty_cells(evens)).tolist()

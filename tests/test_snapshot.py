@@ -13,73 +13,10 @@ import pytest
 from increpair.errors import ConfigError, DataError
 from increpair.models import Hyperparams
 from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
-from increpair.relation import (
-    CellRef,
-    CellStatus,
-    RawBatch,
-    RelationStore,
-    Schema,
-    make_batches,
-)
-from increpair.snapshot import load_run, load_store, save_run, save_store
+from increpair.relation import RawBatch, RelationStore, Schema, make_batches
+from increpair.snapshot import load_run, save_run
 
-from conftest import cell_rows, failing_writes, original_canonical
-
-
-def seeded_store():
-    store = RelationStore(Schema(("a", "b")))
-    store.append_batch(RawBatch(1, (("x", "y"), ("x", None), ("z", "y"))))
-    store.mark_dirty(cell_rows([CellRef(1, 1)]))
-    fixed = store.interner.intern(1, "y")
-    store.apply_repairs(cell_rows([(CellRef(1, 1), fixed)]))
-    return store
-
-
-class TestStoreSnapshots:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        store = seeded_store()
-        path = tmp_path / "store.json"
-        save_store(store, path)
-        restored = load_store(path)
-        assert restored.schema.attributes == store.schema.attributes
-        assert restored.n_tuples == store.n_tuples
-        for tid in range(store.n_tuples):
-            for attr in range(store.n_attrs):
-                assert restored.canonical(tid, attr) == store.canonical(tid, attr)
-                assert restored.status(tid, attr) is store.status(tid, attr)
-                assert original_canonical(restored, tid, attr) == original_canonical(
-                    store, tid, attr
-                )
-        assert restored.status(1, 1) is CellStatus.REPAIRED
-
-    def test_bytes_are_stable(self, tmp_path):
-        store = seeded_store()
-        first, second = tmp_path / "one.json", tmp_path / "two.json"
-        save_store(store, first)
-        save_store(store, second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_rejects_foreign_payloads(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json at all")
-        with pytest.raises(DataError, match="not valid JSON"):
-            load_store(path)
-        path.write_text(json.dumps({"format": "other", "kind": "store"}))
-        with pytest.raises(DataError, match="unknown format"):
-            load_store(path)
-        with pytest.raises(DataError, match="cannot open"):
-            load_store(tmp_path / "missing.json")
-
-    def test_rejects_wrong_kind_and_version(self, tmp_path):
-        store_path = tmp_path / "store.json"
-        save_store(seeded_store(), store_path)
-        with pytest.raises(DataError, match="expected 'run'"):
-            load_run(store_path)
-        mangled = json.loads(store_path.read_text())
-        mangled["version"] = 99
-        store_path.write_text(json.dumps(mangled))
-        with pytest.raises(DataError, match="version"):
-            load_store(store_path)
+from conftest import canonical_of, failing_writes
 
 
 STREAM_ROWS = [
@@ -207,8 +144,8 @@ class TestRunSnapshots:
                 assert [r.to_json_line() for r in head + tail] == straight_lines, case
                 for tid in range(straight.store.n_tuples):
                     for attr in range(3):
-                        assert resumed.store.canonical(tid, attr) == straight.store.canonical(
-                            tid, attr
+                        assert canonical_of(resumed.store, tid, attr) == canonical_of(
+                            straight.store, tid, attr
                         ), case
                 resumed_path = path.with_suffix(".resumed.json")
                 save_run(resumed, resumed_path, config={"note": "whole stream"})
@@ -311,12 +248,31 @@ class TestRunSnapshotValidation:
         with pytest.raises(DataError):
             load_run(path)
 
-    @pytest.mark.parametrize("loader", [load_run, load_store])
-    def test_payload_that_is_not_an_object_is_data_error(self, tmp_path, loader):
+    def test_payload_that_is_not_an_object_is_data_error(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([{"format": "increpair-snapshot"}]))
         with pytest.raises(DataError, match="not an object"):
-            loader(path)
+            load_run(path)
+
+    def test_rejects_foreign_payloads(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("not json at all")
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_run(path)
+        path.write_text(json.dumps({"format": "other", "kind": "run"}))
+        with pytest.raises(DataError, match="unknown format"):
+            load_run(path)
+        with pytest.raises(DataError, match="cannot open"):
+            load_run(tmp_path / "missing.json")
+
+    def test_rejects_wrong_kind_and_version(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        path.write_text(json.dumps({**payload, "kind": "store", "version": 1}))
+        with pytest.raises(DataError, match="expected 'run'"):
+            load_run(path)
+        path.write_text(json.dumps({**payload, "version": 99}))
+        with pytest.raises(DataError, match="unsupported run snapshot version 99"):
+            load_run(path)
 
     def test_version_2_snapshot_is_rejected(self, tmp_path):
         # v2 entropies held one value per ordered pair, models a trained_at_batch
