@@ -1,8 +1,10 @@
 """Command-line front door: inject synthetic errors, run a cleaning strategy
 over a batched stream, and score repaired output against ground truth.
 
-Every tunable flag can also come from the environment with the INCREPAIR_
-prefix (e.g. INCREPAIR_OMEGA=0.1); explicit flags win over the environment.
+Every setting can also come from the environment: the flag's name in
+capitals after INCREPAIR_ (--omega from INCREPAIR_OMEGA, --batch-size from
+INCREPAIR_BATCH_SIZE); a flag wins over its variable.  Paths (--input,
+--out, --resume, ...) and switches (--timings) come from flags only.
 
 Exit codes: 0 success, 1 configuration error, 2 data/parse error, 3 internal.
 """
@@ -15,47 +17,45 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .dc import parse_dc_file
-from .detectors import truth_ids
+from .detectors import DETECTOR_NAMES, truth_ids
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .inject import ERROR_KINDS, inject_errors
 from .models import Hyperparams
-from .pipeline import RunState, Strategy, StrategyKind, evaluate, run_stream, score
-from .relation import RelationStore, load_csv, make_batches, write_atomic, write_csv
+from .pipeline import SKIP_VARIANTS, RunState, Strategy, StrategyKind, evaluate, run_stream, score
+from .relation import DEFAULT_NULL_TOKENS, RelationStore, load_csv, make_batches, write_atomic
+from .relation import write_csv
 from .snapshot import load_run, save_run
 
 ENV_PREFIX = "INCREPAIR_"
 log = logging.getLogger("increpair")
-
-T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2); keep our exit codes
         raise ConfigError(message)
 
+    def add_setting(self, flag: str, *, default=None, help: str = "", **kwargs) -> None:
+        """A flag whose INCREPAIR_ variable stands in when it is not given.
 
-def _resolve(flag_value: T | None, env_name: str, cast: Callable[[str], T], default: T) -> T:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_PREFIX + env_name)
-    if raw is not None:
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {ENV_PREFIX}{env_name}: {raw!r}") from exc
-    return default
+        The variable's text becomes the default, which argparse converts with
+        the flag's `type` like a value on the command line; a bad one is a
+        parser error, so exit code 1.
+        """
+        env = ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
+        help = f"{help} (or {env})".lstrip()
+        self.add_argument(flag, default=os.environ.get(env, default), help=help, **kwargs)
 
 
 def _parse_tokens(text: str) -> frozenset[str]:
     return frozenset(part.strip() for part in text.split(","))
 
 
-def _parse_detectors(text: str) -> tuple[str, ...]:
+def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
@@ -83,31 +83,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     inject = commands.add_parser("inject", help="corrupt a clean CSV at an exact cell rate")
     inject.add_argument("--input", required=True, help="clean CSV with a header row")
-    inject.add_argument("--rate", type=float, default=None, help="cell error rate in (0, 1)")
-    inject.add_argument("--kinds", default=None, help="comma list from: typo, swap, null")
-    inject.add_argument("--seed", type=int, default=None)
+    inject.add_setting("--rate", type=float, default=0.01, help="cell error rate in (0, 1)")
+    kinds = f"comma list from: {', '.join(ERROR_KINDS)}"
+    inject.add_setting("--kinds", type=_parse_names, default=ERROR_KINDS, help=kinds)
+    inject.add_setting("--seed", type=int, default=0)
     inject.add_argument("--out-dirty", required=True, help="where to write the corrupted CSV")
     inject.add_argument("--out-truth", required=True, help="where to write the canonical clean CSV")
-    inject.add_argument("--null-tokens", default=None, help="comma list of tokens meaning null")
 
+    # A setting that tunes the strategy has the Strategy or Hyperparams field it
+    # sets as its dest (read by _tuning); unset, it stays None, so a fresh run
+    # takes the field's default and a resumed run the snapshot's.
     clean = commands.add_parser("clean", help="run a cleaning strategy over a batched stream")
     clean.add_argument("--input", required=True, help="dirty CSV with a header row")
     clean.add_argument("--ground-truth", default=None, help="clean CSV for the perfect detector")
     clean.add_argument("--dcs", default=None, help="constraint file, one per line")
-    clean.add_argument(
-        "--strategy", choices=[kind.value for kind in StrategyKind], default=None
-    )
-    clean.add_argument("--detectors", default=None, help="comma list from: null, dc, perfect")
-    clean.add_argument("--batches", type=int, default=None, help="split into N batches")
-    clean.add_argument("--batch-size", type=int, default=None, help="fixed rows per batch")
-    clean.add_argument("--omega", type=float, default=None, help="correlation threshold")
-    clean.add_argument("--skip", choices=["none", "ikl", "wkl"], default=None)
-    clean.add_argument("--epsilon", type=float, default=None, help="divergence threshold")
-    clean.add_argument("--epochs", type=int, default=None)
-    clean.add_argument("--lr", type=float, default=None, help="learning rate")
-    clean.add_argument("--domain-cap", type=int, default=None)
-    clean.add_argument("--train-limit", type=int, default=None, help="examples per attribute")
-    clean.add_argument("--seed", type=int, default=None)
+    strategies = [kind.value for kind in StrategyKind]
+    clean.add_setting("--strategy", dest="kind", type=StrategyKind, choices=strategies)
+    detectors = f"comma list from: {', '.join(DETECTOR_NAMES)}"
+    clean.add_setting("--detectors", type=_parse_names, help=detectors)
+    clean.add_setting("--batches", type=int, help="split into N batches")
+    clean.add_setting("--batch-size", type=int, help="fixed rows per batch")
+    clean.add_setting("--omega", type=float, help="correlation threshold")
+    clean.add_setting("--skip", choices=SKIP_VARIANTS, help="drift gate")
+    clean.add_setting("--epsilon", dest="epsilon_kl", type=float, help="divergence threshold")
+    clean.add_setting("--epochs", type=int)
+    clean.add_setting("--lr", dest="learning_rate", type=float, help="learning rate")
+    clean.add_setting("--domain-cap", type=int)
+    clean.add_setting("--train-limit", type=int, help="examples per attribute")
+    clean.add_setting("--seed", type=int)
     clean.add_argument("--out", default=None, help="where to write the repaired CSV")
     clean.add_argument("--metrics", default=None, help="where to write per-batch JSON lines")
     clean.add_argument("--snapshot", default=None, help="where to write the final run snapshot")
@@ -118,27 +121,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="include wall-clock stage timings and peak resident memory (peak_rss_kb)"
         " in metrics lines",
     )
-    clean.add_argument("--null-tokens", default=None)
 
     score = commands.add_parser("eval", help="score a repaired CSV against ground truth")
     score.add_argument("--repaired", required=True)
     score.add_argument("--ground-truth", required=True)
     score.add_argument("--dirty", required=True, help="the pre-repair corrupted CSV")
     score.add_argument("--json-out", default=None, help="also write the metrics as JSON")
-    score.add_argument("--null-tokens", default=None)
 
+    for command in (inject, clean, score):
+        command.add_setting(
+            "--null-tokens",
+            type=_parse_tokens,
+            default=DEFAULT_NULL_TOKENS,
+            help="comma list of tokens meaning null",
+        )
     return parser
 
 
 def cmd_inject(ns: argparse.Namespace) -> int:
-    rate = _resolve(ns.rate, "RATE", float, 0.01)
-    seed = _resolve(ns.seed, "SEED", int, 0)
-    kinds = _resolve(ns.kinds, "KINDS", str, ",".join(ERROR_KINDS))
-    tokens = _parse_tokens(_resolve(ns.null_tokens, "NULL_TOKENS", str, ",NULL,empty"))
-    schema, rows = load_csv(ns.input, tokens)
-    dirty, provenance = inject_errors(
-        rows, rate, _parse_detectors(kinds), seed, tokens
-    )
+    schema, rows = load_csv(ns.input, ns.null_tokens)
+    dirty, provenance = inject_errors(rows, ns.rate, ns.kinds, ns.seed, ns.null_tokens)
     with _writing(ns.out_truth):
         write_csv(ns.out_truth, schema.attributes, rows)
     with _writing(ns.out_dirty):
@@ -153,53 +155,39 @@ def cmd_inject(ns: argparse.Namespace) -> int:
 
 
 def _tuning(ns: argparse.Namespace) -> dict:
-    """Strategy fields set by a flag or an INCREPAIR_ variable; unset ones are left out."""
-    detectors = _resolve(ns.detectors, "DETECTORS", str, None)
-    fields = {
-        "kind": _resolve(ns.strategy, "STRATEGY", str, None),
-        "detectors": None if detectors is None else _parse_detectors(detectors),
-        "skip": _resolve(ns.skip, "SKIP", str, None),
-        "epsilon_kl": _resolve(ns.epsilon, "EPSILON", float, None),
-        "omega": _resolve(ns.omega, "OMEGA", float, None),
-        "domain_cap": _resolve(ns.domain_cap, "DOMAIN_CAP", int, None),
-        "train_limit": _resolve(ns.train_limit, "TRAIN_LIMIT", int, None),
-        "epochs": _resolve(ns.epochs, "EPOCHS", int, None),
-        "learning_rate": _resolve(ns.lr, "LR", float, None),
-        "seed": _resolve(ns.seed, "SEED", int, None),
-    }
-    return {key: value for key, value in fields.items() if value is not None}
+    """Strategy and Hyperparams fields set by a flag or an INCREPAIR_ variable;
+    unset ones are left out."""
+    settings = vars(ns)
+    names = [f.name for f in fields(Strategy) + fields(Hyperparams)]
+    return {name: settings[name] for name in names if settings.get(name) is not None}
 
 
 def _clean_strategy(tuning: dict) -> Strategy:
     """A fresh run's strategy: the fields set, `Strategy` defaults for the rest."""
     if "kind" not in tuning:
         raise ConfigError("--strategy is required")
-    fields = dict(tuning)
-    try:
-        fields["kind"] = StrategyKind(fields["kind"])
-    except ValueError:
-        raise ConfigError(f"unknown strategy {fields['kind']!r}") from None
-    hyper = {key: fields.pop(key) for key in ("epochs", "learning_rate") if key in fields}
-    return Strategy(**fields, hyperparams=Hyperparams(**hyper))
+    settings = dict(tuning)
+    hyper = {f.name: settings.pop(f.name) for f in fields(Hyperparams) if f.name in settings}
+    return Strategy(**settings, hyperparams=Hyperparams(**hyper))
 
 
-def _check_resumable(tuning: dict, strategy: Strategy) -> None:
-    """Reject any field set for this run that differs from the snapshot's strategy."""
-    saved = {**asdict(strategy), **asdict(strategy.hyperparams), "kind": strategy.kind.value}
-    for key, value in tuning.items():
-        if value != saved[key]:
+def _check_resumable(requested: dict, strategy: Strategy, config: dict) -> None:
+    """Reject any setting of this run that differs from the snapshot's: its
+    strategy's fields, or the batching its configuration echoes.  Values are
+    shown as the snapshot's JSON spells them."""
+    saved = {**config, **asdict(strategy), **asdict(strategy.hyperparams)}
+    for key, value in requested.items():
+        if value != saved.get(key):
             raise ConfigError(
-                f"snapshot was built with {key}={saved[key]!r}, cannot resume with {value!r}"
+                f"snapshot was built with {key}={json.dumps(saved.get(key))},"
+                f" cannot resume with {json.dumps(value)}"
             )
 
 
 def cmd_clean(ns: argparse.Namespace) -> int:
-    tokens = _parse_tokens(_resolve(ns.null_tokens, "NULL_TOKENS", str, ",NULL,empty"))
-    batches_count = _resolve(ns.batches, "BATCHES", int, None)
-    batch_size = _resolve(ns.batch_size, "BATCH_SIZE", int, None)
-    if (batches_count is None) == (batch_size is None):
+    if (ns.batches is None) == (ns.batch_size is None):
         raise ConfigError("exactly one of --batches or --batch-size is required")
-    for flag, value in (("--batches", batches_count), ("--batch-size", batch_size)):
+    for flag, value in (("--batches", ns.batches), ("--batch-size", ns.batch_size)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     tuning = _tuning(ns)
@@ -207,10 +195,10 @@ def cmd_clean(ns: argparse.Namespace) -> int:
     for flag, path in outputs:
         _check_output(flag, path)
 
-    schema, rows = load_csv(ns.input, tokens)
+    schema, rows = load_csv(ns.input, ns.null_tokens)
     ground_truth = None
     if ns.ground_truth:
-        truth_schema, ground_truth = load_csv(ns.ground_truth, tokens)
+        truth_schema, ground_truth = load_csv(ns.ground_truth, ns.null_tokens)
         if truth_schema != schema:
             raise DataError("ground truth schema differs from the input schema")
         if len(ground_truth) != len(rows):
@@ -219,47 +207,48 @@ def cmd_clean(ns: argparse.Namespace) -> int:
             )
     dcs = parse_dc_file(ns.dcs, schema) if ns.dcs else []
 
-    if batches_count is not None:
-        batches = make_batches(rows, count=batches_count)
+    if ns.batches is not None:
+        batches = make_batches(rows, count=ns.batches)
     else:
-        batches = make_batches(rows, size=batch_size)
+        batches = make_batches(rows, size=ns.batch_size)
 
     config_echo = {
         "input": str(ns.input),
         "ground_truth": str(ns.ground_truth) if ns.ground_truth else None,
         "dcs": str(ns.dcs) if ns.dcs else None,
-        "batches": batches_count,
-        "batch_size": batch_size,
-        "null_tokens": sorted(tokens),
+        "batches": ns.batches,
+        "batch_size": ns.batch_size,
+        "null_tokens": sorted(ns.null_tokens),
     }
 
     if ns.resume:
         state, saved_config = load_run(ns.resume)
-        strategy = state.strategy
-        _check_resumable(tuning, strategy)
-        for key in ("batches", "batch_size"):
-            if saved_config.get(key) != config_echo[key]:
-                raise ConfigError(
-                    f"snapshot used {key}={saved_config.get(key)!r},"
-                    f" resume requested {config_echo[key]!r}"
-                )
+        store, strategy = state.store, state.strategy
+        if (store.schema, store.null_tokens) != (schema, ns.null_tokens):
+            raise DataError(
+                f"snapshot holds attributes {store.schema.attributes} and null tokens"
+                f" {sorted(store.null_tokens, key=str)}; the input has"
+                f" {schema.attributes} and {config_echo['null_tokens']}"
+            )
+        batching = {key: config_echo[key] for key in ("batches", "batch_size")}
+        _check_resumable({**tuning, **batching}, strategy, saved_config)
         state.attach_inputs(dcs, ground_truth)
         done = state.batches_done
-        sizes = [len(state.store.batch_tids(k)) for k in range(1, done + 1)]
+        sizes = [len(store.batch_tids(k)) for k in range(1, done + 1)]
         expected = [batch.cardinality for batch in batches[:done]]
         if sizes != expected:
             raise DataError(
                 "snapshot does not line up with the input stream:"
                 f" its batches hold {sizes} tuples, the input's {expected}"
             )
-        seen = truth_ids(state.store, rows, range(state.store.n_tuples))
-        differs = (seen != state.store.first_seen).any(axis=1)
+        seen = truth_ids(store, rows, range(store.n_tuples))
+        differs = (seen != store.first_seen).any(axis=1)
         if differs.any():
             raise DataError(f"input row {differs.argmax()} does not match the snapshotted stream")
         remaining = batches[done:]
     else:
         strategy = _clean_strategy(tuning)
-        store = RelationStore(schema, tokens)
+        store = RelationStore(schema, ns.null_tokens)
         state = RunState(store, strategy, dcs, ground_truth)
         remaining = batches
     del rows  # the batches hold the same values as tuples; the lists are not read again
@@ -310,10 +299,9 @@ def cmd_clean(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    tokens = _parse_tokens(_resolve(ns.null_tokens, "NULL_TOKENS", str, ",NULL,empty"))
-    repaired_schema, repaired = load_csv(ns.repaired, tokens)
-    truth_schema, truth = load_csv(ns.ground_truth, tokens)
-    dirty_schema, dirty = load_csv(ns.dirty, tokens)
+    repaired_schema, repaired = load_csv(ns.repaired, ns.null_tokens)
+    truth_schema, truth = load_csv(ns.ground_truth, ns.null_tokens)
+    dirty_schema, dirty = load_csv(ns.dirty, ns.null_tokens)
     if not (repaired_schema == truth_schema == dirty_schema):
         raise DataError("the three files must share one schema")
     if not (len(repaired) == len(truth) == len(dirty)):

@@ -48,26 +48,6 @@ def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
         raise DataError(f"{where} lacks {', '.join(missing)}")
 
 
-def _load(path: str | Path, keys: tuple[str, ...]) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot open snapshot {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"snapshot {path} is not valid JSON: {exc}") from exc
-    _require(payload, (), f"snapshot {path}")
-    if payload.get("format") != FORMAT_NAME:
-        raise DataError(f"snapshot {path} has unknown format {payload.get('format')!r}")
-    if payload.get("kind") != "run":
-        raise DataError(f"snapshot {path} holds a {payload.get('kind')!r}, expected 'run'")
-    if payload.get("version") != RUN_VERSION:
-        raise DataError(f"unsupported run snapshot version {payload.get('version')!r}")
-    _require(payload, keys, f"snapshot {path}")
-    return payload
-
-
 def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload) -> T:
     """Restore one snapshot section, reporting any malformed content as a DataError.
 
@@ -110,7 +90,23 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     serialized: callers re-attach them via `RunState.attach_inputs` before
     resuming.
     """
-    payload = _load(path, ("store", "strategy", "models", "skipper", "progress", "config"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot open snapshot {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"snapshot {path} is not valid JSON: {exc}") from exc
+    _require(payload, (), f"snapshot {path}")
+    if payload.get("format") != FORMAT_NAME:
+        raise DataError(f"snapshot {path} has unknown format {payload.get('format')!r}")
+    if payload.get("kind") != "run":
+        raise DataError(f"snapshot {path} holds a {payload.get('kind')!r}, expected 'run'")
+    if payload.get("version") != RUN_VERSION:
+        raise DataError(f"unsupported run snapshot version {payload.get('version')!r}")
+    sections = ("store", "strategy", "models", "skipper", "progress", "config")
+    _require(payload, sections, f"snapshot {path}")
     _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
     _require(payload["config"], (), f"snapshot {path} config")
     if not all(isinstance(payload["progress"][key], int) for key in PROGRESS_KEYS):

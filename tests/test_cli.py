@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import re
 from contextlib import redirect_stderr
 
 import pytest
@@ -320,6 +321,122 @@ class TestEnvironmentOverrides:
         ) == 1
 
 
+# Every setting an INCREPAIR_ variable can supply, per command, with a value
+# that moves the command's output away from the base run's.
+SETTING_VALUES = {
+    "inject": {"rate": "0.2", "kinds": "typo", "seed": "3", "null-tokens": "city0"},
+    "clean": {
+        "strategy": "hc-acc",
+        "detectors": "null,perfect",
+        "batches": "3",
+        "batch-size": "20",
+        "omega": "0.2",
+        "skip": "ikl",
+        "epsilon": "0.5",
+        "epochs": "5",
+        "lr": "0.05",
+        "domain-cap": "3",
+        "train-limit": "7",
+        "seed": "4",
+        "null-tokens": "city0",
+    },
+    "eval": {"null-tokens": ",state0"},
+}
+# One value per setting that its flag and its variable must both reject (exit 1).
+BAD_VALUES = [
+    ("inject", "rate", "high"),
+    ("inject", "kinds", "smudge"),
+    ("inject", "seed", "1.5"),
+    ("clean", "strategy", "bogus"),
+    ("clean", "detectors", "psychic"),
+    ("clean", "batches", "many"),
+    ("clean", "batch-size", "0x10"),
+    ("clean", "omega", "tenth"),
+    ("clean", "skip", "sometimes"),
+    ("clean", "epsilon", "small"),
+    ("clean", "epochs", "1.5"),
+    ("clean", "lr", "fast"),
+    ("clean", "domain-cap", "none"),
+    ("clean", "train-limit", "all"),
+    ("clean", "seed", "x"),
+]
+
+
+def variable(name):
+    return "INCREPAIR_" + name.upper().replace("-", "_")
+
+
+class TestEverySetting:
+    """Each setting's variable does what its flag does, and nothing else does."""
+
+    serial = itertools.count()
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, clean_csv):
+        dirty, truth = tmp_path / "dirty.csv", tmp_path / "truth.csv"
+        assert run(["inject", "--input", clean_csv, "--rate", "0.1", "--kinds", "null",
+                    "--out-dirty", dirty, "--out-truth", truth]) == 0
+        return clean_csv, dirty, truth
+
+    def run_setting(self, tmp_path, inputs, monkeypatch, command, name=None, value=None,
+                    source="flag"):
+        """A base run of the command, with setting `name` given `value` by its
+        flag or by its variable; returns the exit code and what the run wrote."""
+        clean_csv, dirty, truth = inputs
+        out = tmp_path / f"out{next(self.serial)}"
+        if command == "inject":
+            argv = ["--input", clean_csv, "--out-dirty", out, "--out-truth", tmp_path / "t.csv"]
+        elif command == "clean":
+            argv = ["--input", clean_csv, "--ground-truth", clean_csv, "--snapshot", out]
+        else:
+            argv = ["--repaired", truth, "--ground-truth", truth, "--dirty", dirty,
+                    "--json-out", out]
+        settings = {"strategy": "ihc", "batches": "2"} if command == "clean" else {}
+        settings.pop("batches" if name == "batch-size" else name, None)
+        with monkeypatch.context() as env, redirect_stderr(io.StringIO()):
+            if source == "variable":
+                env.setenv(variable(name), value)
+            elif name is not None:
+                settings[name] = value
+            flags = [part for key, text in settings.items() for part in (f"--{key}", text)]
+            code = run([command] + argv + flags)
+        if code:
+            return code, None
+        if command != "clean":
+            return code, out.read_bytes()
+        payload = json.loads(out.read_text())
+        return code, {key: payload[key] for key in ("strategy", "store")}
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, name) for command, values in SETTING_VALUES.items() for name in values],
+    )
+    def test_variable_acts_as_its_flag(self, tmp_path, inputs, monkeypatch, command, name):
+        value = SETTING_VALUES[command][name]
+        base = self.run_setting(tmp_path, inputs, monkeypatch, command)
+        by_flag = self.run_setting(tmp_path, inputs, monkeypatch, command, name, value)
+        by_variable = self.run_setting(
+            tmp_path, inputs, monkeypatch, command, name, value, "variable"
+        )
+        assert base[0] == by_flag[0] == 0
+        assert by_flag == by_variable != base
+
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    @pytest.mark.parametrize("command, name, value", BAD_VALUES)
+    def test_bad_value_is_config_error(
+        self, tmp_path, inputs, monkeypatch, source, command, name, value
+    ):
+        code, _ = self.run_setting(tmp_path, inputs, monkeypatch, command, name, value, source)
+        assert code == 1
+
+    @pytest.mark.parametrize("command", SETTING_VALUES)
+    def test_help_names_each_variable(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        named = set(re.findall(r"INCREPAIR_\w+", capsys.readouterr().out))
+        assert named == {variable(name) for name in SETTING_VALUES[command]}
+
+
 class TestResume:
     def prepare(self, tmp_path, clean_csv):
         dirty, truth = tmp_path / "d.csv", tmp_path / "t.csv"
@@ -375,6 +492,9 @@ class TestResume:
         assert run(
             ["clean", "--input", dirty, "--resume", snap, "--batches", "5"]
         ) == 1
+        assert run(
+            ["clean", "--input", dirty, "--resume", snap, "--batch-size", "15"]
+        ) == 1
 
     def test_resume_rejects_conflicting_tuning_flag(self, tmp_path, clean_csv):
         base = ["clean", "--input", clean_csv, "--batch-size", "10"]
@@ -402,6 +522,23 @@ class TestResume:
         assert run(
             ["clean", "--input", truth, "--resume", snap, "--batches", "4"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("attributes", ["x", "y", "z"]), ("null_tokens", ["zzz"])],
+        ids=["attributes", "null-tokens"],
+    )
+    def test_resume_rejects_a_store_of_another_table(self, tmp_path, clean_csv, field, value):
+        """A snapshot whose store names other attributes or null tokens than
+        this run reads the input with does not describe the input."""
+        base = ["clean", "--input", clean_csv, "--batches", "4"]
+        snap, out = tmp_path / "snap.json", tmp_path / "out.csv"
+        assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+        payload = json.loads(snap.read_text())
+        payload["store"][field] = value
+        snap.write_text(json.dumps(payload))
+        assert run(base + ["--resume", snap, "--out", out]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("replacement", ["never-seen", "null", "interned"])
     def test_resume_names_the_first_differing_row(self, tmp_path, clean_csv, capsys, replacement):
