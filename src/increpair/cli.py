@@ -26,7 +26,7 @@ from .detectors import DETECTOR_NAMES, truth_ids
 from .errors import CleaningError, ConfigError, DataError, ParseError
 from .inject import ERROR_KINDS, inject_errors
 from .models import Hyperparams
-from .pipeline import SKIP_VARIANTS, RunState, Strategy, StrategyKind, evaluate, run_stream, score
+from .pipeline import SKIP_VARIANTS, RunState, Strategy, StrategyKind, run_stream, score
 from .relation import DEFAULT_NULL_TOKENS, RelationStore, load_csv, make_batches, write_atomic
 from .relation import write_csv
 from .snapshot import load_run, save_run
@@ -202,9 +202,7 @@ def cmd_clean(ns: argparse.Namespace) -> int:
         if truth_schema != schema:
             raise DataError("ground truth schema differs from the input schema")
         if len(ground_truth) != len(rows):
-            raise DataError(
-                f"ground truth has {len(ground_truth)} rows, input has {len(rows)}"
-            )
+            raise DataError(f"ground truth has {len(ground_truth)} rows, input has {len(rows)}")
     dcs = parse_dc_file(ns.dcs, schema) if ns.dcs else []
 
     if ns.batches is not None:
@@ -286,8 +284,8 @@ def cmd_clean(ns: argparse.Namespace) -> int:
     if ns.snapshot:
         with _writing(ns.snapshot):
             save_run(state, ns.snapshot, config=config_echo)
-    if ground_truth is not None:
-        summary = evaluate(state.store, ground_truth)
+    if state.truth is not None:
+        summary = score(state.store.values, state.store.first_seen, state.truth)
         log.info(
             "final: precision=%.4f recall=%.4f f1=%.4f remaining=%d",
             summary["precision"],

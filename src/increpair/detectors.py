@@ -61,8 +61,7 @@ def detect_dc(
 def truth_ids(store: RelationStore, ground_truth: GroundTruth, tids: Sequence[int]) -> np.ndarray:
     """The ground truth's rows of tuples `tids` as the store's value ids, one
     int64 row each, checked against the relation's shape.  A string never
-    interned is -1, which equals no cell's id.  The lookup is made at every
-    call, because a later batch may intern a string the truth already names."""
+    interned is -1, which equals no cell's id; a later batch may intern it."""
     tids = np.array(tids, dtype=np.int64).reshape(-1)
     for tid in tids[(tids < 0) | (tids >= len(ground_truth))][:1]:
         raise DataError(f"tuple id {tid} is outside the ground truth's {len(ground_truth)} rows")
@@ -75,14 +74,11 @@ def truth_ids(store: RelationStore, ground_truth: GroundTruth, tids: Sequence[in
     return ids.reshape(store.n_attrs, len(rows)).T
 
 
-def detect_perfect(
-    store: RelationStore,
-    ground_truth: GroundTruth,
-    scope: DetectionScope,
-) -> np.ndarray:
-    """Flag probe cells whose current value differs from the ground truth."""
+def detect_perfect(store: RelationStore, truth: np.ndarray, scope: DetectionScope) -> np.ndarray:
+    """Flag probe cells whose current value differs from `truth`, the truth's
+    value ids with a row per tuple (`RunState.truth`, or `truth_ids`)."""
     probe = store.check_tids(scope.probe)
-    return _flagged(probe, store.values[probe] != truth_ids(store, ground_truth, probe))
+    return _flagged(probe, store.values[probe] != truth[probe])
 
 
 def run_detectors(
@@ -90,9 +86,10 @@ def run_detectors(
     scope: DetectionScope,
     names: Sequence[str],
     dcs: Sequence[DenialConstraint] = (),
-    ground_truth: GroundTruth | None = None,
+    ground_truth: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run the named detectors over one scope and union their flags."""
+    """Run the named detectors over one scope and union their flags;
+    `ground_truth` holds the truth's value ids, as `detect_perfect` reads them."""
     flagged = []
     for name in names:
         if name == "null":

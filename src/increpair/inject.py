@@ -82,6 +82,8 @@ def inject_errors(
                 dirty[tid][attr] = alternatives[rng.randrange(len(alternatives))]
             else:
                 kind = "typo"
+        elif kind == "null" and current is None:
+            kind = "typo"  # nulling a null cell would change nothing
         if kind == "typo":
             dirty[tid][attr] = _typo(current or "", rng, tokens)
         elif kind == "null":

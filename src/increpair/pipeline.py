@@ -180,9 +180,10 @@ class BatchReport:
 class RunState:
     """Everything a strategy carries from one batch to the next.
 
-    With ground truth attached, `true_errors` and `remaining_errors` count the
-    cells seen so far whose original and current values are wrong; snapshots
-    omit them and `attach_inputs` recounts them.
+    With ground truth attached, `truth` holds its value ids in the store's
+    dtype, a row per ground-truth row, filled as tuples arrive (`fill_truth`);
+    a string no batch has issued is -1, which equals no cell's id.  The
+    perfect detector, the correct-repair count and the error counters read it.
     """
 
     def __init__(
@@ -200,8 +201,7 @@ class RunState:
         self.strategy = strategy
         self.dcs: tuple[DenialConstraint, ...] = ()
         self.ground_truth: GroundTruth | None = None
-        self.true_errors: int | None = None
-        self.remaining_errors: int | None = None
+        self.truth: np.ndarray | None = None
         if attach:
             self.attach_inputs(dcs, ground_truth)
         n_attrs = store.schema.n_attrs
@@ -220,18 +220,27 @@ class RunState:
         dcs: Sequence[DenialConstraint] = (),
         ground_truth: GroundTruth | None = None,
     ) -> None:
-        """Attach the unserializable inputs and count errors against the truth."""
+        """Attach the unserializable inputs; look up the stored tuples' truth."""
         if "dc" in self.strategy.detectors and not dcs:
             raise ConfigError("the dc detector is enabled but no constraints were provided")
         if "perfect" in self.strategy.detectors and ground_truth is None:
             raise ConfigError("the perfect detector is enabled but no ground truth was provided")
         self.dcs = tuple(dcs)
         self.ground_truth = ground_truth
-        self.true_errors = self.remaining_errors = None
+        self.truth = None
         if ground_truth is not None:
-            tally = _score_tuples(self.store, ground_truth, range(self.store.n_tuples))
-            self.true_errors = tally["true_errors"]
-            self.remaining_errors = tally["remaining_errors"]
+            shape = (len(ground_truth), self.store.n_attrs)
+            self.truth = np.full(shape, -1, self.store.values.dtype)
+            self.fill_truth(range(self.store.n_tuples))
+
+    def fill_truth(self, tids: range) -> None:
+        """Look up the truth of tuples `tids`, then each -1 of the tuples
+        before them again: the batch that brought `tids` may issue its string."""
+        store, truth, rows = self.store, self.truth, self.ground_truth
+        truth[tids.start : tids.stop] = truth_ids(store, rows, tids)
+        for attr, stale in enumerate((truth[: tids.start] < 0).T):
+            again = np.flatnonzero(stale).tolist()
+            truth[again, attr] = store.interner.lookup_column(attr, [rows[t][attr] for t in again])
 
 
 def _scope_for(strategy: Strategy, incoming: range, everything: range) -> DetectionScope:
@@ -254,7 +263,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     store = state.store
     kind = strategy.kind
     n_attrs = store.schema.n_attrs
-    truth = state.ground_truth
+    truth = state.truth
     timings: dict[str, float] = {}
 
     incoming = store.append_batch(raw)
@@ -262,12 +271,10 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     # hc-sep alone neither carries nor revisits history: it sees its batch only
     isolated = not (kind.incremental or kind.revisit)
 
-    # -- error counters: the incoming cells -----------------------------------
+    # -- the truth of the incoming tuples -----------------------------------
     started = time.perf_counter()
     if truth is not None:
-        tally = _score_tuples(store, truth, incoming)
-        state.true_errors += tally["true_errors"]
-        state.remaining_errors += tally["remaining_errors"]
+        state.fill_truth(incoming)
     timings["evaluate"] = time.perf_counter() - started
 
     # -- detection -----------------------------------------------------------
@@ -352,16 +359,17 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     repairs_correct: int | None = None
     if truth is not None:
         tid, attr, vid = proposals.T
-        before = store.values[tid, attr]
-        moved = np.flatnonzero(vid != before)
-        expected = truth_ids(store, truth, tid[moved])[np.arange(len(moved)), attr[moved]]
-        now_wrong = int(np.count_nonzero(vid[moved] != expected))
-        repairs_correct = len(moved) - now_wrong
-        state.remaining_errors += now_wrong - int(np.count_nonzero(before[moved] != expected))
+        moved = vid != store.values[tid, attr]
+        repairs_correct = int(np.count_nonzero(moved & (vid == truth[tid, attr])))
         state.cum_repairs_correct += repairs_correct
     repairs_changed = store.apply_repairs(proposals)
     state.cum_repairs_changed += repairs_changed
     timings["repair"] = time.perf_counter() - started
+
+    # error counters: seen cells wrong as first seen, and wrong now
+    errors = [None, None] if truth is None else [
+        int(np.count_nonzero(ids != truth[: len(ids)])) for ids in (store.first_seen, store.values)
+    ]
 
     state.batches_done = raw.k
     return BatchReport(
@@ -377,8 +385,8 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         repairs_correct=repairs_correct,
         cum_repairs_changed=state.cum_repairs_changed,
         cum_repairs_correct=state.cum_repairs_correct if truth is not None else None,
-        true_errors_so_far=state.true_errors,
-        remaining_errors=state.remaining_errors,
+        true_errors_so_far=errors[0],
+        remaining_errors=errors[1],
         attrs_retrained=tuple(store.schema.attributes[attr] for attr in retrained),
         training_instances=training_instances,
         cum_training_instances=state.cum_training_instances,
@@ -463,16 +471,9 @@ def score(
     }
 
 
-def _score_tuples(store: RelationStore, ground_truth: GroundTruth, tids: range) -> dict:
-    """`score` over the given tuples of the store, on value ids."""
-    rows = slice(tids.start, tids.stop)
-    return score(store.values[rows], store.first_seen[rows], truth_ids(store, ground_truth, tids))
-
-
 def evaluate(store: RelationStore, ground_truth: GroundTruth) -> dict:
     """Net repair quality (`score`) of the store's current contents."""
     if len(ground_truth) != store.n_tuples:
-        raise DataError(
-            f"ground truth has {len(ground_truth)} rows, store has {store.n_tuples}"
-        )
-    return _score_tuples(store, ground_truth, range(store.n_tuples))
+        raise DataError(f"ground truth has {len(ground_truth)} rows, store has {store.n_tuples}")
+    truth = truth_ids(store, ground_truth, range(store.n_tuples))
+    return score(store.values, store.first_seen, truth)

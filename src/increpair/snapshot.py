@@ -8,8 +8,9 @@ as now repaired), the strategy, the models, the batch each attribute last
 trained at, and the progress counters.  The statistics, entropy sums and
 drift-gate reference are functions of the rows ingested so far, so
 `load_run` rebuilds them (`pipeline.recount`) rather than reading them.
-Constraint files and ground-truth tables are inputs rather than state; a
-restored run gets them re-attached from the recorded configuration.
+Constraint files and ground-truth tables are inputs, not state: the caller
+attaches them (`clean --resume` those its command names), unchecked against
+the echoed configuration until a format version records their content.
 """
 
 from __future__ import annotations

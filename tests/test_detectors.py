@@ -36,6 +36,11 @@ def store():
     return build_store(ROWS, SCHEMA.attributes)
 
 
+def perfect(store, truth, scope):
+    """`detect_perfect` with the truth's rows looked up for every stored tuple."""
+    return detect_perfect(store, truth_ids(store, truth, range(store.n_tuples)), scope)
+
+
 # tid sets in each form a caller passes: ranges (stepped, reversed, empty),
 # lists with repeats, and narrow arrays
 tid_sets = st.one_of(
@@ -64,7 +69,7 @@ class TestTidsOutsideTheStore:
     DETECTORS = {
         "null": detect_null,
         "dc": lambda store, scope: detect_dc(store, [PAIR_RULE], scope),
-        "perfect": lambda store, scope: detect_perfect(store, ROWS, scope),
+        "perfect": lambda store, scope: perfect(store, ROWS, scope),
     }
 
     @pytest.mark.parametrize("tid", [-1, len(ROWS)])
@@ -108,22 +113,22 @@ class TestPerfectDetector:
             ("saint", "10003"),  # name was nulled out
             ("grace", None),     # the stored null is genuinely null
         ]
-        dirty = detect_perfect(store, truth, DetectionScope.over(range(4)))
+        dirty = perfect(store, truth, DetectionScope.over(range(4)))
         assert dirty.tolist() == [[1, 1], [2, 0]]
 
     def test_probe_scoped(self, store):
         truth = [("x", "1")] * 4
-        dirty = detect_perfect(store, truth, DetectionScope.over([0]))
+        dirty = perfect(store, truth, DetectionScope.over([0]))
         assert set(dirty[:, 0].tolist()) == {0}
 
     def test_short_ground_truth_rejected(self, store):
         with pytest.raises(DataError):
-            detect_perfect(store, [("a", "b")], DetectionScope.over([3]))
+            perfect(store, [("a", "b")], DetectionScope.over([3]))
 
     def test_ragged_ground_truth_rejected(self, store):
         truth = [("a",)] * 4
         with pytest.raises(DataError):
-            detect_perfect(store, truth, DetectionScope.over([0]))
+            perfect(store, truth, DetectionScope.over([0]))
 
 
 class TestDispatch:
@@ -134,7 +139,7 @@ class TestDispatch:
             DetectionScope.over(range(4)),
             ["null", "dc", "perfect"],
             dcs=[PAIR_RULE],
-            ground_truth=truth,
+            ground_truth=truth_ids(store, truth, range(store.n_tuples)),
         )
         # perfect finds nothing (truth == data); null finds 2; dc finds the pair
         assert dirty.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [3, 1]]

@@ -81,6 +81,35 @@ class TestKinds:
             assert kind == "typo"  # provenance reports what actually happened
             assert dirty[tid][attr] != "only"
 
+    def test_null_falls_back_to_typo_on_a_null_cell(self):
+        rows = [["a", None], ["b", None], ["c", "x"], ["d", None]] * 5
+        dirty, provenance = inject_errors(rows, 0.5, kinds=("null",), seed=0)
+        assert len(provenance) == len(changed_cells(rows, dirty)) == 20
+        for tid, attr, kind in provenance:
+            assert kind == ("typo" if rows[tid][attr] is None else "null")
+
+
+def changed_cells(rows, dirty):
+    return {
+        (tid, attr)
+        for tid, row in enumerate(rows)
+        for attr, value in enumerate(row)
+        if dirty[tid][attr] != value
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rate=st.floats(min_value=0.01, max_value=0.99),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.sets(st.sampled_from(ERROR_KINDS), min_size=1),
+)
+def test_every_draw_changes_its_cell_among_true_nulls(rate, seed, kinds):
+    rows = [[f"k{i % 3}", None if i % 4 else f"v{i % 5}", None] for i in range(40)]
+    dirty, provenance = inject_errors(rows, rate, sorted(kinds), seed=seed)
+    assert len(provenance) == int(rate * 120)
+    assert changed_cells(rows, dirty) == {(t, a) for t, a, _ in provenance}
+
 
 @settings(max_examples=30, deadline=None)
 @given(

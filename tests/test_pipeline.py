@@ -28,6 +28,7 @@ from increpair.relation import (
     RawBatch,
     RelationStore,
     Schema,
+    ValueInterner,
     make_batches,
 )
 
@@ -195,7 +196,8 @@ class TestTruthInternedByALaterBatch:
         def revisit_flags():
             """`detect_perfect` over every tuple, checked against a string scan."""
             revisit = DetectionScope.over(range(store.n_tuples))
-            flags = detect_perfect(store, TRUTH, revisit).tolist()
+            truth = truth_ids(store, TRUTH, range(store.n_tuples))
+            flags = detect_perfect(store, truth, revisit).tolist()
             assert flags == cell_rows(truth_scan(store, TRUTH, revisit.probe)).tolist()
             return flags
 
@@ -208,6 +210,47 @@ class TestTruthInternedByALaterBatch:
         store.mark_dirty(cell_rows([CellRef(0, 1)]))
         store.apply_repairs(cell_rows([(CellRef(0, 1), store.interner.lookup(1, "v9"))]))
         assert revisit_flags() == []
+
+
+class TestTruthLookedUpOnce:
+    """Each truth string is looked up when its tuple arrives; a batch looks up
+    again only the seen cells whose true string no batch had issued yet."""
+
+    TRUTH = [(f"c{i % 3}", f"v{i % 6}") for i in range(40)]
+    TRUTH[2], TRUTH[25] = ("c2", "late"), ("c1", "late")  # "late" arrives in batch 3
+    TRUTH[3] = ("c0", "gone")  # never issued
+    DIRTY = [(ctx, f"bad{t}" if t in (2, 3, 14, 33) else val) for t, (ctx, val) in enumerate(TRUTH)]
+
+    def test_ihc_re_with_the_perfect_detector(self, monkeypatch):
+        looked_up = []
+        lookup_column = ValueInterner.lookup_column
+
+        def counting(interner, attr, values):
+            looked_up.append(len(values))
+            return lookup_column(interner, attr, values)
+
+        monkeypatch.setattr(ValueInterner, "lookup_column", counting)
+        strategy = strategy_for(StrategyKind.IHC_RE)
+        state = new_state(strategy, self.TRUTH)
+        store = state.store
+        unissued = []  # per batch, the seen cells whose true string is not interned
+        for raw in make_batches(self.DIRTY, count=4):
+            report = run_batch(state, strategy, raw)
+            unissued.append(
+                sum(
+                    store.interner.lookup(attr, self.TRUTH[tid][attr]) is None
+                    for tid in range(store.n_tuples)
+                    for attr in range(store.n_attrs)
+                )
+            )
+        assert unissued == [2, 2, 1, 1]
+        # batch k + 1 looks up again what batch k left unissued
+        assert sum(looked_up) <= len(self.TRUTH) * store.n_attrs + sum(unissued[:-1])
+        full = evaluate(store, self.TRUTH)
+        assert (report.true_errors_so_far, report.remaining_errors) == (
+            full["true_errors"],
+            full["remaining_errors"],
+        )
 
 
 class TestProbeAccounting:

@@ -362,11 +362,9 @@ class TestRunSnapshotValidation:
         restored, _ = load_run(tmp_path / "run.json")
         with pytest.raises(ConfigError, match="ground truth"):
             restored.attach_inputs()
+        assert restored.truth is None
         restored.attach_inputs(ground_truth=truth)
-        assert (restored.true_errors, restored.remaining_errors) == (
-            state.true_errors,
-            state.remaining_errors,
-        )
+        assert restored.truth.tolist() == state.truth.tolist()
 
 
 class TestAtomicWrites:
