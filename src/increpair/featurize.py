@@ -15,14 +15,15 @@ attribute as the ratio
 `co_occurrences(candidate, context value) / frequency(context value)`, which
 by construction lies in [0, 1].
 
-`Featurizer.block` does this with numpy for a whole set of cells: per context
-attribute it slices the rows of the context values the cells hold out of the
-store's packed co-occurrence table, sorts every context's candidates
-together into one union of (cell, value) keys with their counts summed, cuts
-each domain to its heaviest values and fills the stacked tensor with one
-float64 division per context.  `Featurizer.domain` and `Featurizer.tensor`
-run the same code on a single cell, whose tensor spans all of its
-attribute's `tensor_slots`.
+`Featurizer.block` does this with numpy for a whole set of cells.  It asks
+the statistics once for the cells' value frequencies (`StatsStore.frequency`)
+and per context attribute for the values co-occurring with the cells' context
+values (`StatsStore.cooccurring`), sorts every context's candidates together
+into one union of (cell, value) keys with their counts summed, cuts each
+domain to its heaviest values and fills the stacked tensor with one float64
+division per context of the pair counts (`StatsStore.count`).
+`Featurizer.domain` and `Featurizer.tensor` run the same code on a single
+cell, whose tensor spans all of its attribute's `tensor_slots`.
 
 A domain and a tensor read only the tuple's current row and the statistics,
 so `block` computes them once per distinct row among its cells and maps each
@@ -50,15 +51,15 @@ import numpy as np
 
 from .errors import DataError
 from .relation import NULL_ID, CellRef
-from .stats import LOW, SHIFT, StatsStore, add_counts
+from .stats import StatsStore, add_counts
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
 DEFAULT_TAU = 0.01
 
 # A (cell, value id) pair packed into one int64 sort key, the cell in the high
-# bits, as the statistics pack a (context value, target value) pair.
-_SHIFT, _LOW = SHIFT, LOW
+# bits; value ids lie below 2**31, so the key is never negative.
+_SHIFT, _LOW = 32, (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -129,45 +130,6 @@ def tensor_slots(stats: StatsStore, attr: int, cap: int = DEFAULT_DOMAIN_CAP) ->
     return max(1, min(stats.distinct_count(attr), cap))
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Each cell's co-occurrence row, toward the cells' attribute, in one
-    context attribute.
-
-    Cell i holds value id `vids[i]`, counted `frequency[i]` times.  `keys` and
-    `counts` are the store's whole (context attribute, cells' attribute)
-    table, packed (context value, target value) keys sorted ascending; cell
-    i's row is keys[starts[i] : starts[i] + lengths[i]].
-    """
-
-    vids: np.ndarray
-    frequency: np.ndarray
-    keys: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-
-    def take(self, keep: np.ndarray) -> "_Context":
-        """The rows of the cells selected by the boolean mask `keep`."""
-        return _Context(
-            self.vids[keep],
-            self.frequency[keep],
-            self.keys,
-            self.counts,
-            self.starts[keep],
-            self.lengths[keep],
-        )
-
-
-def _context(stats: StatsStore, attr: int, context_attr: int, vids: np.ndarray) -> _Context:
-    keys, counts = stats.table(context_attr, attr)
-    starts = np.searchsorted(keys, vids << SHIFT)
-    stops = np.searchsorted(keys, (vids + 1) << SHIFT)
-    # a row's counts sum to its context value's frequency
-    running = np.concatenate([[0], np.cumsum(counts)])
-    return _Context(vids, running[stops] - running[starts], keys, counts, starts, stops - starts)
-
-
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of each distinct row's first occurrence, in order of
     occurrence, and every row's number among them."""
@@ -177,15 +139,6 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse.reshape(-1)]
-
-
-def _gather(ctx: _Context) -> tuple[np.ndarray, np.ndarray]:
-    """Every (cell, position in `ctx.keys`) of the cells' co-occurrence rows."""
-    lengths = ctx.lengths
-    cells = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    shift = ctx.starts - (np.cumsum(lengths) - lengths)
-    positions = np.arange(len(cells), dtype=np.int64) + np.repeat(shift, lengths)
-    return cells, positions
 
 
 def _runs(keys: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,19 +171,12 @@ class Featurizer:
         self.cap = cap
         self.tau = tau
 
-    def _contexts(self, attr: int, rows: np.ndarray) -> list[_Context | None]:
-        """Every other attribute's `_Context` for the cells of `attr` in `rows`."""
-        return [
-            None if context_attr == attr
-            else _context(self.stats, attr, context_attr, rows[:, context_attr])
-            for context_attr in range(self.stats.n_attrs)
-        ]
-
     def _domains(
-        self, attr: int, observed: np.ndarray, contexts: list[_Context | None]
+        self, attr: int, rows: np.ndarray, frequency: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every cell's candidate domain, as packed (cell, value) keys sorted
-        ascending, plus each cell's observed index.
+        ascending, plus each cell's observed index.  Cell i's tuple holds
+        `rows[i]`, whose values are counted `frequency[i]` times.
 
         A context attribute qualifies when the cell's attribute is sufficiently
         predictable from it, i.e. their correlation (normalized over the cell
@@ -241,19 +187,17 @@ class Featurizer:
         candidates with the highest summed co-occurrence counts are kept
         (observed value always retained; ties broken toward lower value ids).
         """
-        n_cells = len(observed)
+        n_cells, observed = len(rows), rows[:, attr]
         proposed, proposed_counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for context_attr, ctx in enumerate(contexts):
-            if ctx is None or self.correlations[attr][context_attr] <= self.omega:
+        for context_attr, (context_vids, column) in enumerate(zip(rows.T, frequency.T)):
+            if context_attr == attr or self.correlations[attr][context_attr] <= self.omega:
                 continue
-            cells, positions = _gather(ctx)
-            vids = ctx.keys[positions] & _LOW
-            counts = ctx.counts[positions]
+            cells, vids, counts = self.stats.cooccurring(context_attr, attr, context_vids)
             keep = (vids != NULL_ID) & (vids != observed[cells])
-            keep &= counts >= self.tau * ctx.frequency[cells]
+            keep &= counts >= self.tau * column[cells]
             proposed.append((cells[keep] << _SHIFT) | vids[keep])
             proposed_counts.append(counts[keep])
-            del cells, positions, vids, counts, keep
+            del cells, vids, counts, keep
         # each cell's row is sorted, so each context's keys are a sorted run,
         # which a stable sort merges; integer counts sum exactly in any order
         proposed = np.concatenate(proposed)
@@ -279,13 +223,13 @@ class Featurizer:
         return keys, np.searchsorted(keys, own) - starts
 
     def _tensors(
-        self, attr: int, n_cells: int, keys: np.ndarray, contexts: list[_Context | None], trim: bool
+        self, attr: int, rows: np.ndarray, frequency: np.ndarray, keys: np.ndarray, trim: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates, sizes and feature values of cells whose candidate slots
-        are the packed (cell, value) `keys`, grouped by cell in slot order:
-        `tensor_slots` wide, or with `trim` a block's width (module docstring).
-        """
-        n_attrs = self.stats.n_attrs
+        """Candidates, sizes and feature values of cells, as in `_domains`, whose
+        candidate slots are the packed (cell, value) `keys`, grouped by cell in
+        slot order: `tensor_slots` wide, or with `trim` a block's width (module
+        docstring)."""
+        n_cells, n_attrs = rows.shape
         slots = tensor_slots(self.stats, attr, self.cap)
         cells, sizes, starts = _runs(keys, n_cells)
         widest = int(sizes.max(initial=0))
@@ -298,24 +242,19 @@ class Featurizer:
         candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
         candidates[cells, slot] = vids
         values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
-        for context_attr, ctx in enumerate(contexts):
-            if ctx is None:
+        for context_attr, (context_vids, column) in enumerate(zip(rows.T, frequency.T)):
+            if context_attr == attr:
                 continue
-            frequency = ctx.frequency
-            stale = np.flatnonzero(frequency <= 0)
+            stale = np.flatnonzero(column <= 0)
             if len(stale):
                 raise DataError(
                     f"statistics hold no count for attribute {context_attr}"
-                    f" value id {ctx.vids[stale[0]]};"
+                    f" value id {context_vids[stale[0]]};"
                     " counts are out of step with the store"
                 )
-            if not len(ctx.keys):
-                continue
-            query = (ctx.vids[cells] << _SHIFT) | vids
-            found = np.minimum(np.searchsorted(ctx.keys, query), len(ctx.keys) - 1)
-            counts = np.where(ctx.keys[found] == query, ctx.counts[found], 0)
-            values[cells, slot, context_attr] = counts / frequency[cells]
-            del query, found, counts
+            counts = self.stats.count(context_attr, attr, context_vids[cells], vids)
+            values[cells, slot, context_attr] = counts / column[cells]
+            del counts
         return candidates, sizes, values
 
     def block(self, attr: int, tids: Sequence[int], rows) -> FeatureBlock:
@@ -325,8 +264,8 @@ class Featurizer:
         rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
         first, row = _distinct(rows)
         rows = rows[first]
-        contexts = self._contexts(attr, rows)
-        keys, observed_index = self._domains(attr, rows[:, attr], contexts)
+        frequency = self.stats.frequency(rows)
+        keys, observed_index = self._domains(attr, rows, frequency)
         _, sizes, _ = _runs(keys, len(rows))
         multi = sizes >= 2
         if not multi.all():
@@ -335,25 +274,20 @@ class Featurizer:
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
             kept = multi[row]
             tids, row = tids[kept], renumber[row[kept]]
-            observed_index = observed_index[multi]
-            contexts = [None if ctx is None else ctx.take(multi) for ctx in contexts]
-        candidates, sizes, values = self._tensors(
-            attr, len(observed_index), keys, contexts, trim=True
-        )
+            rows, frequency, observed_index = rows[multi], frequency[multi], observed_index[multi]
+        candidates, sizes, values = self._tensors(attr, rows, frequency, keys, trim=True)
         return FeatureBlock(tids, row, candidates, sizes, observed_index, values)
 
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
         """Candidate domain of one cell given its tuple's current values."""
         rows = np.asarray([tuple_values], dtype=np.int64)
-        keys, observed_index = self._domains(
-            cell.attr, rows[:, cell.attr], self._contexts(cell.attr, rows)
-        )
+        keys, observed_index = self._domains(cell.attr, rows, self.stats.frequency(rows))
         return CellDomain(cell, tuple((keys & _LOW).tolist()), int(observed_index[0]))
 
     def tensor(self, domain: CellDomain, tuple_values: Sequence[int]) -> FeatureTensor:
         """Feature tensor of one cell over its candidate domain."""
         rows = np.asarray([tuple_values], dtype=np.int64)
         keys = np.asarray(domain.candidates, dtype=np.int64).reshape(-1)
-        contexts = self._contexts(domain.cell.attr, rows)
-        _, sizes, values = self._tensors(domain.cell.attr, 1, keys, contexts, trim=False)
+        frequency = self.stats.frequency(rows)
+        _, sizes, values = self._tensors(domain.cell.attr, rows, frequency, keys, trim=False)
         return FeatureTensor(values[0], np.arange(values.shape[1]) < sizes[0], domain)

@@ -182,7 +182,8 @@ class RunState:
 
     With ground truth attached, `truth` holds its value ids in the store's
     dtype, a row per ground-truth row, filled as tuples arrive (`fill_truth`);
-    a string no batch has issued is -1, which equals no cell's id.  The
+    a string no batch has issued is -1, which equals no cell's id, and
+    `unissued[attr]` lists the tids whose truth is -1 in `attr`.  The
     perfect detector, the correct-repair count and the error counters read it.
     """
 
@@ -231,16 +232,18 @@ class RunState:
         if ground_truth is not None:
             shape = (len(ground_truth), self.store.n_attrs)
             self.truth = np.full(shape, -1, self.store.values.dtype)
+            self.unissued = [np.empty(0, dtype=np.int64)] * self.store.n_attrs
             self.fill_truth(range(self.store.n_tuples))
 
     def fill_truth(self, tids: range) -> None:
-        """Look up the truth of tuples `tids`, then each -1 of the tuples
-        before them again: the batch that brought `tids` may issue its string."""
+        """Look up the truth of tuples `tids`, then the `unissued` cells before
+        them again: the batch that brought `tids` may issue their strings."""
         store, truth, rows = self.store, self.truth, self.ground_truth
         truth[tids.start : tids.stop] = truth_ids(store, rows, tids)
-        for attr, stale in enumerate((truth[: tids.start] < 0).T):
-            again = np.flatnonzero(stale).tolist()
+        for attr, again in enumerate(self.unissued):
             truth[again, attr] = store.interner.lookup_column(attr, [rows[t][attr] for t in again])
+            arrived = tids.start + np.flatnonzero(truth[tids.start : tids.stop, attr] < 0)
+            self.unissued[attr] = np.concatenate([again[truth[again, attr] < 0], arrived])
 
 
 def _scope_for(strategy: Strategy, incoming: range, everything: range) -> DetectionScope:

@@ -4,9 +4,12 @@ entropies and the correlations derived from them.
 Counts are exact integers accumulated batch by batch, all in one layout: a
 table of sorted unique int64 keys with an int64 count array.  Each attribute
 has one keyed by value id, and every ordered attribute pair (context, target)
-one keyed by `context vid << 32 | target vid`.  A context value's row is the
-key slice from `vid << 32` to `(vid + 1) << 32`, found with `searchsorted`.
-Both orientations are kept so either attribute can act as the context.
+one keyed by `context vid << 32 | target vid`.  Both orientations are kept
+so either attribute can act as the context.  The featurizer asks three
+queries, so no other module reads a key: `frequency` (each cell's value
+count) and `count` (pair counts) look keys up with `counts_at`, 0 where a
+table lacks one, and `cooccurring` slices each context value's row, the keys
+from `vid << 32` to `(vid + 1) << 32`.
 `ingest` counts a batch per attribute and per attribute pair with one
 `np.unique` each and merges it into the tables with `add_counts`, which
 finds each new key's place with `searchsorted` and scatters old and new keys
@@ -59,6 +62,15 @@ def add_counts(
     old = summed[place]
     summed[place] = old + new_counts
     return (union, summed), old
+
+
+def counts_at(keys: np.ndarray, counts: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The count of each key of `query` in the table (`keys`, `counts`), 0 where
+    the table lacks it."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return counts[at] * (keys[at] == query)
 
 
 def insertion_points(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +154,36 @@ class StatsStore:
         positive counts.  Read-only: `ingest` replaces, never edits, them."""
         return self._tables[(attr_a, attr_b)]
 
+    def cooccurring(
+        self, context_attr: int, attr: int, context_vids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every value of `attr` counted with each of `context_vids`, values of
+        `context_attr`: (index into `context_vids`, value id, count), grouped by
+        index, each group in value order."""
+        keys, counts = self._tables[(context_attr, attr)]
+        context_vids = np.asarray(context_vids, dtype=np.int64)
+        starts = np.searchsorted(keys, context_vids << SHIFT)
+        sizes = np.searchsorted(keys, (context_vids + 1) << SHIFT) - starts
+        index = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        positions = np.arange(len(index)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        return index, keys[positions] & LOW, counts[positions]
+
+    def count(
+        self, context_attr: int, attr: int, context_vids: np.ndarray, vids: np.ndarray
+    ) -> np.ndarray:
+        """The count of each pair (`context_vids[i]`, `vids[i]`) of values of
+        `context_attr` and `attr`; 0 for a pair never counted."""
+        query = (np.asarray(context_vids, dtype=np.int64) << SHIFT) | vids
+        return counts_at(*self._tables[(context_attr, attr)], query)
+
+    def frequency(self, rows: np.ndarray) -> np.ndarray:
+        """The count of each cell's value in rows of value ids, one column per
+        attribute; 0 for a value never counted."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n_attrs)
+        return np.column_stack(
+            [counts_at(*self._marginals[attr], rows[:, attr]) for attr in range(self.n_attrs)]
+        )
+
     @property
     def single(self) -> list[dict[int, int]]:
         """Each attribute's value counts as a `{vid: count}` dict, built on each read."""
@@ -197,8 +239,7 @@ def cond_entropy_scratch(stats: StatsStore, x_attr: int, y_attr: int) -> float:
         raise DataError("no tuples ingested")
     n = stats.n
     keys, z = stats.table(y_attr, x_attr)
-    vids, counts = stats._marginals[y_attr]
-    w = counts[np.searchsorted(vids, keys >> SHIFT)]  # each pair's context value count
+    w = counts_at(*stats._marginals[y_attr], keys >> SHIFT)  # each pair's context value count
     total = 0.0
     for z_xy, w_y in zip(z.tolist(), w.tolist()):
         total -= (z_xy / n) * math.log(z_xy / w_y)

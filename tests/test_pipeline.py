@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from increpair.detectors import DetectionScope, detect_perfect, truth_ids
@@ -31,6 +32,7 @@ from increpair.relation import (
     ValueInterner,
     make_batches,
 )
+from increpair.snapshot import load_run, save_run
 
 from conftest import canonical_of, cell_rows, original_canonical, status_of
 from store_oracle import truth_scan
@@ -251,6 +253,25 @@ class TestTruthLookedUpOnce:
             full["true_errors"],
             full["remaining_errors"],
         )
+
+    def test_unissued_lists_each_minus_one(self, tmp_path):
+        strategy = strategy_for(StrategyKind.IHC_RE)
+        state = new_state(strategy, self.TRUTH)
+
+        def assert_unissued(state):
+            seen = state.truth[: state.store.n_tuples]
+            assert [tids.tolist() for tids in state.unissued] == [
+                np.flatnonzero(seen[:, attr] < 0).tolist() for attr in range(seen.shape[1])
+            ]
+
+        for raw in make_batches(self.DIRTY, count=4):
+            run_batch(state, strategy, raw)
+            assert_unissued(state)
+            save_run(state, tmp_path / "run.json")
+            restored, _ = load_run(tmp_path / "run.json")
+            restored.attach_inputs(ground_truth=self.TRUTH)
+            assert_unissued(restored)
+        assert [tids.tolist() for tids in state.unissued] == [[], [3]]
 
 
 class TestProbeAccounting:

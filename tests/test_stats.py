@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_ATTRS, GOLDEN_ROWS
@@ -231,6 +231,60 @@ def ingest_streams(draw):
         else:
             batches.append(draw(st.lists(row, min_size=1, max_size=1 if kind == "one" else 12)))
     return n_attrs, batches
+
+
+class TestCountQueriesMatchOracle:
+    """`cooccurring`, `count` and `frequency` read what the oracle's dict views
+    read, for unsorted and repeated query ids and ids never counted."""
+
+    @staticmethod
+    def check(stats: StatsStore, queries) -> None:
+        rows = np.array(queries, dtype=np.int64).reshape(-1, stats.n_attrs)
+        single = stats.single
+        assert stats.frequency(rows).tolist() == [
+            [single[attr].get(vid, 0) for attr, vid in enumerate(row)] for row in rows.tolist()
+        ]
+        for context_attr in range(stats.n_attrs):
+            for attr in range(stats.n_attrs):
+                if attr == context_attr:
+                    continue
+                context_vids, vids = rows[:, context_attr], rows[:, attr]
+                index, values, counts = stats.cooccurring(context_attr, attr, context_vids)
+                assert list(zip(index.tolist(), values.tolist(), counts.tolist())) == [
+                    (i, vid, count)
+                    for i, context_vid in enumerate(context_vids.tolist())
+                    for vid, count in sorted(
+                        cooccurring(stats, attr, context_attr, context_vid).items()
+                    )
+                ]
+                assert stats.count(context_attr, attr, context_vids, vids).tolist() == [
+                    pair_count(stats, context_attr, context_vid, attr, vid)
+                    for context_vid, vid in zip(context_vids.tolist(), vids.tolist())
+                ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=8), max_size=3
+        ),
+        queries=st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=8),
+    )
+    @example(batches=[], queries=[(3, 1, 6), (0, 0, 0), (3, 1, 6)])  # a fresh store
+    def test_queries(self, batches, queries):
+        stats = StatsStore(3)
+        for rows in batches:
+            stats.ingest(rows)
+        self.check(stats, queries)
+
+    def test_golden_counts(self):
+        # region h (1) holds codes b, c and e (1, 2, 4) once each
+        stats = golden_stats()
+        index, vids, counts = stats.cooccurring(REGION, CODE, [2, 1, 2])
+        assert index.tolist() == [0, 1, 1, 1, 2]
+        assert vids.tolist() == [3, 1, 2, 4, 3]
+        assert counts.tolist() == [1] * 5
+        assert stats.count(CODE, REGION, [4, 4, 9], [1, 2, 1]).tolist() == [1, 0, 0]
+        assert stats.frequency([(1, 4), (2, 9)]).tolist() == [[3, 1], [1, 0]]
 
 
 class TestIngestMatchesDictOracle:
