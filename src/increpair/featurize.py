@@ -16,12 +16,13 @@ attribute as the ratio
 by construction lies in [0, 1].
 
 `Featurizer.block` does this with numpy for a whole set of cells.  It asks
-the statistics once for the cells' value frequencies (`StatsStore.frequency`)
-and per context attribute for the values co-occurring with the cells' context
-values (`StatsStore.cooccurring`), sorts every context's candidates together
-into one union of (cell, value) keys with their counts summed, cuts each
-domain to its heaviest values and fills the stacked tensor with one float64
-division per context of the pair counts (`StatsStore.count`).
+the statistics one query, per context attribute, for the values co-occurring
+with the cells' context values (`StatsStore.cooccurring`), and derives the
+rest from those rows: each context value's frequency is the sum of its row,
+every correlated context's candidates that pass tau sort together into one
+union of (cell, value) keys with their counts summed, each domain is cut to
+its heaviest values, and each row whose (cell, value) lies in a domain fills
+its slot of the stacked tensor with one float64 division.
 `Featurizer.domain` and `Featurizer.tensor` run the same code on a single
 cell, whose tensor spans all of its attribute's `tensor_slots`.
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import DataError
 from .relation import NULL_ID, CellRef
-from .stats import StatsStore, add_counts
+from .stats import StatsStore, add_counts, insertion_points
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
@@ -171,12 +172,25 @@ class Featurizer:
         self.cap = cap
         self.tau = tau
 
+    def _contexts(self, attr: int, rows: np.ndarray) -> list[tuple]:
+        """Per context attribute other than `attr`, every value of `attr` counted
+        with the context value of each cell, whose tuple holds `rows[cell]`:
+        (context attribute, packed (cell, value) keys sorted ascending, their
+        counts, each cell's context value frequency, the sum of its row)."""
+        contexts = []
+        for context_attr, context_vids in enumerate(rows.T):
+            if context_attr != attr:
+                cells, vids, counts = self.stats.cooccurring(context_attr, attr, context_vids)
+                frequency = np.bincount(cells, weights=counts, minlength=len(rows))
+                contexts.append((context_attr, (cells << _SHIFT) | vids, counts, frequency))
+        return contexts
+
     def _domains(
-        self, attr: int, rows: np.ndarray, frequency: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, attr: int, rows: np.ndarray, contexts: list[tuple]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every cell's candidate domain, as packed (cell, value) keys sorted
-        ascending, plus each cell's observed index.  Cell i's tuple holds
-        `rows[i]`, whose values are counted `frequency[i]` times.
+        ascending, plus each cell's observed index and domain size.  Cell i's
+        tuple holds `rows[i]`, and `contexts` are as `_contexts` gives them.
 
         A context attribute qualifies when the cell's attribute is sufficiently
         predictable from it, i.e. their correlation (normalized over the cell
@@ -189,15 +203,15 @@ class Featurizer:
         """
         n_cells, observed = len(rows), rows[:, attr]
         proposed, proposed_counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for context_attr, (context_vids, column) in enumerate(zip(rows.T, frequency.T)):
-            if context_attr == attr or self.correlations[attr][context_attr] <= self.omega:
+        for context_attr, keys, counts, frequency in contexts:
+            if self.correlations[attr][context_attr] <= self.omega:
                 continue
-            cells, vids, counts = self.stats.cooccurring(context_attr, attr, context_vids)
+            cells, vids = keys >> _SHIFT, keys & _LOW
             keep = (vids != NULL_ID) & (vids != observed[cells])
-            keep &= counts >= self.tau * column[cells]
-            proposed.append((cells[keep] << _SHIFT) | vids[keep])
+            keep &= counts >= self.tau * frequency[cells]
+            proposed.append(keys[keep])
             proposed_counts.append(counts[keep])
-            del cells, vids, counts, keep
+            del cells, vids, keep
         # each cell's row is sorted, so each context's keys are a sorted run,
         # which a stable sort merges; integer counts sum exactly in any order
         proposed = np.concatenate(proposed)
@@ -219,16 +233,16 @@ class Featurizer:
             union = union[kept]
         own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
         (keys, _), _ = add_counts(union, np.zeros(len(union), dtype=np.int64), own, own)
-        _, _, starts = _runs(keys, n_cells)
-        return keys, np.searchsorted(keys, own) - starts
+        _, sizes, starts = _runs(keys, n_cells)
+        return keys, np.searchsorted(keys, own) - starts, sizes
 
     def _tensors(
-        self, attr: int, rows: np.ndarray, frequency: np.ndarray, keys: np.ndarray, trim: bool
+        self, attr: int, rows: np.ndarray, keys: np.ndarray, contexts: list[tuple], trim: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates, sizes and feature values of cells, as in `_domains`, whose
-        candidate slots are the packed (cell, value) `keys`, grouped by cell in
-        slot order: `tensor_slots` wide, or with `trim` a block's width (module
-        docstring)."""
+        """Candidates, sizes and feature values of cells as in `_domains`, whose
+        tuples hold `rows`, over the packed (cell, value) `keys` grouped by cell
+        in slot order: `tensor_slots` wide, or with `trim` a block's width
+        (module docstring).  A candidate its context value's row lacks keeps 0."""
         n_cells, n_attrs = rows.shape
         slots = tensor_slots(self.stats, attr, self.cap)
         cells, sizes, starts = _runs(keys, n_cells)
@@ -238,23 +252,19 @@ class Featurizer:
         if trim and slots <= 128:
             slots = min(slots, max(8, 8 * math.ceil(widest / 8)))
         slot = np.arange(len(keys)) - np.repeat(starts, sizes)
-        vids = keys & _LOW
         candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
-        candidates[cells, slot] = vids
+        candidates[cells, slot] = keys & _LOW
         values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
-        for context_attr, (context_vids, column) in enumerate(zip(rows.T, frequency.T)):
-            if context_attr == attr:
-                continue
-            stale = np.flatnonzero(column <= 0)
-            if len(stale):
+        for context_attr, pairs, counts, frequency in contexts:
+            if not frequency.all():  # a row sum is 0 only for a value never counted
                 raise DataError(
                     f"statistics hold no count for attribute {context_attr}"
-                    f" value id {context_vids[stale[0]]};"
+                    f" value id {rows[np.argmin(frequency), context_attr]};"
                     " counts are out of step with the store"
                 )
-            counts = self.stats.count(context_attr, attr, context_vids[cells], vids)
-            values[cells, slot, context_attr] = counts / column[cells]
-            del counts
+            at, absent = insertion_points(keys, pairs)
+            at = at[~absent]
+            values[cells[at], slot[at], context_attr] = counts[~absent] / frequency[cells[at]]
         return candidates, sizes, values
 
     def block(self, attr: int, tids: Sequence[int], rows) -> FeatureBlock:
@@ -264,30 +274,34 @@ class Featurizer:
         rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
         first, row = _distinct(rows)
         rows = rows[first]
-        frequency = self.stats.frequency(rows)
-        keys, observed_index = self._domains(attr, rows, frequency)
-        _, sizes, _ = _runs(keys, len(rows))
+        contexts = self._contexts(attr, rows)
+        keys, observed_index, sizes = self._domains(attr, rows, contexts)
         multi = sizes >= 2
         if not multi.all():
             renumber = np.cumsum(multi) - 1
             keys = keys[multi[keys >> _SHIFT]]
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
+            for i, (context_attr, pairs, counts, frequency) in enumerate(contexts):
+                at = multi[pairs >> _SHIFT]
+                pairs, counts = pairs[at], counts[at]
+                pairs = (renumber[pairs >> _SHIFT] << _SHIFT) | (pairs & _LOW)
+                contexts[i] = (context_attr, pairs, counts, frequency[multi])
             kept = multi[row]
             tids, row = tids[kept], renumber[row[kept]]
-            rows, frequency, observed_index = rows[multi], frequency[multi], observed_index[multi]
-        candidates, sizes, values = self._tensors(attr, rows, frequency, keys, trim=True)
+            rows, observed_index = rows[multi], observed_index[multi]
+        candidates, sizes, values = self._tensors(attr, rows, keys, contexts, trim=True)
         return FeatureBlock(tids, row, candidates, sizes, observed_index, values)
 
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
         """Candidate domain of one cell given its tuple's current values."""
         rows = np.asarray([tuple_values], dtype=np.int64)
-        keys, observed_index = self._domains(cell.attr, rows, self.stats.frequency(rows))
+        keys, observed_index, _ = self._domains(cell.attr, rows, self._contexts(cell.attr, rows))
         return CellDomain(cell, tuple((keys & _LOW).tolist()), int(observed_index[0]))
 
     def tensor(self, domain: CellDomain, tuple_values: Sequence[int]) -> FeatureTensor:
         """Feature tensor of one cell over its candidate domain."""
         rows = np.asarray([tuple_values], dtype=np.int64)
         keys = np.asarray(domain.candidates, dtype=np.int64).reshape(-1)
-        frequency = self.stats.frequency(rows)
-        _, sizes, values = self._tensors(domain.cell.attr, rows, frequency, keys, trim=False)
+        contexts = self._contexts(domain.cell.attr, rows)
+        _, sizes, values = self._tensors(domain.cell.attr, rows, keys, contexts, trim=False)
         return FeatureTensor(values[0], np.arange(values.shape[1]) < sizes[0], domain)

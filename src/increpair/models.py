@@ -168,11 +168,11 @@ def train(model: AttributeModel, block: FeatureBlock, hp: Hyperparams) -> TrainR
     initial_loss = math.nan
     for epoch in range(hp.epochs):
         probs = rows.probs(weights)
-        loss = rows.loss(probs)
-        if not math.isfinite(loss):
-            raise DataError(f"training loss became non-finite at epoch {epoch}")
         if epoch == 0:
-            initial_loss = loss
+            initial_loss = rows.loss(probs)
+        # probabilities lie in [0, 1] or are NaN: the loss is finite iff every label's is > 0
+        if not (probs[rows.labels] > 0).all():
+            raise DataError(f"training loss became non-finite at epoch {epoch}")
         weights -= hp.learning_rate * rows.grad(probs)
     final_loss = rows.loss(rows.probs(weights))
     if not math.isfinite(final_loss):

@@ -313,6 +313,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     use_skipper = strategy.skip != "none"
     to_train = list(range(n_attrs))
     if use_skipper:
+        shared: dict = {}  # each pair's divergence, for this stage only
         to_train = [
             attr
             for attr in to_train
@@ -323,6 +324,7 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
                 strategy.skip,
                 correlations,
                 strategy.epsilon_kl,
+                shared=shared,
             )[0]
         ]
     timings["gate"] = time.perf_counter() - started

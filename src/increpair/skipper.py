@@ -233,13 +233,20 @@ def should_retrain(
     correlations: Sequence[Sequence[float]],
     epsilon: float,
     floor: float = DEFAULT_KL_FLOOR,
+    shared: dict[tuple[int, int, int], float] | None = None,
 ) -> tuple[bool, int | float | None]:
     """The `ikl` or `wkl` verdict from the kept tables, as `should_retrain_ikl` or
-    `should_retrain_wkl` would give it on `joint_distribution` joints."""
+    `should_retrain_wkl` would give it on `joint_distribution` joints.  `shared`
+    keeps divergences across the calls of one gate stage."""
     partners = [other for other in range(stats.n_attrs) if other != attr]
+    shared = {} if shared is None else shared
 
     def divergence(other: int) -> float:
-        return count_divergence(state, stats, attr, other, floor)
+        # attributes that trained at one batch kept one table and n': one value
+        key = (*_table(attr, other), state.trained_batch(attr))
+        if key not in shared:
+            shared[key] = count_divergence(state, stats, attr, other, floor)
+        return shared[key]
 
     if rule == "ikl":
         return _ikl_rule(state, attr, partners, divergence, epsilon)

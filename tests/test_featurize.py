@@ -396,6 +396,38 @@ class TestBatchedMatchesOracle:
         assert block.observed_index.tolist() == [0]
 
 
+class _QueryLog:
+    """The statistics, recording the name of every member read but `n_attrs`."""
+
+    def __init__(self, stats):
+        self.stats, self.read = stats, []
+
+    def __getattr__(self, name):
+        if name != "n_attrs":
+            self.read.append(name)
+        return getattr(self.stats, name)
+
+
+class TestOneCountQuery:
+    def test_block_reads_each_context_once(self):
+        """A block over every cell of a 4-attribute relation asks `cooccurring`
+        once per context attribute, and the statistics nothing else beyond
+        `tensor_slots`' distinct count.  The last tuple's values occur nowhere
+        else, so its cells are singletons, which the block drops."""
+        rng = random.Random(3)
+        rows = [tuple(f"{name}{rng.randrange(4)}" for name in "pqrs") for _ in range(60)]
+        store = build_store(rows + [("p9", "q9", "r9", "s9")], ("p", "q", "r", "s"))
+        stats, corr = stats_and_corr(store)
+        tids = list(range(store.n_tuples))
+        for attr in range(4):
+            log = _QueryLog(stats)
+            block = Featurizer(log, corr, omega=0.0).block(
+                attr, tids, [store.tuple_values(tid) for tid in tids]
+            )
+            assert block.tids.tolist() == tids[:-1]
+            assert sorted(log.read) == ["cooccurring"] * 3 + ["distinct_count"]
+
+
 class TestBlockWidth:
     def test_fit_on_the_block_equals_the_padded_fit(self):
         """Nine-value domains of a 36-slot attribute: the block is 16 slots

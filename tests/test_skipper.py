@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from count_oracle import pairs_view
+from increpair import skipper
 from increpair.errors import DataError
 from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
 from increpair.relation import RelationStore, Schema, make_batches
@@ -295,6 +296,31 @@ class TestCountDivergence:
         record_counts(state, 0, stats, batch=1)
         with pytest.raises(DataError):
             count_divergence(state, stats, 0, 1, floor=0.0)
+
+    def test_gate_stage_computes_each_shared_divergence_once(self, monkeypatch):
+        # batch 2 repeats batch 1, so every divergence is 0 and the ikl rule
+        # reads every partner; all four attributes trained at batch 1, so each
+        # pair's two orientations are one value
+        strategy = Strategy(kind=StrategyKind.IHC, skip="ikl", omega=0.0)
+        state = RunState(RelationStore(Schema(("a", "b", "c", "d"))), strategy)
+        rng = random.Random(2)
+        rows = [tuple(f"{name}{rng.randrange(3)}" for name in "abcd") for _ in range(24)]
+        first, second = make_batches(rows * 2, count=2)
+        run_stream(state, strategy, [first])
+        assert state.skipper.last_trained == {0: 1, 1: 1, 2: 1, 3: 1}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return count_divergence(*args, **kwargs)
+
+        monkeypatch.setattr(skipper, "count_divergence", counted)
+        run_stream(state, strategy, [second])
+        assert state.skipper.last_trained == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert len(calls) == 4 * 3 // 2
+        assert {tuple(sorted(pair)) for pair in calls} == {
+            (a, b) for a in range(4) for b in range(a + 1, 4)
+        }
 
 
 @st.composite

@@ -234,21 +234,19 @@ def ingest_streams(draw):
 
 
 class TestCountQueriesMatchOracle:
-    """`cooccurring`, `count` and `frequency` read what the oracle's dict views
-    read, for unsorted and repeated query ids and ids never counted."""
+    """`cooccurring` reads what the oracle's dict views read, for unsorted and
+    repeated query ids and ids never counted, and each context value's counts
+    sum to its frequency, as the featurizer assumes."""
 
     @staticmethod
     def check(stats: StatsStore, queries) -> None:
         rows = np.array(queries, dtype=np.int64).reshape(-1, stats.n_attrs)
         single = stats.single
-        assert stats.frequency(rows).tolist() == [
-            [single[attr].get(vid, 0) for attr, vid in enumerate(row)] for row in rows.tolist()
-        ]
         for context_attr in range(stats.n_attrs):
             for attr in range(stats.n_attrs):
                 if attr == context_attr:
                     continue
-                context_vids, vids = rows[:, context_attr], rows[:, attr]
+                context_vids = rows[:, context_attr]
                 index, values, counts = stats.cooccurring(context_attr, attr, context_vids)
                 assert list(zip(index.tolist(), values.tolist(), counts.tolist())) == [
                     (i, vid, count)
@@ -257,9 +255,9 @@ class TestCountQueriesMatchOracle:
                         cooccurring(stats, attr, context_attr, context_vid).items()
                     )
                 ]
-                assert stats.count(context_attr, attr, context_vids, vids).tolist() == [
-                    pair_count(stats, context_attr, context_vid, attr, vid)
-                    for context_vid, vid in zip(context_vids.tolist(), vids.tolist())
+                sums = np.bincount(index, weights=counts, minlength=len(context_vids))
+                assert sums.tolist() == [
+                    single[context_attr].get(vid, 0) for vid in context_vids.tolist()
                 ]
 
     @settings(max_examples=60, deadline=None)
@@ -283,8 +281,9 @@ class TestCountQueriesMatchOracle:
         assert index.tolist() == [0, 1, 1, 1, 2]
         assert vids.tolist() == [3, 1, 2, 4, 3]
         assert counts.tolist() == [1] * 5
-        assert stats.count(CODE, REGION, [4, 4, 9], [1, 2, 1]).tolist() == [1, 0, 0]
-        assert stats.frequency([(1, 4), (2, 9)]).tolist() == [[3, 1], [1, 0]]
+        # region h's row sums to its frequency 3, region i's to 1
+        index, _, counts = stats.cooccurring(REGION, CODE, [1, 2])
+        assert np.bincount(index, weights=counts).tolist() == [3, 1]
 
 
 class TestIngestMatchesDictOracle:
