@@ -16,13 +16,14 @@ attribute as the ratio
 by construction lies in [0, 1].
 
 `Featurizer.block` does this with numpy for a whole set of cells.  It asks
-the statistics one query, per context attribute, for the values co-occurring
-with the cells' context values (`StatsStore.cooccurring`), and derives the
-rest from those rows: each context value's frequency is the sum of its row,
-every correlated context's candidates that pass tau sort together into one
-union of (cell, value) keys with their counts summed, each domain is cut to
-its heaviest values, and each row whose (cell, value) lies in a domain fills
-its slot of the stacked tensor with one float64 division.
+the statistics one query for the values co-occurring with the cells' values
+of every context attribute (`StatsStore.cooccurring`), and derives the rest
+from those rows: each context value's frequency is the sum of its row, every
+correlated context's candidates that pass tau sort together with the
+observed values into one union of (cell, value) keys with their counts
+summed, each domain is cut to its heaviest values, and only the rows whose
+(cell, value) lies in a kept domain are kept, each to fill its slot of the
+stacked tensor with one float64 division.
 `Featurizer.domain` and `Featurizer.tensor` run the same code on a single
 cell, whose tensor spans all of its attribute's `tensor_slots`.
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import DataError
 from .relation import NULL_ID, CellRef
-from .stats import StatsStore, add_counts, insertion_points
+from .stats import StatsStore
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
@@ -172,25 +173,22 @@ class Featurizer:
         self.cap = cap
         self.tau = tau
 
-    def _contexts(self, attr: int, rows: np.ndarray) -> list[tuple]:
-        """Per context attribute other than `attr`, every value of `attr` counted
-        with the context value of each cell, whose tuple holds `rows[cell]`:
-        (context attribute, packed (cell, value) keys sorted ascending, their
-        counts, each cell's context value frequency, the sum of its row)."""
-        contexts = []
-        for context_attr, context_vids in enumerate(rows.T):
-            if context_attr != attr:
-                cells, vids, counts = self.stats.cooccurring(context_attr, attr, context_vids)
-                frequency = np.bincount(cells, weights=counts, minlength=len(rows))
-                contexts.append((context_attr, (cells << _SHIFT) | vids, counts, frequency))
-        return contexts
+    def _contexts(self, attr: int, rows: np.ndarray) -> tuple:
+        """Every value of `attr` counted with each context value of each cell,
+        whose tuple holds `rows[cell]`: (context attribute, packed (cell,
+        value) key, count) arrays in context order, each context's keys sorted
+        ascending, and each context value's frequency, the sum of its row, at
+        `[context attribute, cell]` (0 in `attr`'s own row)."""
+        context, cells, vids, counts = self.stats.cooccurring(attr, rows)
+        n_attrs, n_cells = self.stats.n_attrs, len(rows)
+        frequency = context * n_cells + cells
+        frequency = np.bincount(frequency, weights=counts, minlength=n_attrs * n_cells)
+        return context, (cells << _SHIFT) | vids, counts, frequency.reshape(n_attrs, n_cells)
 
-    def _domains(
-        self, attr: int, rows: np.ndarray, contexts: list[tuple]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _domains(self, attr: int, rows: np.ndarray, fetched: tuple) -> tuple[np.ndarray, ...]:
         """Every cell's candidate domain, as packed (cell, value) keys sorted
         ascending, plus each cell's observed index and domain size.  Cell i's
-        tuple holds `rows[i]`, and `contexts` are as `_contexts` gives them.
+        tuple holds `rows[i]`, and `fetched` is as `_contexts` gives it.
 
         A context attribute qualifies when the cell's attribute is sufficiently
         predictable from it, i.e. their correlation (normalized over the cell
@@ -202,47 +200,52 @@ class Featurizer:
         (observed value always retained; ties broken toward lower value ids).
         """
         n_cells, observed = len(rows), rows[:, attr]
-        proposed, proposed_counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for context_attr, keys, counts, frequency in contexts:
-            if self.correlations[attr][context_attr] <= self.omega:
-                continue
-            cells, vids = keys >> _SHIFT, keys & _LOW
-            keep = (vids != NULL_ID) & (vids != observed[cells])
-            keep &= counts >= self.tau * frequency[cells]
-            proposed.append(keys[keep])
-            proposed_counts.append(counts[keep])
-            del cells, vids, keep
-        # each cell's row is sorted, so each context's keys are a sorted run,
-        # which a stable sort merges; integer counts sum exactly in any order
-        proposed = np.concatenate(proposed)
+        context, keys, counts, frequency = fetched
+        cells, vids = keys >> _SHIFT, keys & _LOW
+        keep = (np.asarray(self.correlations[attr]) > self.omega)[context]
+        keep &= (vids != NULL_ID) & (vids != observed[cells])
+        keep &= counts >= self.tau * frequency[context, cells]
+        del cells, vids
+        # the observed values outweigh every candidate, and each context's keys
+        # are sorted, so a stable sort merges them in context order after them;
+        # integer counts sum exactly in any order
+        own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
+        proposed = np.concatenate([own, keys[keep]])
         order = np.argsort(proposed, kind="stable")
-        proposed = proposed[order]
-        firsts = np.flatnonzero(np.diff(proposed, prepend=-1))  # keys are >= 0
-        union = proposed[firsts]
-        weights = np.add.reduceat(np.concatenate(proposed_counts)[order], firsts)
-        del proposed, proposed_counts, order
-        cells, sizes, starts = _runs(union, n_cells)
-        if sizes.max(initial=0) > self.cap - 1:
-            over = np.flatnonzero(sizes[cells] > self.cap - 1)
+        firsts = np.flatnonzero(np.diff(proposed[order], prepend=-1))  # keys are >= 0
+        keys = proposed[order[firsts]]
+        weights = np.concatenate([np.full(n_cells, np.iinfo(np.int64).max), counts[keep]])
+        weights = np.add.reduceat(weights[order], firsts)
+        del proposed, order
+        cells, sizes, starts = _runs(keys, n_cells)
+        if sizes.max(initial=0) > self.cap:
+            over = np.flatnonzero(sizes[cells] > self.cap)
             # lexsort is stable, so equal weights keep ascending value order
             ranked = over[np.lexsort((-weights[over], cells[over]))]
-            _, group_sizes, group_starts = _runs(union[ranked], n_cells)
+            _, group_sizes, group_starts = _runs(keys[ranked], n_cells)
             rank = np.arange(len(ranked)) - np.repeat(group_starts, group_sizes)
-            kept = np.ones(len(union), dtype=bool)
-            kept[ranked[rank >= self.cap - 1]] = False
-            union = union[kept]
-        own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
-        (keys, _), _ = add_counts(union, np.zeros(len(union), dtype=np.int64), own, own)
-        _, sizes, starts = _runs(keys, n_cells)
+            kept = np.ones(len(keys), dtype=bool)
+            kept[ranked[rank >= self.cap]] = False
+            keys = keys[kept]
+            _, sizes, starts = _runs(keys, n_cells)
         return keys, np.searchsorted(keys, own) - starts, sizes
 
+    @staticmethod
+    def _located(keys: np.ndarray, fetched: tuple) -> tuple:
+        """The fetched counts whose (cell, value) is among `keys`, as (context
+        attribute, position in `keys`, count), and the frequencies."""
+        at = np.searchsorted(keys, fetched[1])
+        inside = np.append(keys, -1)[at] == fetched[1]  # -1: no key, past the end
+        return fetched[0][inside], at[inside], fetched[2][inside], fetched[3]
+
     def _tensors(
-        self, attr: int, rows: np.ndarray, keys: np.ndarray, contexts: list[tuple], trim: bool
+        self, attr: int, rows: np.ndarray, keys: np.ndarray, located: tuple, trim: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidates, sizes and feature values of cells as in `_domains`, whose
         tuples hold `rows`, over the packed (cell, value) `keys` grouped by cell
         in slot order: `tensor_slots` wide, or with `trim` a block's width
-        (module docstring).  A candidate its context value's row lacks keeps 0."""
+        (module docstring).  `located` is as `_located` gives it for `keys`; a
+        candidate its context value's row lacks keeps 0."""
         n_cells, n_attrs = rows.shape
         slots = tensor_slots(self.stats, attr, self.cap)
         cells, sizes, starts = _runs(keys, n_cells)
@@ -251,20 +254,20 @@ class Featurizer:
             raise DataError(f"domain of size {widest} does not fit {slots} tensor slots")
         if trim and slots <= 128:
             slots = min(slots, max(8, 8 * math.ceil(widest / 8)))
+        context, at, counts, frequency = located
+        stale = np.argwhere((frequency == 0) & (np.arange(n_attrs) != attr)[:, None])
+        if len(stale):  # a row sum is 0 only for a value never counted
+            context_attr, cell = stale[0]
+            raise DataError(
+                f"statistics hold no count for attribute {context_attr}"
+                f" value id {rows[cell, context_attr]};"
+                " counts are out of step with the store"
+            )
         slot = np.arange(len(keys)) - np.repeat(starts, sizes)
         candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
         candidates[cells, slot] = keys & _LOW
         values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
-        for context_attr, pairs, counts, frequency in contexts:
-            if not frequency.all():  # a row sum is 0 only for a value never counted
-                raise DataError(
-                    f"statistics hold no count for attribute {context_attr}"
-                    f" value id {rows[np.argmin(frequency), context_attr]};"
-                    " counts are out of step with the store"
-                )
-            at, absent = insertion_points(keys, pairs)
-            at = at[~absent]
-            values[cells[at], slot[at], context_attr] = counts[~absent] / frequency[cells[at]]
+        values[cells[at], slot[at], context] = counts / frequency[context, cells[at]]
         return candidates, sizes, values
 
     def block(self, attr: int, tids: Sequence[int], rows) -> FeatureBlock:
@@ -274,22 +277,20 @@ class Featurizer:
         rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(len(tids), self.stats.n_attrs)
         first, row = _distinct(rows)
         rows = rows[first]
-        contexts = self._contexts(attr, rows)
-        keys, observed_index, sizes = self._domains(attr, rows, contexts)
+        fetched = self._contexts(attr, rows)
+        keys, observed_index, sizes = self._domains(attr, rows, fetched)
         multi = sizes >= 2
+        keys = keys[multi[keys >> _SHIFT]]
+        located = self._located(keys, fetched)  # what the tensors read of `fetched`
+        del fetched
         if not multi.all():
             renumber = np.cumsum(multi) - 1
-            keys = keys[multi[keys >> _SHIFT]]
             keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
-            for i, (context_attr, pairs, counts, frequency) in enumerate(contexts):
-                at = multi[pairs >> _SHIFT]
-                pairs, counts = pairs[at], counts[at]
-                pairs = (renumber[pairs >> _SHIFT] << _SHIFT) | (pairs & _LOW)
-                contexts[i] = (context_attr, pairs, counts, frequency[multi])
             kept = multi[row]
             tids, row = tids[kept], renumber[row[kept]]
             rows, observed_index = rows[multi], observed_index[multi]
-        candidates, sizes, values = self._tensors(attr, rows, keys, contexts, trim=True)
+            located = (*located[:3], located[3][:, multi])
+        candidates, sizes, values = self._tensors(attr, rows, keys, located, trim=True)
         return FeatureBlock(tids, row, candidates, sizes, observed_index, values)
 
     def domain(self, cell: CellRef, tuple_values: Sequence[int]) -> CellDomain:
@@ -302,6 +303,6 @@ class Featurizer:
         """Feature tensor of one cell over its candidate domain."""
         rows = np.asarray([tuple_values], dtype=np.int64)
         keys = np.asarray(domain.candidates, dtype=np.int64).reshape(-1)
-        contexts = self._contexts(domain.cell.attr, rows)
-        _, sizes, values = self._tensors(domain.cell.attr, rows, keys, contexts, trim=False)
+        located = self._located(keys, self._contexts(domain.cell.attr, rows))
+        _, sizes, values = self._tensors(domain.cell.attr, rows, keys, located, trim=False)
         return FeatureTensor(values[0], np.arange(values.shape[1]) < sizes[0], domain)

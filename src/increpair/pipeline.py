@@ -335,8 +335,10 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         state.models = [AttributeModel.fresh(attr, n_attrs) for attr in range(n_attrs)]
     training_instances = 0
     retrained: list[int] = []
+    timings["featurize"] = timings["fit"] = 0.0  # the sample draw is featurize's
     for attr in to_train:
         rng = _training_rng(strategy.seed, raw.k, attr)
+        split = time.perf_counter()
         examples = build_training_set(
             store,
             attr,
@@ -345,9 +347,12 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
             rng,
             tids=incoming if isolated else None,
         )
+        timings["featurize"] += time.perf_counter() - split
         if not examples:
             continue
+        split = time.perf_counter()
         train(state.models[attr], examples, strategy.hyperparams)
+        timings["fit"] += time.perf_counter() - split
         training_instances += len(examples)
         retrained.append(attr)
         if use_skipper:
@@ -402,8 +407,8 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
 
 def _count(state: RunState, rows: Sequence[Sequence[int]]) -> None:
     """Count a batch's rows into the statistics and entropy sums.  The drift
-    gate needs no upkeep here: it keeps the pair tables its attributes trained
-    on, which `ingest` replaces rather than edits."""
+    gate needs no upkeep here: it keeps copies of the pair tables its
+    attributes trained on."""
     apply_delta(state.entropy, state.stats, state.stats.ingest(rows))
 
 

@@ -12,9 +12,11 @@ Two paths compute the same divergences.  The reference path
 (`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
 joint distributions.  The engine's path (`record_counts`, `count_divergence`,
 `should_retrain`) keeps, per trained attribute, the row count n' at training
-and a reference to each pair table as it stood then.  `StatsStore.ingest`
-replaces tables and never edits them, so keeping one costs no copy, and
-attributes that train at the same batch share it.  Counts only grow, so
+and a copy of each pair table as it stood then.  The tables are views into
+the statistics' one count table, which `StatsStore.ingest` replaces each
+batch: a kept view would keep that whole table alive, every other segment
+included, so the gate copies the N-1 tables it reads, and attributes that
+train at the same batch share the copy.  Counts only grow, so
 every value pair kept from training is still in the current table, and
 
     KL = sum_k (z_k/n) log((z_k/n) / max(z'_k/n', floor))
@@ -50,9 +52,9 @@ class SkipperState:
     """Per attribute: the batch its model last trained at and the drift reference.
 
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
-    the pair table of a and b as it stood then: the `StatsStore.table` arrays
-    themselves, not a copy.  `saved` holds whole joints for the reference
-    rules only.
+    a copy of the pair table of a and b as it stood then, which b holds too
+    when it trained at the same batch.  `saved` holds whole joints for the
+    reference rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
     """
@@ -196,7 +198,9 @@ def record_counts(state: SkipperState, attr: int, stats: StatsStore, batch: int)
     state.last_trained[attr] = batch
     state.trained_n[attr] = stats.n
     state.baseline[attr] = {
-        other: stats.table(*_table(attr, other))
+        other: state.baseline[other][attr]  # a partner that trained here kept it
+        if state.trained_batch(other) == batch and state.trained_n.get(other) == stats.n
+        else tuple(array.copy() for array in stats.table(*_table(attr, other)))
         for other in range(stats.n_attrs)
         if other != attr
     }

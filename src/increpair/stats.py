@@ -1,18 +1,19 @@
 """Streaming frequency statistics with incrementally maintained conditional
 entropies and the correlations derived from them.
 
-Counts are exact integers accumulated batch by batch, all in one layout: a
-table of sorted unique int64 keys with an int64 count array.  Each attribute
-has one keyed by value id, and every ordered attribute pair (context, target)
-one keyed by `context vid << 32 | target vid`.  Both orientations are kept
-so either attribute can act as the context.  The featurizer asks one query,
-so no other module reads a key: `cooccurring` slices each context value's
-row, the keys from `vid << 32` to `(vid + 1) << 32`.  A row's counts sum to
-its value's count, since each tuple adds one to exactly one pair of a table.
-`ingest` counts a batch per attribute and per attribute pair with one
-`np.unique` each and merges it into the tables with `add_counts`, which
-finds each new key's place with `searchsorted` and scatters old and new keys
-into the union through a boolean mask.
+Counts are exact integers accumulated batch by batch in one table: int64
+keys with an int64 count each, cut by N*N + 1 offsets into segments of
+sorted unique keys.  Segment i*N + j holds attributes i and j, keyed
+`vid_i << 32 | vid_j`; both orientations are kept, so either attribute can
+act as the context, and the diagonal segment a*N + a holds a's value counts,
+keyed by value id.  `ingest` sorts the batch's keys of every segment at
+once, counts runs of equal keys, finds each key's place in its segment with
+one `searchsorted` per segment and merges all of them into a new table in
+one pass.  The featurizer asks one query per block, so no other module reads
+a key: `cooccurring` slices, for every context attribute at once, each
+context value's row, its segment's keys from `vid << 32` to `vid << 32 | LOW`.
+A row's counts sum to its value's count, since each tuple adds one to
+exactly one pair of a segment.
 
 Conditional entropy H(X|Y), in nats, with z the co-occurrence count and w the
 conditioning value's marginal count, is
@@ -45,31 +46,6 @@ LOW = (1 << SHIFT) - 1
 ID_LIMIT = 1 << 31
 
 
-def add_counts(
-    keys: np.ndarray, counts: np.ndarray, new: np.ndarray, new_counts: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The sorted union of sorted unique `keys` and `new`, with the counts of
-    equal keys summed, and the count each key of `new` had in `keys` (0 if none)."""
-    at, fresh = insertion_points(keys, new)
-    place = at + np.cumsum(fresh) - fresh  # each key of `new` in the union
-    opened = np.zeros(len(keys) + np.count_nonzero(fresh), dtype=bool)
-    opened[place[fresh]] = True
-    union = np.empty(len(opened), dtype=np.int64)
-    summed = np.zeros(len(opened), dtype=np.int64)
-    union[~opened], summed[~opened] = keys, counts
-    union[opened] = new[fresh]
-    old = summed[place]
-    summed[place] = old + new_counts
-    return (union, summed), old
-
-
-def insertion_points(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of the sorted keys `new` goes in sorted `keys`, and which of
-    them `keys` lacks."""
-    at = np.searchsorted(keys, new)
-    return at, np.append(keys, -1)[at] != new  # -1: no key, past the end
-
-
 @dataclass(frozen=True)
 class PairDelta:
     """Count changes of one attribute's values or one attribute pair's value
@@ -97,78 +73,103 @@ class DeltaCounts:
 
 
 class StatsStore:
-    """Exact single-attribute and pairwise co-occurrence counts."""
+    """Exact value counts and pairwise co-occurrence counts in one table."""
 
     def __init__(self, n_attrs: int):
         if n_attrs < 2:
             raise DataError("statistics need at least two attributes")
         self.n_attrs = n_attrs
         self.n = 0
-        empty = np.empty(0, dtype=np.int64)
-        self._marginals: list[tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * n_attrs
-        self._tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {
-            (i, j): (empty, empty) for i in range(n_attrs) for j in range(n_attrs) if i != j
-        }
+        self._keys = self._counts = np.empty(0, dtype=np.int64)
+        self._offsets = np.zeros(n_attrs * n_attrs + 1, dtype=np.int64)
+        # segment i * n_attrs + j keys i's value id << 32 | j's, the diagonal an id alone
+        self._high, self._low = np.divmod(np.arange(n_attrs * n_attrs), n_attrs)
+        self._shift = np.where(self._high == self._low, 0, SHIFT)[:, None]
 
-    def _add(self, i: int, j: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Add counts of sorted unique packed (i, j) keys to both orientations of
-        the pair's table; returns the counts before."""
-        self._tables[(i, j)], old = add_counts(*self._tables[(i, j)], keys, counts)
-        mirrored = ((keys & LOW) << SHIFT) | (keys >> SHIFT)
-        order = np.argsort(mirrored)
-        self._tables[(j, i)], _ = add_counts(*self._tables[(j, i)], mirrored[order], counts[order])
-        return old
+    def _segment(self, attr_a: int, attr_b: int) -> tuple[np.ndarray, np.ndarray]:
+        start, stop = self._offsets[attr_a * self.n_attrs + attr_b :][:2]
+        return self._keys[start:stop], self._counts[start:stop]
 
     def ingest(self, rows: Sequence[Sequence[int]]) -> DeltaCounts:
         """Count a batch of value-id rows and report exactly what changed."""
         values = int_rows(rows, self.n_attrs, "rows of value ids")
         if values.min(initial=0) < 0 or values.max(initial=0) >= ID_LIMIT:
             raise DataError("value ids must lie in [0, 2**31)")
-        marginals = []
-        for attr in range(self.n_attrs):
-            vids, counts = np.unique(values[:, attr], return_counts=True)
-            self._marginals[attr], old = add_counts(*self._marginals[attr], vids, counts)
-            marginals.append(PairDelta(vids, old, old + counts))
-        pairs = {}
-        for i in range(self.n_attrs):
-            for j in range(i + 1, self.n_attrs):
-                packed = (values[:, i] << SHIFT) | values[:, j]
-                keys, counts = np.unique(packed, return_counts=True)
-                old = self._add(i, j, keys, counts)
-                pairs[(i, j)] = PairDelta(keys, old, old + counts)
+        # row s: every tuple's key in segment s, sorted; runs of one key count it
+        batch = np.sort((values.T[self._high] << self._shift) | values.T[self._low], axis=1)
+        first = np.diff(batch, axis=1, prepend=-1) != 0  # keys are >= 0
+        starts = np.flatnonzero(first)
+        new, new_counts = batch.reshape(-1)[starts], np.diff(starts, append=batch.size)
+        bounds = np.append(0, np.cumsum(np.count_nonzero(first, axis=1)))
+        at = np.concatenate([  # where each batch key goes in its segment of the table
+            start + np.searchsorted(self._keys[start:stop], new[low:high])
+            for start, stop, low, high in zip(self._offsets, self._offsets[1:], bounds, bounds[1:])
+        ])
+        # a key placed at its segment's end is new, whatever key follows
+        fresh = at == np.repeat(self._offsets[1:], np.diff(bounds))
+        fresh[~fresh] = self._keys[at[~fresh]] != new[~fresh]
+        place = at + np.cumsum(fresh) - fresh  # each batch key in the merged table
+        kept = np.ones(len(self._keys) + np.count_nonzero(fresh), dtype=bool)
+        kept[place[fresh]] = False
+        keys, counts = np.empty((2, len(kept)), dtype=np.int64)  # one allocation
+        keys[kept], counts[kept] = self._keys, self._counts
+        keys[~kept] = new[fresh]
+        old = np.where(fresh, 0, counts[place])
+        counts[place] = total = old + new_counts
+        self._keys, self._counts = keys, counts
+        self._offsets = self._offsets + np.append(0, np.cumsum(fresh))[bounds]
         self.n += len(values)
-        return DeltaCounts(len(values), tuple(marginals), pairs)
+        n = self.n_attrs
+
+        def change(i: int, j: int) -> PairDelta:
+            start, stop = bounds[i * n + j : i * n + j + 2]
+            return PairDelta(new[start:stop], old[start:stop], total[start:stop])
+
+        marginals = tuple(change(attr, attr) for attr in range(n))
+        pairs = {(i, j): change(i, j) for i in range(n) for j in range(i + 1, n)}
+        return DeltaCounts(len(values), marginals, pairs)
 
     def table(self, attr_a: int, attr_b: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted packed (value_a, value_b) keys of an attribute pair and their
-        positive counts.  Read-only: `ingest` replaces, never edits, them."""
-        return self._tables[(attr_a, attr_b)]
+        positive counts: read-only views of the table, which `ingest` replaces."""
+        if attr_a == attr_b or not (0 <= attr_a < self.n_attrs and 0 <= attr_b < self.n_attrs):
+            raise DataError(f"no pair table for attributes {attr_a} and {attr_b}")
+        return self._segment(attr_a, attr_b)
 
-    def cooccurring(
-        self, context_attr: int, attr: int, context_vids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every value of `attr` counted with each of `context_vids`, values of
-        `context_attr`: (index into `context_vids`, value id, count), grouped by
-        index, each group in value order."""
-        keys, counts = self._tables[(context_attr, attr)]
-        context_vids = np.asarray(context_vids, dtype=np.int64)
-        starts = np.searchsorted(keys, context_vids << SHIFT)
-        sizes = np.searchsorted(keys, (context_vids + 1) << SHIFT) - starts
-        index = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        positions = np.arange(len(index)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        return index, keys[positions] & LOW, counts[positions]
+    def cooccurring(self, attr: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every value of `attr` counted with each row's value of every other
+        attribute, for rows of value ids: (context attribute, row index, value
+        id, count), in context order, each context's counts grouped by row
+        index and each group in value order."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n_attrs)
+        contexts = np.delete(np.arange(self.n_attrs), attr)
+        segments = contexts * self.n_attrs + attr
+        # a context value's counts: its segment's keys from vid << 32 to vid << 32 | LOW
+        starts, stops = (
+            np.concatenate([
+                start + np.searchsorted(self._keys[start:stop], (rows[:, c] << SHIFT) | low, side)
+                for c, start, stop in zip(contexts, *self._offsets[[segments, segments + 1]])
+            ])
+            for low, side in ((0, "left"), (LOW, "right"))
+        )
+        sizes = stops - starts
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        positions = np.arange(len(group)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        context, index = np.divmod(group, max(len(rows), 1))
+        return contexts[context], index, self._keys[positions] & LOW, self._counts[positions]
 
     @property
     def single(self) -> list[dict[int, int]]:
         """Each attribute's value counts as a `{vid: count}` dict, built on each read."""
-        return [dict(zip(vids.tolist(), counts.tolist())) for vids, counts in self._marginals]
+        diagonal = map(self._segment, range(self.n_attrs), range(self.n_attrs))
+        return [dict(zip(vids.tolist(), counts.tolist())) for vids, counts in diagonal]
 
     def distinct_count(self, attr: int) -> int:
-        return len(self._marginals[attr][0])
+        return len(self._segment(attr, attr)[0])
 
     def iter_pairs(self, attr_a: int, attr_b: int) -> Iterator[tuple[int, int, int]]:
         """(value_a, value_b, count) triples with count > 0, in key order."""
-        keys, counts = self._tables[(attr_a, attr_b)]
+        keys, counts = self.table(attr_a, attr_b)
         return zip((keys >> SHIFT).tolist(), (keys & LOW).tolist(), counts.tolist())
 
     def live_bytes(self) -> int:
@@ -177,10 +178,9 @@ class StatsStore:
         frequency entry and the row it opens in each of the N-1 tables it
         conditions, a value pair one entry per orientation.  The engine does
         not read it; bench/stream.py reports it as `stats.live_bytes`."""
-        values = sum(len(vids) for vids, _ in self._marginals)
-        per_value = 96 + 72 * (self.n_attrs - 1)
-        pair_entries = sum(len(keys) for (i, j), (keys, _) in self._tables.items() if i < j)
-        return per_value * values + 192 * pair_entries + 112 * len(self._tables)
+        n, sizes = self.n_attrs, np.diff(self._offsets).reshape(self.n_attrs, -1)
+        values, pair_entries = int(np.trace(sizes)), int(np.triu(sizes, 1).sum())
+        return (96 + 72 * (n - 1)) * values + 192 * pair_entries + 112 * n * (n - 1)
 
 
 class EntropyAccumulator:
@@ -213,7 +213,7 @@ def cond_entropy_scratch(stats: StatsStore, x_attr: int, y_attr: int) -> float:
         raise DataError("no tuples ingested")
     n = stats.n
     keys, z = stats.table(y_attr, x_attr)
-    vids, counts = stats._marginals[y_attr]
+    vids, counts = stats._segment(y_attr, y_attr)
     w = counts[np.searchsorted(vids, keys >> SHIFT)]  # each pair's context value count
     total = 0.0
     for z_xy, w_y in zip(z.tolist(), w.tolist()):
@@ -229,7 +229,7 @@ def scratch_accumulator(stats: StatsStore) -> EntropyAccumulator:
     """Accumulator rebuilt from scratch over the store's current counts."""
     acc = EntropyAccumulator(stats.n_attrs)
     acc.n = stats.n
-    acc.marginal = [_c_ln_c(counts.tolist()) for _, counts in stats._marginals]
+    acc.marginal = [_c_ln_c(stats._segment(a, a)[1].tolist()) for a in range(stats.n_attrs)]
     for i, j in acc.pair:
         acc.pair[(i, j)] = _c_ln_c(stats.table(i, j)[1].tolist())
     return acc

@@ -13,11 +13,12 @@ holding counts far larger than any batch a test could ingest.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta, StatsStore, add_counts
+from increpair.stats import LOW, SHIFT, DeltaCounts, PairDelta, StatsStore
 
 
 class DictCounts:
@@ -109,9 +110,8 @@ def cooccurring(
     stats: StatsStore, target_attr: int, context_attr: int, context_vid: int
 ) -> dict[int, int]:
     """Counts of target-attribute values co-occurring with one context value."""
-    keys, counts = stats.table(context_attr, target_attr)
-    start, stop = np.searchsorted(keys, [context_vid << SHIFT, (context_vid + 1) << SHIFT])
-    return dict(zip((keys[start:stop] & LOW).tolist(), counts[start:stop].tolist()))
+    table = pairs_view(*stats.table(context_attr, target_attr))
+    return {vid: count for (context, vid), count in table.items() if context == context_vid}
 
 
 def pair_count(stats: StatsStore, attr_a: int, vid_a: int, attr_b: int, vid_b: int) -> int:
@@ -120,15 +120,17 @@ def pair_count(stats: StatsStore, attr_a: int, vid_a: int, attr_b: int, vid_b: i
 
 def weighted_stats(tuple_counts: dict[tuple[int, ...], int], n_attrs: int) -> StatsStore:
     """A store holding the given count of each distinct row, as if each row had
-    been ingested that many times; the counts go straight into its tables."""
-    stats = StatsStore(n_attrs)
+    been ingested that many times; the counts go straight into its one table,
+    segment i * n_attrs + j keyed `value_i << 32 | value_j`, segment a * n_attrs + a
+    by a's value id."""
+    segments = [Counter() for _ in range(n_attrs * n_attrs)]
     for row, count in tuple_counts.items():
-        stats.n += count
-        for attr, vid in enumerate(row):
-            vids, counts = np.array([vid], dtype=np.int64), np.array([count], dtype=np.int64)
-            stats._marginals[attr], _ = add_counts(*stats._marginals[attr], vids, counts)
         for i in range(n_attrs):
-            for j in range(i + 1, n_attrs):
-                key = np.array([(row[i] << SHIFT) | row[j]], dtype=np.int64)
-                stats._add(i, j, key, np.array([count], dtype=np.int64))
+            for j in range(n_attrs):
+                segments[i * n_attrs + j][(row[i] << SHIFT) | row[j] if i != j else row[i]] += count
+    stats = StatsStore(n_attrs)
+    stats.n = sum(tuple_counts.values())
+    table = [(key, segment[key]) for segment in segments for key in sorted(segment)]
+    stats._keys, stats._counts = np.array(table, dtype=np.int64).reshape(-1, 2).T.copy()
+    stats._offsets = np.cumsum([0] + [len(segment) for segment in segments])
     return stats

@@ -339,8 +339,12 @@ class TestMetricsStream:
         assert all("timings_s" not in line for line in lines)
         with_timings = json.loads(capture(include_timings=True).splitlines()[0])
         assert set(with_timings["timings_s"]) == {
-            "detect", "stats", "gate", "train", "repair", "evaluate"
+            "detect", "stats", "gate", "train", "featurize", "fit", "repair", "evaluate"
         }
+        # featurize and fit split the train stage, which keeps its total
+        timings = with_timings["timings_s"]
+        assert timings["featurize"] > 0 and timings["fit"] > 0
+        assert timings["featurize"] + timings["fit"] <= timings["train"] + 2e-6
 
     def test_timings_lines_carry_measured_peak_memory(self):
         strategy = strategy_for(StrategyKind.IHC)

@@ -283,6 +283,23 @@ class TestCountDivergence:
             assert np.array_equal(counts, before[other][1])
             assert not np.array_equal(stats.table(*sorted((1, other)))[1], counts)
 
+    def test_kept_tables_are_copies(self):
+        # a view of the statistics' one table would keep all of it alive
+        stats = StatsStore(3)
+        stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 3]])
+        state = SkipperState()
+        for attr in range(3):
+            record_counts(state, attr, stats, batch=1)
+        tables = [array for a in range(3) for b in range(3) if a != b for array in stats.table(a, b)]
+        for kept in state.baseline.values():
+            for arrays in kept.values():
+                assert not any(np.shares_memory(mine, table) for mine in arrays for table in tables)
+        # attributes that trained at one batch share one copy; a later one does not
+        assert state.baseline[0][1] is state.baseline[1][0]
+        stats.ingest([[3, 3, 3]])
+        record_counts(state, 2, stats, batch=2)
+        assert state.baseline[2][0] is not state.baseline[0][2]
+
     def test_unknown_rule_is_an_error(self):
         stats = StatsStore(2)
         stats.ingest([[1, 1]])

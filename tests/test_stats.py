@@ -18,6 +18,7 @@ from count_oracle import (
     delta_from_dicts,
     delta_view,
     pair_count,
+    pairs_view,
     weighted_stats,
 )
 from increpair.errors import DataError
@@ -136,6 +137,12 @@ class TestCounts:
         with pytest.raises(DataError):
             StatsStore(1)
 
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 1), (0, 2), (-1, 0)])
+    def test_table_needs_two_attributes_of_the_store(self, pair):
+        # the diagonal holds value counts, not a pair table
+        with pytest.raises(DataError):
+            golden_stats().table(*pair)
+
     def test_delta_reports_old_and_new(self):
         stats = StatsStore(2)
         stats.ingest([(1, 1)])
@@ -242,12 +249,14 @@ class TestCountQueriesMatchOracle:
     def check(stats: StatsStore, queries) -> None:
         rows = np.array(queries, dtype=np.int64).reshape(-1, stats.n_attrs)
         single = stats.single
-        for context_attr in range(stats.n_attrs):
-            for attr in range(stats.n_attrs):
+        for attr in range(stats.n_attrs):
+            context, *columns = stats.cooccurring(attr, rows)
+            assert context.tolist() == sorted(context.tolist())  # in context order
+            for context_attr in range(stats.n_attrs):
                 if attr == context_attr:
                     continue
                 context_vids = rows[:, context_attr]
-                index, values, counts = stats.cooccurring(context_attr, attr, context_vids)
+                index, values, counts = (column[context == context_attr] for column in columns)
                 assert list(zip(index.tolist(), values.tolist(), counts.tolist())) == [
                     (i, vid, count)
                     for i, context_vid in enumerate(context_vids.tolist())
@@ -268,6 +277,7 @@ class TestCountQueriesMatchOracle:
         queries=st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=8),
     )
     @example(batches=[], queries=[(3, 1, 6), (0, 0, 0), (3, 1, 6)])  # a fresh store
+    @example(batches=[[(2**31 - 1, 1, 2**31 - 1)]], queries=[(2**31 - 1, 1, 2**31 - 1)])
     def test_queries(self, batches, queries):
         stats = StatsStore(3)
         for rows in batches:
@@ -277,12 +287,13 @@ class TestCountQueriesMatchOracle:
     def test_golden_counts(self):
         # region h (1) holds codes b, c and e (1, 2, 4) once each
         stats = golden_stats()
-        index, vids, counts = stats.cooccurring(REGION, CODE, [2, 1, 2])
+        context, index, vids, counts = stats.cooccurring(CODE, [[2, 0], [1, 0], [2, 0]])
+        assert context.tolist() == [REGION] * 5
         assert index.tolist() == [0, 1, 1, 1, 2]
         assert vids.tolist() == [3, 1, 2, 4, 3]
         assert counts.tolist() == [1] * 5
         # region h's row sums to its frequency 3, region i's to 1
-        index, _, counts = stats.cooccurring(REGION, CODE, [1, 2])
+        _, index, _, counts = stats.cooccurring(CODE, [[1, 0], [2, 0]])
         assert np.bincount(index, weights=counts).tolist() == [3, 1]
 
 
@@ -301,6 +312,34 @@ class TestIngestMatchesDictOracle:
                 for b in range(n_attrs):
                     if a != b:
                         assert list(stats.iter_pairs(a, b)) == sorted(oracle.iter_pairs(a, b))
+
+    @settings(deadline=None, max_examples=100)
+    @given(ingest_streams(), st.lists(st.integers(0, 6), max_size=3))
+    def test_one_table_stays_segmented(self, stream, empty_at):
+        """After every ingest, empty batches included, each segment of the one
+        table is sorted and unique with positive counts, the offsets never
+        decrease, each diagonal segment sums to n, and `table` and `single`
+        read what the oracle counted."""
+        n_attrs, batches = stream
+        for at in sorted(empty_at, reverse=True):
+            batches.insert(at, [])
+        stats, oracle = StatsStore(n_attrs), DictCounts(n_attrs)
+        for rows in batches:
+            stats.ingest(rows)
+            oracle.ingest(rows)
+            offsets = stats._offsets
+            assert offsets[0] == 0 and offsets[-1] == len(stats._keys) == len(stats._counts)
+            assert (np.diff(offsets) >= 0).all()
+            for segment, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+                keys, counts = stats._keys[start:stop], stats._counts[start:stop]
+                assert (np.diff(keys) > 0).all() and (counts > 0).all()
+                a, b = divmod(segment, n_attrs)
+                if a == b:
+                    assert counts.sum() == stats.n
+                else:
+                    want = {(va, vb): count for va, vb, count in oracle.iter_pairs(a, b)}
+                    assert pairs_view(*stats.table(a, b)) == want
+            assert stats.single == oracle.single
 
 
 class TestEntropy:
