@@ -53,9 +53,9 @@ from .skipper import (  # noqa: F401
     SkipperState,
     record_counts,
     record_training,
-    should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
+    verdicts,
 )
 from .stats import (  # noqa: F401
     EntropyAccumulator,
@@ -313,20 +313,10 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
     use_skipper = strategy.skip != "none"
     to_train = list(range(n_attrs))
     if use_skipper:
-        shared: dict = {}  # each pair's divergence, for this stage only
-        to_train = [
-            attr
-            for attr in to_train
-            if should_retrain(
-                state.skipper,
-                state.stats,
-                attr,
-                strategy.skip,
-                correlations,
-                strategy.epsilon_kl,
-                shared=shared,
-            )[0]
-        ]
+        gate = verdicts(
+            state.skipper, state.stats, strategy.skip, correlations, strategy.epsilon_kl
+        )
+        to_train = [attr for attr in to_train if gate[attr][0]]
     timings["gate"] = time.perf_counter() - started
 
     # -- training ------------------------------------------------------------
@@ -355,9 +345,9 @@ def run_batch(state: RunState, strategy: Strategy, raw: RawBatch) -> BatchReport
         timings["fit"] += time.perf_counter() - split
         training_instances += len(examples)
         retrained.append(attr)
-        if use_skipper:
-            record_counts(state.skipper, attr, state.stats, raw.k)
         del examples  # free this attribute's block before featurizing the next one
+    if use_skipper:
+        record_counts(state.skipper, state.stats, retrained, raw.k)
     state.cum_training_instances += training_instances
     timings["train"] = time.perf_counter() - started
 
@@ -427,9 +417,8 @@ def recount(state: RunState) -> None:
     for k in range(1, state.batches_done + 1):
         tids = store.batch_tids(k)
         _count(state, store.first_seen[tids.start : tids.stop])
-        for attr, batch in sorted(state.skipper.last_trained.items()):
-            if batch == k:
-                record_counts(state.skipper, attr, state.stats, k)
+        trained = sorted(attr for attr, batch in state.skipper.last_trained.items() if batch == k)
+        record_counts(state.skipper, state.stats, trained, k)
 
 
 def run_stream(

@@ -10,14 +10,14 @@ maximum, so on the same reference the weighted rule fires no more often.
 
 Two paths compute the same divergences.  The reference path
 (`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
-joint distributions.  The engine's path (`record_counts`, `count_divergence`,
-`should_retrain`) keeps, per trained attribute, the row count n' at training
-and a copy of each pair table as it stood then.  The tables are views into
-the statistics' one count table, which `StatsStore.ingest` replaces each
-batch: a kept view would keep that whole table alive, every other segment
-included, so the gate copies the N-1 tables it reads, and attributes that
-train at the same batch share the copy.  Counts only grow, so
-every value pair kept from training is still in the current table, and
+joint distributions.  The engine's path works a batch at a time: `verdicts`
+gives every attribute's verdict, and `record_counts` records every attribute
+that trained at a batch, keeping its row count n' and a copy of each of its
+pair tables as they stood then.  Attributes recorded in one call share each
+copy.  The gate copies because a table is a view into the statistics' one
+count table, which `StatsStore.ingest` replaces each batch, and a kept view
+would keep that whole table alive.  Counts only grow, so every value pair
+kept from training is still in the current table, and
 
     KL = sum_k (z_k/n) log((z_k/n) / max(z'_k/n', floor))
 
@@ -30,6 +30,7 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -52,9 +53,9 @@ class SkipperState:
     """Per attribute: the batch its model last trained at and the drift reference.
 
     `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
-    a copy of the pair table of a and b as it stood then, which b holds too
-    when it trained at the same batch.  `saved` holds whole joints for the
-    reference rules only.
+    a copy of the pair table of a and b as it stood then, one object with
+    `baseline[b][a]` when b was recorded in the same call.  `saved` holds
+    whole joints for the reference rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
     """
@@ -191,19 +192,22 @@ def _table(attr: int, other: int) -> tuple[int, int]:
     return (attr, other) if attr < other else (other, attr)
 
 
-def record_counts(state: SkipperState, attr: int, stats: StatsStore, batch: int) -> None:
-    """Make the current pair tables the attribute's drift reference."""
+def record_counts(state: SkipperState, stats: StatsStore, attrs: Sequence[int], batch: int) -> None:
+    """Make the current pair tables the reference of the attributes that trained at `batch`."""
     if batch < 1:
         raise DataError(f"batch ordinal must be >= 1, got {batch}")
-    state.last_trained[attr] = batch
-    state.trained_n[attr] = stats.n
-    state.baseline[attr] = {
-        other: state.baseline[other][attr]  # a partner that trained here kept it
-        if state.trained_batch(other) == batch and state.trained_n.get(other) == stats.n
-        else tuple(array.copy() for array in stats.table(*_table(attr, other)))
-        for other in range(stats.n_attrs)
-        if other != attr
+    trained = set(attrs)
+    kept = {  # one copy per pair, whichever of its attributes trained
+        pair: tuple(array.copy() for array in stats.table(*pair))
+        for pair in itertools.combinations(range(stats.n_attrs), 2)
+        if not trained.isdisjoint(pair)
     }
+    for attr in attrs:
+        state.last_trained[attr] = batch
+        state.trained_n[attr] = stats.n
+        state.baseline[attr] = {
+            other: kept[_table(attr, other)] for other in range(stats.n_attrs) if other != attr
+        }
 
 
 def count_divergence(
@@ -229,31 +233,31 @@ def count_divergence(
     return max(0.0, float(np.sum(terms)))
 
 
-def should_retrain(
+def verdicts(
     state: SkipperState,
     stats: StatsStore,
-    attr: int,
     rule: str,
     correlations: Sequence[Sequence[float]],
     epsilon: float,
     floor: float = DEFAULT_KL_FLOOR,
-    shared: dict[tuple[int, int, int], float] | None = None,
-) -> tuple[bool, int | float | None]:
-    """The `ikl` or `wkl` verdict from the kept tables, as `should_retrain_ikl` or
-    `should_retrain_wkl` would give it on `joint_distribution` joints.  `shared`
-    keeps divergences across the calls of one gate stage."""
-    partners = [other for other in range(stats.n_attrs) if other != attr]
-    shared = {} if shared is None else shared
+) -> list[tuple[bool, int | float | None]]:
+    """Every attribute's `ikl` or `wkl` verdict from the kept tables, as `should_retrain_ikl`
+    or `should_retrain_wkl` would give it on `joint_distribution` joints."""
+    if rule not in ("ikl", "wkl"):
+        raise DataError(f"unknown drift rule {rule!r}")
+    memo: dict[tuple[int, int, int], float] = {}
 
-    def divergence(other: int) -> float:
-        # attributes that trained at one batch kept one table and n': one value
-        key = (*_table(attr, other), state.trained_batch(attr))
-        if key not in shared:
-            shared[key] = count_divergence(state, stats, attr, other, floor)
-        return shared[key]
+    def verdict(attr: int) -> tuple[bool, int | float | None]:
+        def divergence(other: int) -> float:
+            # attributes that trained at one batch kept one table and n': one value
+            key = (*_table(attr, other), state.trained_batch(attr))
+            if key not in memo:
+                memo[key] = count_divergence(state, stats, attr, other, floor)
+            return memo[key]
 
-    if rule == "ikl":
-        return _ikl_rule(state, attr, partners, divergence, epsilon)
-    if rule == "wkl":
+        partners = [other for other in range(stats.n_attrs) if other != attr]
+        if rule == "ikl":
+            return _ikl_rule(state, attr, partners, divergence, epsilon)
         return _wkl_rule(state, attr, partners, divergence, correlations, epsilon)
-    raise DataError(f"unknown drift rule {rule!r}")
+
+    return [verdict(attr) for attr in range(stats.n_attrs)]

@@ -134,7 +134,10 @@ class StatsStore:
         positive counts: read-only views of the table, which `ingest` replaces."""
         if attr_a == attr_b or not (0 <= attr_a < self.n_attrs and 0 <= attr_b < self.n_attrs):
             raise DataError(f"no pair table for attributes {attr_a} and {attr_b}")
-        return self._segment(attr_a, attr_b)
+        views = self._segment(attr_a, attr_b)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def cooccurring(self, attr: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every value of `attr` counted with each row's value of every other

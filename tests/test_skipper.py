@@ -21,9 +21,9 @@ from increpair.skipper import (
     kl_divergence,
     record_counts,
     record_training,
-    should_retrain,
     should_retrain_ikl,
     should_retrain_wkl,
+    verdicts,
 )
 from increpair.snapshot import load_run, save_run
 from increpair.stats import (
@@ -233,7 +233,7 @@ class TestCountDivergence:
         stats = StatsStore(2)
         stats.ingest([[1, 1], [1, 1], [1, 2], [2, 2]])
         state, reference = SkipperState(), SkipperState()
-        record_counts(state, 0, stats, batch=1)
+        record_counts(state, stats, [0], batch=1)
         record_training(reference, 0, reference_joints(stats, 0), batch=1)
         stats.ingest([[1, 2], [3, 3]])
         expected = kl_divergence(joint_distribution(stats, 0, 1), reference.saved[0][1])
@@ -244,8 +244,7 @@ class TestCountDivergence:
         stats = StatsStore(3)
         stats.ingest(rows)
         state = SkipperState()
-        for attr in range(3):
-            record_counts(state, attr, stats, batch=1)
+        record_counts(state, stats, range(3), batch=1)
         stats.ingest(rows * 2)
         for attr in range(3):
             for other in range(3):
@@ -256,8 +255,8 @@ class TestCountDivergence:
         stats = StatsStore(2)
         stats.ingest([[1, 1]] * 30 + [[2, 2]])  # (2, 2) has mass 1/31 < 0.05
         state, reference = SkipperState(), SkipperState()
+        record_counts(state, stats, [0, 1], batch=1)
         for attr in range(2):
-            record_counts(state, attr, stats, batch=1)
             record_training(reference, attr, reference_joints(stats, attr), batch=1)
         assert state.trained_n == {0: 31, 1: 31}
         stats.ingest([[2, 2]] * 9 + [[3, 1]])  # (2, 2) grows to 10/41; (3, 1) is new
@@ -272,7 +271,7 @@ class TestCountDivergence:
         stats = StatsStore(3)
         stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 3]])
         state = SkipperState()
-        record_counts(state, 1, stats, batch=1)
+        record_counts(state, stats, [1], batch=1)
         before = {
             other: tuple(array.copy() for array in kept)
             for other, kept in state.baseline[1].items()
@@ -288,29 +287,28 @@ class TestCountDivergence:
         stats = StatsStore(3)
         stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 3]])
         state = SkipperState()
-        for attr in range(3):
-            record_counts(state, attr, stats, batch=1)
+        record_counts(state, stats, [0, 1, 2], batch=1)
         tables = [array for a in range(3) for b in range(3) if a != b for array in stats.table(a, b)]
         for kept in state.baseline.values():
             for arrays in kept.values():
                 assert not any(np.shares_memory(mine, table) for mine in arrays for table in tables)
-        # attributes that trained at one batch share one copy; a later one does not
+        # attributes recorded in one call share one copy; a later one does not
         assert state.baseline[0][1] is state.baseline[1][0]
         stats.ingest([[3, 3, 3]])
-        record_counts(state, 2, stats, batch=2)
+        record_counts(state, stats, [2], batch=2)
         assert state.baseline[2][0] is not state.baseline[0][2]
 
     def test_unknown_rule_is_an_error(self):
         stats = StatsStore(2)
         stats.ingest([[1, 1]])
         with pytest.raises(DataError):
-            should_retrain(SkipperState(), stats, 0, "max", [[1.0, 1.0]] * 2, 0.1)
+            verdicts(SkipperState(), stats, "max", [[1.0, 1.0]] * 2, 0.1)
 
     def test_floor_must_be_positive(self):
         stats = StatsStore(2)
         stats.ingest([[1, 1]])
         state = SkipperState()
-        record_counts(state, 0, stats, batch=1)
+        record_counts(state, stats, [0], batch=1)
         with pytest.raises(DataError):
             count_divergence(state, stats, 0, 1, floor=0.0)
 
@@ -379,7 +377,10 @@ class TestDeltaPathMatchesReference:
             history += rows
             apply_delta(acc, stats, delta)
             correlations = correlation_matrix(stats, acc)
-            for attr in range(n_attrs):
+            gate = verdicts(delta_state, stats, rule, correlations, epsilon, floor)
+            assert len(gate) == n_attrs
+            fired = []
+            for attr, got in enumerate(gate):
                 joints = reference_joints(stats, attr)
                 if rule == "ikl":
                     expected = should_retrain_ikl(reference, attr, joints, epsilon, floor)
@@ -387,9 +388,6 @@ class TestDeltaPathMatchesReference:
                     expected = should_retrain_wkl(
                         reference, attr, joints, correlations, epsilon, floor
                     )
-                got = should_retrain(
-                    delta_state, stats, attr, rule, correlations, epsilon, floor
-                )
                 assert got[0] == expected[0]
                 if rule == "ikl":
                     assert got[1] == expected[1]
@@ -404,5 +402,6 @@ class TestDeltaPathMatchesReference:
                             assert have == want == 0.0
                 if got[0]:
                     record_training(reference, attr, joints, k)
-                    record_counts(delta_state, attr, stats, k)
+                    fired.append(attr)
+            record_counts(delta_state, stats, fired, k)
             assert delta_state.last_trained == reference.last_trained

@@ -24,6 +24,7 @@ from count_oracle import (
 from increpair.errors import DataError
 from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
 from increpair.relation import RelationStore, Schema, make_batches
+from increpair.skipper import SkipperState, record_counts
 from increpair.snapshot import load_run, save_run
 from increpair.stats import (
     DeltaCounts,
@@ -142,6 +143,24 @@ class TestCounts:
         # the diagonal holds value counts, not a pair table
         with pytest.raises(DataError):
             golden_stats().table(*pair)
+
+    def test_table_views_are_read_only(self):
+        # a write into a view would corrupt the counts; the gate's kept copies are its own
+        stats = golden_stats()
+        keys, counts = stats.table(REGION, CODE)
+        before = pairs_view(keys, counts)
+        for view in (keys, counts):
+            with pytest.raises(ValueError):
+                view[0] = 99
+            with pytest.raises(ValueError):
+                view += 1
+        assert pairs_view(*stats.table(REGION, CODE)) == before
+        state = SkipperState()
+        record_counts(state, stats, [REGION], batch=1)
+        kept = state.baseline[REGION][CODE]
+        assert all(array.flags.writeable for array in kept)
+        kept[1][0] += 1
+        assert pairs_view(*stats.table(REGION, CODE)) == before
 
     def test_delta_reports_old_and_new(self):
         stats = StatsStore(2)
