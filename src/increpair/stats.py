@@ -8,10 +8,11 @@ sorted unique keys.  Segment i*N + j holds attributes i and j, keyed
 act as the context, and the diagonal segment a*N + a holds a's value counts,
 keyed by value id.  `ingest` sorts the batch's keys of every segment at
 once, counts runs of equal keys, finds each key's place in its segment with
-one `searchsorted` per segment and merges all of them into a new table in
-one pass.  The featurizer asks one query per block, so no other module reads
-a key: `cooccurring` slices, for every context attribute at once, each
-context value's row, its segment's keys from `vid << 32` to `vid << 32 | LOW`.
+one `searchsorted` per segment, inserts the keys the table lacks with
+`np.insert` and adds the batch's counts.  The featurizer asks one query per
+block, so no other module reads a key: `cooccurring` slices, for every
+context attribute at once, each context value's row, its segment's keys
+from `vid << 32` to `vid << 32 | LOW`.
 A row's counts sum to its value's count, since each tuple adds one to
 exactly one pair of a segment.
 
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .relation import int_rows
+from .relation import int_rows, read_only
 
 # A value pair packed into one int64 sort key, the first value in the high bits.
 # Ids below 2**31 keep every key non-negative, so keys sort as their pairs do.
@@ -109,14 +110,10 @@ class StatsStore:
         fresh = at == np.repeat(self._offsets[1:], np.diff(bounds))
         fresh[~fresh] = self._keys[at[~fresh]] != new[~fresh]
         place = at + np.cumsum(fresh) - fresh  # each batch key in the merged table
-        kept = np.ones(len(self._keys) + np.count_nonzero(fresh), dtype=bool)
-        kept[place[fresh]] = False
-        keys, counts = np.empty((2, len(kept)), dtype=np.int64)  # one allocation
-        keys[kept], counts[kept] = self._keys, self._counts
-        keys[~kept] = new[fresh]
-        old = np.where(fresh, 0, counts[place])
-        counts[place] = total = old + new_counts
-        self._keys, self._counts = keys, counts
+        self._keys = np.insert(self._keys, at[fresh], new[fresh])
+        self._counts = np.insert(self._counts, at[fresh], 0)
+        old = self._counts[place]
+        self._counts[place] = total = old + new_counts
         self._offsets = self._offsets + np.append(0, np.cumsum(fresh))[bounds]
         self.n += len(values)
         n = self.n_attrs
@@ -134,10 +131,7 @@ class StatsStore:
         positive counts: read-only views of the table, which `ingest` replaces."""
         if attr_a == attr_b or not (0 <= attr_a < self.n_attrs and 0 <= attr_b < self.n_attrs):
             raise DataError(f"no pair table for attributes {attr_a} and {attr_b}")
-        views = self._segment(attr_a, attr_b)
-        for view in views:
-            view.flags.writeable = False
-        return views
+        return tuple(map(read_only, self._segment(attr_a, attr_b)))
 
     def cooccurring(self, attr: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every value of `attr` counted with each row's value of every other
@@ -176,14 +170,9 @@ class StatsStore:
         return zip((keys >> SHIFT).tolist(), (keys & LOW).tolist(), counts.tolist())
 
     def live_bytes(self) -> int:
-        """A fixed, deterministic size model, not a measurement: CPython dict-entry
-        costs of the nested-dict layout the counts once had.  A value costs its
-        frequency entry and the row it opens in each of the N-1 tables it
-        conditions, a value pair one entry per orientation.  The engine does
+        """Bytes of the count table's keys, counts and offsets.  The engine does
         not read it; bench/stream.py reports it as `stats.live_bytes`."""
-        n, sizes = self.n_attrs, np.diff(self._offsets).reshape(self.n_attrs, -1)
-        values, pair_entries = int(np.trace(sizes)), int(np.triu(sizes, 1).sum())
-        return (96 + 72 * (n - 1)) * values + 192 * pair_entries + 112 * n * (n - 1)
+        return self._keys.nbytes + self._counts.nbytes + self._offsets.nbytes
 
 
 class EntropyAccumulator:

@@ -624,6 +624,24 @@ def test_resume_from_non_utf8_snapshot_is_data_error(tmp_path, clean_csv):
     assert run(base + ["--resume", snap]) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--omega", "0.3"]])
+def test_resume_from_snapshot_lacking_a_setting_is_data_error(tmp_path, clean_csv, flags):
+    """A snapshot whose strategy lacks omega and epochs does not resume with
+    their defaults, and the error is not a mismatch with those defaults."""
+    head = tmp_path / "head.csv"
+    head.write_text("".join(clean_csv.read_text().splitlines(keepends=True)[: 1 + 40]))
+    snap = tmp_path / "snap.json"
+    assert run(
+        ["clean", "--input", head, "--strategy", "ihc", "--skip", "ikl", "--batch-size", "20",
+         "--omega", "0.3", "--epochs", "7", "--snapshot", snap]
+    ) == 0
+    payload = json.loads(snap.read_text())
+    del payload["strategy"]["omega"], payload["strategy"]["hyperparams"]["epochs"]
+    snap.write_text(json.dumps(payload))
+    resume = ["clean", "--input", clean_csv, "--batch-size", "20", "--resume", snap]
+    assert run(resume + flags) == 2
+
+
 @pytest.mark.parametrize(
     "flags", [["--epsilon", "nan"], ["--lr", "nan"], ["--lr", "inf"]]
 )

@@ -310,9 +310,12 @@ class TestSkipperWiring:
 
     def test_recording_follows_training(self):
         state, reports = run_two_batches(StrategyKind.IHC, skip="ikl", epsilon_kl=0.0)
-        assert state.skipper.trained_batch(1) >= 1
-        # the val attribute's count reference: n' and a kept table per partner
-        assert state.skipper.trained_n[1] >= 1 and set(state.skipper.baseline[1]) == {0}
+        trained = state.skipper.trained_batch(1)
+        assert trained >= 1
+        # the val attribute's count reference: a kept table per partner, whose
+        # counts total n', the tuples seen when it trained
+        assert set(state.skipper.baseline[1]) == {0}
+        assert state.skipper.baseline[1][0][1].sum() == reports[trained - 1].tuples_seen
 
     def test_infinite_epsilon_blocks_retraining(self):
         state, reports = run_two_batches(

@@ -252,6 +252,19 @@ class TestStoreLifecycle:
         assert canonical_of(store, 0, 1) is None
         assert display(store, 0, 1) == ""
 
+    @pytest.mark.parametrize("view", ["values", "first_seen"])
+    def test_views_are_read_only(self, view):
+        # a write through a view would move a cell past apply_repairs' checks
+        store = build_store([("x", "y"), ("u", "v")], ("a", "b"))
+        before = store.values.copy(), store.first_seen.copy()
+        array = getattr(store, view)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = array[1, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+        assert (store.values == before[0]).all() and (store.first_seen == before[1]).all()
+        assert status_of(store, 0, 0) is CellStatus.CLEAN
+
     def test_mark_dirty_counts_new_flags_only(self):
         store = build_store([("x", "y")], ("a", "b"))
         cell = CellRef(0, 0)

@@ -258,7 +258,7 @@ class TestCountDivergence:
         record_counts(state, stats, [0, 1], batch=1)
         for attr in range(2):
             record_training(reference, attr, reference_joints(stats, attr), batch=1)
-        assert state.trained_n == {0: 31, 1: 31}
+        assert [state.baseline[attr][1 - attr][1].sum() for attr in range(2)] == [31, 31]  # n'
         stats.ingest([[2, 2]] * 9 + [[3, 1]])  # (2, 2) grows to 10/41; (3, 1) is new
         for attr, other in ((0, 1), (1, 0)):
             joint = reference_joints(stats, attr)[other]
@@ -398,7 +398,8 @@ class TestDeltaPathMatchesReference:
                         want = kl_divergence(joint, reference.saved[attr][other], floor)
                         have = count_divergence(delta_state, stats, attr, other, floor)
                         assert same_divergence(have, want), (attr, other, have, want)
-                        if repeat and delta_state.trained_n[attr] == n_before:
+                        trained_n = delta_state.baseline[attr][other][1].sum()
+                        if repeat and trained_n == n_before:
                             assert have == want == 0.0
                 if got[0]:
                     record_training(reference, attr, joints, k)

@@ -97,9 +97,11 @@ def assert_same_state(carried, recounted):
     assert (sums.n, sums.marginal, sums.pair) == (entropy.n, entropy.marginal, entropy.pair)
     gate, rebuilt = carried.skipper, recounted.skipper
     assert rebuilt.last_trained == gate.last_trained
-    assert rebuilt.trained_n == gate.trained_n
     assert rebuilt.baseline.keys() == gate.baseline.keys()
     for attr, partners in gate.baseline.items():
+        # n': every table the attribute kept totals the tuples seen when it trained
+        trained_n = carried.store.batch_tids(gate.trained_batch(attr)).stop
+        assert {int(z_trained.sum()) for _, z_trained in partners.values()} == {trained_n}
         assert rebuilt.baseline[attr].keys() == partners.keys()
         for other_attr, (keys, z_trained) in partners.items():
             again = rebuilt.baseline[attr][other_attr]
@@ -238,6 +240,24 @@ class TestRunSnapshotValidation:
         path.write_text(json.dumps(payload))
         name = "models[1]" if section == "models" else section
         with pytest.raises(DataError, match=rf"malformed {re.escape(name)} section"):
+            load_run(path)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            (lambda strategy: strategy.pop("omega"), "omega"),
+            (lambda strategy: strategy["hyperparams"].pop("epochs"), "epochs"),
+            (lambda strategy: strategy.update(kl_floor=1e-6), "kl_floor"),
+            (lambda strategy: strategy["hyperparams"].update(seed=0), "seed"),
+        ],
+        ids=["strategy-lacks", "hyperparams-lacks", "strategy-unknown", "hyperparams-unknown"],
+    )
+    def test_strategy_keys_must_be_its_fields(self, tmp_path, change, key):
+        # a missing setting must not resume with its default
+        path, payload = self.saved(tmp_path)
+        change(payload["strategy"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=rf"malformed strategy section.*'{key}'"):
             load_run(path)
 
     @pytest.mark.parametrize("section", ["skipper", "store", "progress"])
