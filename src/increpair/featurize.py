@@ -53,15 +53,11 @@ import numpy as np
 
 from .errors import DataError
 from .relation import NULL_ID, CellRef
-from .stats import StatsStore
+from .stats import LOW, SHIFT, StatsStore  # (cell, value id) keys pack as pair keys do
 
 DEFAULT_OMEGA = 0.05
 DEFAULT_DOMAIN_CAP = 50
 DEFAULT_TAU = 0.01
-
-# A (cell, value id) pair packed into one int64 sort key, the cell in the high
-# bits; value ids lie below 2**31, so the key is never negative.
-_SHIFT, _LOW = 32, (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _runs(keys: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell, per-cell count and per-cell start of packed keys grouped by cell."""
-    cells = keys >> _SHIFT
+    cells = keys >> SHIFT
     sizes = np.bincount(cells, minlength=n_cells)
     return cells, sizes, np.cumsum(sizes) - sizes
 
@@ -183,7 +179,7 @@ class Featurizer:
         n_attrs, n_cells = self.stats.n_attrs, len(rows)
         frequency = context * n_cells + cells
         frequency = np.bincount(frequency, weights=counts, minlength=n_attrs * n_cells)
-        return context, (cells << _SHIFT) | vids, counts, frequency.reshape(n_attrs, n_cells)
+        return context, (cells << SHIFT) | vids, counts, frequency.reshape(n_attrs, n_cells)
 
     def _domains(self, attr: int, rows: np.ndarray, fetched: tuple) -> tuple[np.ndarray, ...]:
         """Every cell's candidate domain, as packed (cell, value) keys sorted
@@ -201,7 +197,7 @@ class Featurizer:
         """
         n_cells, observed = len(rows), rows[:, attr]
         context, keys, counts, frequency = fetched
-        cells, vids = keys >> _SHIFT, keys & _LOW
+        cells, vids = keys >> SHIFT, keys & LOW
         keep = (np.asarray(self.correlations[attr]) > self.omega)[context]
         keep &= (vids != NULL_ID) & (vids != observed[cells])
         keep &= counts >= self.tau * frequency[context, cells]
@@ -209,7 +205,7 @@ class Featurizer:
         # the observed values outweigh every candidate, and each context's keys
         # are sorted, so a stable sort merges them in context order after them;
         # integer counts sum exactly in any order
-        own = (np.arange(n_cells, dtype=np.int64) << _SHIFT) | observed
+        own = (np.arange(n_cells, dtype=np.int64) << SHIFT) | observed
         proposed = np.concatenate([own, keys[keep]])
         order = np.argsort(proposed, kind="stable")
         firsts = np.flatnonzero(np.diff(proposed[order], prepend=-1))  # keys are >= 0
@@ -265,7 +261,7 @@ class Featurizer:
             )
         slot = np.arange(len(keys)) - np.repeat(starts, sizes)
         candidates = np.full((n_cells, slots), NULL_ID, dtype=np.int32)
-        candidates[cells, slot] = keys & _LOW
+        candidates[cells, slot] = keys & LOW
         values = np.zeros((n_cells, slots, n_attrs), dtype=np.float64)
         values[cells[at], slot[at], context] = counts / frequency[context, cells[at]]
         return candidates, sizes, values
@@ -280,12 +276,12 @@ class Featurizer:
         fetched = self._contexts(attr, rows)
         keys, observed_index, sizes = self._domains(attr, rows, fetched)
         multi = sizes >= 2
-        keys = keys[multi[keys >> _SHIFT]]
+        keys = keys[multi[keys >> SHIFT]]
         located = self._located(keys, fetched)  # what the tensors read of `fetched`
         del fetched
         if not multi.all():
             renumber = np.cumsum(multi) - 1
-            keys = (renumber[keys >> _SHIFT] << _SHIFT) | (keys & _LOW)
+            keys = (renumber[keys >> SHIFT] << SHIFT) | (keys & LOW)
             kept = multi[row]
             tids, row = tids[kept], renumber[row[kept]]
             rows, observed_index = rows[multi], observed_index[multi]
@@ -297,7 +293,7 @@ class Featurizer:
         """Candidate domain of one cell given its tuple's current values."""
         rows = np.asarray([tuple_values], dtype=np.int64)
         keys, observed_index, _ = self._domains(cell.attr, rows, self._contexts(cell.attr, rows))
-        return CellDomain(cell, tuple((keys & _LOW).tolist()), int(observed_index[0]))
+        return CellDomain(cell, tuple((keys & LOW).tolist()), int(observed_index[0]))
 
     def tensor(self, domain: CellDomain, tuple_values: Sequence[int]) -> FeatureTensor:
         """Feature tensor of one cell over its candidate domain."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .featurize import FeatureBlock, Featurizer
-from .relation import RelationStore
+from .relation import RelationStore, exact_keys
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,11 @@ class AttributeModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AttributeModel":
-        return cls(payload["attr"], np.array(payload["weights"], dtype=np.float64))
+        exact_keys(payload, ("attr", "weights"), "model")
+        attr, weights = payload["attr"], payload["weights"]
+        if type(attr) is not int or not all(type(w) in (int, float) for w in weights):
+            raise DataError("a model's attribute is not an integer or its weights not numbers")
+        return cls(attr, np.array(weights, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .models import (
     repair_cells,
     train,
 )
-from .relation import RawBatch, RelationStore
+from .relation import RawBatch, RelationStore, exact_keys
 # record_training, should_retrain_ikl/wkl and joint_distribution are the
 # gate's reference path; run_batch gates on the kept pair tables instead.
 # They stay importable from here for tools that patch the engine by name.
@@ -131,23 +131,14 @@ class Strategy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Strategy":
-        """The inverse of `to_dict`: a missing or unknown key is a DataError."""
-        data = _field_values(cls, payload, "strategy")
-        data["kind"] = StrategyKind(data["kind"])
+        """The inverse of `to_dict`: a missing or unknown key is a DataError, so
+        a missing setting never falls back to its default."""
+        exact_keys(payload, [f.name for f in fields(cls)], "strategy")
+        exact_keys(payload["hyperparams"], [f.name for f in fields(Hyperparams)], "hyperparams")
+        data = dict(payload, kind=StrategyKind(payload["kind"]))
         data["detectors"] = tuple(data["detectors"])
-        hyperparams = _field_values(Hyperparams, data["hyperparams"], "hyperparams")
-        data["hyperparams"] = Hyperparams(**hyperparams)
+        data["hyperparams"] = Hyperparams(**data["hyperparams"])
         return cls(**data)
-
-
-def _field_values(cls: type, payload: dict, where: str) -> dict:
-    """`payload` as a dataclass's field values, one key per field and no other:
-    a missing key must not fall back to the field's default."""
-    data, names = dict(payload), {f.name for f in fields(cls)}
-    missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
-    if missing or unknown:
-        raise DataError(f"{where} keys differ from its fields: lacks {missing}, unknown {unknown}")
-    return data
 
 
 @dataclass

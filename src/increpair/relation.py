@@ -38,6 +38,15 @@ def int_rows(entries, width: int, what: str) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+def exact_keys(payload, keys: Sequence[str], what: str) -> None:
+    """A DataError unless `payload` is an object whose keys are exactly `keys`."""
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} is a {type(payload).__name__}, not an object")
+    missing, unknown = sorted(set(keys) - payload.keys()), sorted(payload.keys() - set(keys))
+    if missing or unknown:
+        raise DataError(f"{what} keys differ: lacks {missing}, unknown {unknown}")
+
+
 class CellStatus(IntEnum):
     CLEAN = 0
     DIRTY = 1
@@ -458,6 +467,11 @@ class RelationStore:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RelationStore":
+        keys = ("attributes", "null_tokens", "values", "rows", "status", "original", "batch_starts")
+        exact_keys(payload, keys, "store")
+        texts = [payload["attributes"], payload["null_tokens"], *payload["values"]]
+        if not all(isinstance(text, list) and all(type(s) is str for s in text) for text in texts):
+            raise DataError("attributes, null tokens and interned values are not lists of strings")
         store = cls(Schema(tuple(payload["attributes"])), payload["null_tokens"])
         for attr, strings in enumerate(payload["values"]):
             store.interner.intern_column(attr, strings)

@@ -8,7 +8,9 @@ as now repaired), the strategy, the models, the batch each attribute last
 trained at, and the progress counters.  The statistics, entropy sums and
 drift-gate reference are functions of the rows ingested so far, so
 `load_run` rebuilds them (`pipeline.recount`) rather than reading them.
-Constraint files and ground-truth tables are inputs, not state: the caller
+Every section but the caller's `config` holds exactly the keys `save_run`
+writes (`relation.exact_keys`): a key from another layout is rejected, not
+dropped.  Constraints and ground truth are inputs, not state: the caller
 attaches them (`clean --resume` those its command names), unchecked against
 the echoed configuration until a format version records their content.
 """
@@ -23,7 +25,7 @@ from typing import Callable, TypeVar
 from .errors import ConfigError, DataError
 from .models import AttributeModel
 from .pipeline import RunState, Strategy, recount
-from .relation import RelationStore, int_rows, write_atomic
+from .relation import RelationStore, exact_keys, int_rows, write_atomic
 
 FORMAT_NAME = "increpair-snapshot"
 # v6: the models of a v5 run were trained on candidate domains built without
@@ -41,14 +43,6 @@ PROGRESS_KEYS = (
 T = TypeVar("T")
 
 
-def _require(payload: dict, keys: tuple[str, ...], where: str) -> None:
-    if not isinstance(payload, dict):
-        raise DataError(f"{where} is a {type(payload).__name__}, not an object")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise DataError(f"{where} lacks {', '.join(missing)}")
-
-
 def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload) -> T:
     """Restore one snapshot section, reporting any malformed content as a DataError.
 
@@ -59,7 +53,7 @@ def _section(path: str | Path, name: str, restore: Callable[[dict], T], payload)
     try:
         return restore(payload)
     except (
-        KeyError, IndexError, TypeError, ValueError, AttributeError, ConfigError, DataError
+        LookupError, TypeError, ValueError, AttributeError, OverflowError, ConfigError, DataError
     ) as exc:
         raise DataError(f"snapshot {path} has a malformed {name} section: {exc!r}") from exc
 
@@ -85,11 +79,11 @@ def save_run(state: RunState, path: str | Path, config: dict | None = None) -> N
 def load_run(path: str | Path) -> tuple[RunState, dict]:
     """Restore a run snapshot; returns the state and the recorded configuration.
 
-    Each section is restored on its own and checked against the schema and
-    the others; then the statistics, entropy sums and drift-gate reference
-    are recounted from the store.  Constraints and ground truth are not
-    serialized: callers re-attach them via `RunState.attach_inputs` before
-    resuming.
+    Each section is restored on its own, with exactly its keys and values of
+    their JSON types, and checked against the schema and the others; then the
+    statistics, entropy sums and drift-gate reference are recounted from the
+    store.  Constraints and ground truth are not serialized: callers re-attach
+    them via `RunState.attach_inputs` before resuming.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -99,7 +93,8 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
         raise DataError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"snapshot {path} is not valid JSON: {exc}") from exc
-    _require(payload, (), f"snapshot {path}")
+    if not isinstance(payload, dict):
+        raise DataError(f"snapshot {path} is a {type(payload).__name__}, not an object")
     if payload.get("format") != FORMAT_NAME:
         raise DataError(f"snapshot {path} has unknown format {payload.get('format')!r}")
     if payload.get("kind") != "run":
@@ -107,11 +102,13 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     if payload.get("version") != RUN_VERSION:
         raise DataError(f"unsupported run snapshot version {payload.get('version')!r}")
     sections = ("store", "strategy", "models", "skipper", "progress", "config")
-    _require(payload, sections, f"snapshot {path}")
-    _require(payload["progress"], PROGRESS_KEYS, f"snapshot {path} progress")
-    _require(payload["config"], (), f"snapshot {path} config")
-    if not all(isinstance(payload["progress"][key], int) for key in PROGRESS_KEYS):
+    exact_keys(payload, ("format", "kind", "version", *sections), f"snapshot {path}")
+    progress, config = payload["progress"], payload["config"]
+    exact_keys(progress, PROGRESS_KEYS, f"snapshot {path} progress")
+    if not all(type(progress[key]) is int for key in PROGRESS_KEYS):  # a bool is no count
         raise DataError(f"snapshot {path} progress counters are not all integers")
+    if not isinstance(config, dict):  # the caller's own object, its keys of its choosing
+        raise DataError(f"snapshot {path} config is a {type(config).__name__}, not an object")
     store = _section(path, "store", RelationStore.from_dict, payload["store"])
     models = payload["models"]
     if not isinstance(models, list) or len(models) != store.n_attrs:
@@ -125,15 +122,16 @@ def load_run(path: str | Path) -> tuple[RunState, dict]:
     ]
     state.skipper.last_trained = _section(path, "skipper", _last_trained, payload["skipper"])
     for key in PROGRESS_KEYS:
-        setattr(state, key, payload["progress"][key])
+        setattr(state, key, progress[key])
     problem = _section(path, "run", _inconsistency, state)
     if problem:
         raise DataError(f"snapshot {path} is inconsistent: {problem}")
     _section(path, "run", recount, state)
-    return state, payload["config"]
+    return state, config
 
 
 def _last_trained(payload: dict) -> dict[int, int]:
+    exact_keys(payload, ("last_trained",), "skipper")
     entries = int_rows(payload["last_trained"], 2, "last training batches").tolist()
     last_trained = dict(entries)
     if len(last_trained) != len(entries):

@@ -562,6 +562,11 @@ def drop_progress(payload):
     del payload["progress"]
 
 
+def with_model_bias(payload):
+    # a key the layout does not have, as another version might write it
+    payload["models"][0]["bias"] = 1.0
+
+
 def truncate_models(payload):
     payload["models"] = payload["models"][:1]
 
@@ -597,6 +602,7 @@ def no_detectors(payload):
     "mangle",
     [
         drop_progress,
+        with_model_bias,
         truncate_models,
         as_version_1,
         as_version_5,
@@ -642,6 +648,17 @@ def test_resume_from_snapshot_lacking_a_setting_is_data_error(tmp_path, clean_cs
     assert run(resume + flags) == 2
 
 
+def test_resume_with_extra_config_key(tmp_path, clean_csv):
+    """The echoed configuration is the caller's object: a key it adds still resumes."""
+    snap = tmp_path / "snap.json"
+    base = ["clean", "--input", clean_csv, "--batches", "4"]
+    assert run(base + ["--strategy", "ihc", "--snapshot", snap]) == 0
+    payload = json.loads(snap.read_text())
+    payload["config"]["note"] = "added by hand"
+    snap.write_text(json.dumps(payload))
+    assert run(base + ["--resume", snap]) == 0
+
+
 @pytest.mark.parametrize(
     "flags", [["--epsilon", "nan"], ["--lr", "nan"], ["--lr", "inf"]]
 )
@@ -673,6 +690,14 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
         lambda p: p["skipper"].update(last_trained=[[0, 2**70]]),
         # the recount reads batch boundaries, so they must be the input's
         lambda p: p["store"]["batch_starts"].__setitem__(1, 3),
+        # JSON true is not the integer 1, and "0.5" is not a weight
+        lambda p: p["models"][1].update(attr=True),
+        lambda p: p["progress"].update(cum_probe_cells=True),
+        lambda p: p["models"][0].update(weights=[str(w) for w in p["models"][0]["weights"]]),
+        lambda p: p["models"][0].update(weights=[True] * len(p["models"][0]["weights"])),
+        lambda p: p["models"][0]["weights"].__setitem__(0, 10**400),  # beyond a float
+        # iterating "abc" gives the header a, b, c
+        lambda p: p["store"].update(attributes="abc"),
     ],
     ids=[
         "model-attr",
@@ -683,6 +708,12 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
         "skipper-attr-twice",
         "skipper-batch-overflow",
         "batch-boundary",
+        "model-attr-bool",
+        "progress-bool",
+        "weights-strings",
+        "weights-bools",
+        "weights-overflow",
+        "attributes-string",
     ],
 )
 def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):

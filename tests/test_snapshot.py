@@ -243,6 +243,26 @@ class TestRunSnapshotValidation:
             load_run(path)
 
     @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            (None, "entropy", "snapshot"),
+            ("store", "extra", "malformed store section"),
+            ("models", "bias", r"malformed models\[1\] section"),
+            ("skipper", "trained_n", "malformed skipper section"),
+            ("progress", "extra", "progress"),
+        ],
+        ids=["top-level", "store", "models[1]", "skipper", "progress"],
+    )
+    def test_section_unknown_key_is_data_error(self, tmp_path, section, key, message):
+        # a key some other layout wrote is not dropped
+        path, payload = self.saved(tmp_path)
+        where = payload[section] if section else payload
+        (where[1] if section == "models" else where)[key] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=rf"{message}.*'{key}'"):
+            load_run(path)
+
+    @pytest.mark.parametrize(
         "change, key",
         [
             (lambda strategy: strategy.pop("omega"), "omega"),
@@ -336,6 +356,9 @@ class TestRunSnapshotValidation:
                 p["store"]["batch_starts"].__setitem__(1, 0),
                 p["skipper"].update(last_trained=[[0, 1]]),
             ),
+            # a string is not a list of strings, though iterating it gives strings
+            lambda p: p["store"].update(null_tokens="NULL"),
+            lambda p: p["store"]["values"].__setitem__(0, "".join(p["store"]["values"][0])),
         ],
         ids=[
             "weights-nan",
@@ -344,6 +367,8 @@ class TestRunSnapshotValidation:
             "gate-off-trained",
             "batches",
             "trained-before-rows",
+            "null-tokens-string",
+            "values-string",
         ],
     )
     def test_inconsistent_content_is_data_error(self, tmp_path, mangle):
