@@ -30,9 +30,10 @@ class Hyperparams:
     def __post_init__(self) -> None:
         if type(self.epochs) is not int or self.epochs < 1:
             raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not 0 < self.learning_rate < math.inf:
+        # JSON's true is no number, though 0 < True < inf
+        if type(self.learning_rate) not in (int, float) or not 0 < self.learning_rate < math.inf:
             raise ConfigError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
+                f"learning rate must be a positive finite number, got {self.learning_rate!r}"
             )
 
 
@@ -241,8 +242,8 @@ def repair_cells(
         if not len(block):
             continue  # every cell a singleton; reduceat rejects an empty block
         slots = _LiveRows(block.values, block.mask).best(models[column].weights)
-        best = np.full(store.n_tuples, -1, dtype=np.int64)
-        best[block.tids] = block.candidates[np.arange(len(slots)), slots][block.row]
-        vid[at] = best[tids]
+        best = block.candidates[np.arange(len(slots)), slots][block.row]
+        # the block keeps its cells' order; "table" spares loading ~1 MB of sort code
+        vid[at[np.isin(tids, block.tids, kind="table")]] = best
     proposed = vid >= 0
     return np.column_stack([cells[proposed], vid[proposed]]), int(np.count_nonzero(~proposed))

@@ -105,6 +105,8 @@ class Strategy:
             raise ConfigError(f"unknown skip variant {self.skip!r}")
         if not all(type(value) is int for value in (self.domain_cap, self.train_limit, self.seed)):
             raise ConfigError("domain cap, training limit and seed must be integers")
+        if not all(type(value) in (int, float) for value in (self.omega, self.epsilon_kl)):
+            raise ConfigError("omega and epsilon must be numbers")  # JSON's false is not 0
         if not self.kind.incremental and self.skip != "none":
             raise ConfigError(
                 f"{self.kind.value} always retrains; skip must be 'none'"

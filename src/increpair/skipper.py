@@ -12,9 +12,9 @@ Two paths compute the same divergences.  The reference path
 (`record_training`, `should_retrain_ikl`/`wkl`) saves and compares whole
 joint distributions.  The engine's path works a batch at a time: `verdicts`
 gives every attribute's verdict, and `record_counts` records every attribute
-that trained at a batch, keeping a copy of each of its pair tables as they
-stood then, whose counts sum to that batch's row count n'.  Attributes
-recorded in one call share each copy.  The gate copies because a table is a
+that trained at a batch k, keeping a copy of each pair table (i, j) that one
+of them belongs to as it stood then, under the reference key (i, j, k); its
+counts sum to batch k's row count n'.  The gate copies because a table is a
 view into the statistics' one count table, which `StatsStore.ingest`
 replaces each batch, and a kept view would keep that whole table alive.
 Counts only grow, so every value pair kept from training is still in the
@@ -51,23 +51,27 @@ PairCounts = tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class SkipperState:
-    """Per attribute: the batch its model last trained at and the drift reference.
+    """Per attribute: the batch its model last trained at; per reference key: a kept table.
 
-    `baseline[a][b]` is a copy of the pair table of a and b as it stood when
-    `a` last trained, one object with `baseline[b][a]` when b was recorded in
-    the same call; its counts sum to n', the row count then.  `saved` holds
-    whole joints for the reference rules only.
+    `kept[(i, j, k)]`, with i < j, copies the pair table of i and j as it stood
+    at batch k, whose counts sum to n', the row count then; it is kept while
+    some attribute's reference for a partner, `key(attr, other)`, names it.
+    `saved` holds whole joints for the reference rules only.
     A run snapshot persists `last_trained` alone: the rest is a function of
     the batches counted so far, and `pipeline.recount` rebuilds it.
     """
 
     last_trained: dict[int, int] = field(default_factory=dict)
     saved: dict[int, dict[int, JointDist]] = field(default_factory=dict)
-    baseline: dict[int, dict[int, PairCounts]] = field(default_factory=dict)
+    kept: dict[tuple[int, int, int], PairCounts] = field(default_factory=dict)
 
     def trained_batch(self, attr: int) -> int:
         """Batch at which the attribute's model last trained; 0 means never."""
         return self.last_trained.get(attr, 0)
+
+    def key(self, attr: int, other: int) -> tuple[int, int, int]:
+        """The key of the table that `attr`'s reference for `other` is kept under."""
+        return min(attr, other), max(attr, other), self.trained_batch(attr)
 
 
 def kl_divergence(
@@ -188,25 +192,17 @@ def record_training(
 # -- the engine's path: divergences from the kept tables -----------------------
 
 
-def _table(attr: int, other: int) -> tuple[int, int]:
-    return (attr, other) if attr < other else (other, attr)
-
-
 def record_counts(state: SkipperState, stats: StatsStore, attrs: Sequence[int], batch: int) -> None:
     """Make the current pair tables the reference of the attributes that trained at `batch`."""
     if batch < 1:
         raise DataError(f"batch ordinal must be >= 1, got {batch}")
     trained = set(attrs)
-    kept = {  # one copy per pair, whichever of its attributes trained
-        pair: tuple(array.copy() for array in stats.table(*pair))
-        for pair in itertools.combinations(range(stats.n_attrs), 2)
-        if not trained.isdisjoint(pair)
-    }
-    for attr in attrs:
-        state.last_trained[attr] = batch
-        state.baseline[attr] = {
-            other: kept[_table(attr, other)] for other in range(stats.n_attrs) if other != attr
-        }
+    for pair in itertools.combinations(range(stats.n_attrs), 2):
+        if not trained.isdisjoint(pair):
+            state.kept[(*pair, batch)] = tuple(array.copy() for array in stats.table(*pair))
+    state.last_trained.update(dict.fromkeys(attrs, batch))
+    named = {state.key(a, b) for a in state.last_trained for b in range(stats.n_attrs) if b != a}
+    state.kept = {key: table for key, table in state.kept.items() if key in named}
 
 
 def count_divergence(
@@ -223,8 +219,9 @@ def count_divergence(
     """
     if floor <= 0:
         raise DataError(f"probability floor must be positive, got {floor}")
-    kept_keys, kept_counts = state.baseline[attr][other]
-    keys, counts = stats.table(*_table(attr, other))
+    i, j, batch = state.key(attr, other)
+    kept_keys, kept_counts = state.kept[i, j, batch]
+    keys, counts = stats.table(i, j)
     kept = np.zeros(len(keys))
     kept[np.searchsorted(keys, kept_keys)] = kept_counts  # counts only grow
     p = counts / stats.n
@@ -248,8 +245,7 @@ def verdicts(
 
     def verdict(attr: int) -> tuple[bool, int | float | None]:
         def divergence(other: int) -> float:
-            # attributes that trained at one batch kept one table and n': one value
-            key = (*_table(attr, other), state.trained_batch(attr))
+            key = state.key(attr, other)  # one kept table and n' per key: one value
             if key not in memo:
                 memo[key] = count_divergence(state, stats, attr, other, floor)
             return memo[key]

@@ -147,6 +147,11 @@ def _inconsistency(state: RunState) -> str | None:
         finite = all(map(math.isfinite, model.weights.flat))
         if model.attr != attr or model.weights.shape != (n_attrs,) or not finite:
             return f"model {attr} is not {n_attrs} finite weights for attribute {attr}"
+    negative = next((key for key in PROGRESS_KEYS if getattr(state, key) < 0), None)
+    if negative:
+        return f"progress counter {negative} is {getattr(state, negative)}"
+    if state.cum_repairs_correct > state.cum_repairs_changed:  # a correct repair moved its cell
+        return f"{state.cum_repairs_correct} correct repairs of {state.cum_repairs_changed} changed"
     if state.batches_done != store.batches_appended:
         return f"{state.batches_done} batches done, {store.batches_appended} in the store"
     last_trained = state.skipper.last_trained

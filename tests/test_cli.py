@@ -698,6 +698,10 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
         lambda p: p["models"][0]["weights"].__setitem__(0, 10**400),  # beyond a float
         # iterating "abc" gives the header a, b, c
         lambda p: p["store"].update(attributes="abc"),
+        # JSON true and false are no numbers, though 0 < true < inf and 0 <= false < 1
+        lambda p: p["strategy"]["hyperparams"].update(learning_rate=True),
+        lambda p: p["strategy"].update(epsilon_kl=False),
+        lambda p: p["strategy"].update(omega=False),
     ],
     ids=[
         "model-attr",
@@ -714,6 +718,9 @@ def test_non_finite_setting_from_env_is_config_error(clean_csv, monkeypatch):
         "weights-bools",
         "weights-overflow",
         "attributes-string",
+        "learning-rate-bool",
+        "epsilon-bool",
+        "omega-bool",
     ],
 )
 def test_resume_from_inconsistent_snapshot_is_data_error(tmp_path, mangle):

@@ -312,10 +312,10 @@ class TestSkipperWiring:
         state, reports = run_two_batches(StrategyKind.IHC, skip="ikl", epsilon_kl=0.0)
         trained = state.skipper.trained_batch(1)
         assert trained >= 1
-        # the val attribute's count reference: a kept table per partner, whose
-        # counts total n', the tuples seen when it trained
-        assert set(state.skipper.baseline[1]) == {0}
-        assert state.skipper.baseline[1][0][1].sum() == reports[trained - 1].tuples_seen
+        # the val attribute's count reference: the (ctx, val) table kept at the
+        # batch it trained, whose counts total n', the tuples seen then
+        assert set(state.skipper.kept) == {state.skipper.key(1, 0)} == {(0, 1, trained)}
+        assert state.skipper.kept[0, 1, trained][1].sum() == reports[trained - 1].tuples_seen
 
     def test_infinite_epsilon_blocks_retraining(self):
         state, reports = run_two_batches(

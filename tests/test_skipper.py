@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from count_oracle import pairs_view
 from increpair import skipper
 from increpair.errors import DataError
-from increpair.pipeline import RunState, Strategy, StrategyKind, run_stream
-from increpair.relation import RelationStore, Schema, make_batches
+from increpair.pipeline import RunState, Strategy, StrategyKind, run_batch, run_stream
+from increpair.relation import RawBatch, RelationStore, Schema, make_batches
 from increpair.skipper import (
     SkipperState,
     count_divergence,
@@ -171,12 +171,9 @@ def _simplex(rng, size):
 
 
 def state_view(state: SkipperState) -> dict:
-    """Every field of the state, each value-pair reference as a dict."""
+    """Every field of the state, each kept table as a dict."""
     fields = dict(vars(state))
-    fields["baseline"] = {
-        attr: {other: pairs_view(*tracked) for other, tracked in partners.items()}
-        for attr, partners in state.baseline.items()
-    }
+    fields["kept"] = {key: pairs_view(*table) for key, table in state.kept.items()}
     return fields
 
 
@@ -202,10 +199,36 @@ class TestStateBookkeeping:
         run_stream(state, strategy, make_batches(rows, count=2))
         assert state.skipper.last_trained == {0: 1, 1: 1, 2: 1}
         # the (a, b) table as batch 1 left it: (x,1), (x,2), (y,1); batch 2 added (x,3), (y,1)
-        assert pairs_view(*state.skipper.baseline[0][1]) == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
+        assert state.skipper.key(0, 1) == state.skipper.key(1, 0) == (0, 1, 1)
+        assert pairs_view(*state.skipper.kept[0, 1, 1]) == {(1, 1): 1, (1, 2): 1, (2, 1): 1}
         save_run(state, tmp_path / "run.json")
         clone = load_run(tmp_path / "run.json")[0].skipper
         assert state_view(clone) == state_view(state.skipper)
+
+    def test_kept_tables_follow_the_reference_keys(self, tmp_path):
+        # (a, b) and (a, c) are uniform in both row patterns, and (b, c) is not,
+        # so at epsilon 0 a batch of the other pattern retrains b and c but not a
+        first = [("a0", "b0", "c0"), ("a0", "b1", "c1"), ("a1", "b0", "c0"), ("a1", "b1", "c1")]
+        second = [("a0", "b0", "c1"), ("a0", "b1", "c0"), ("a1", "b0", "c1"), ("a1", "b1", "c0")]
+        strategy = Strategy(kind=StrategyKind.IHC, skip="ikl", epsilon_kl=0.0, omega=0.0)
+        state = RunState(RelationStore(Schema(("a", "b", "c"))), strategy)
+        rng = random.Random(7)
+        trained_at = set()
+        for k, rows in enumerate([first, second, first + second, second * 2, first, second], 1):
+            run_batch(state, strategy, RawBatch(k, tuple(rng.sample(rows * 2, 2 * len(rows)))))
+            gate = state.skipper
+            trained_at.add(tuple(sorted(set(gate.last_trained.values()))))
+            named = {gate.key(a, b) for a in gate.last_trained for b in range(3) if b != a}
+            assert set(gate.kept) == named
+            for (_, _, batch), (_, counts) in gate.kept.items():
+                assert counts.sum() == state.store.batch_tids(batch).stop
+            save_run(state, tmp_path / "run.json")
+            rebuilt = load_run(tmp_path / "run.json")[0].skipper
+            assert rebuilt.kept.keys() == gate.kept.keys()
+            for key, arrays in gate.kept.items():
+                assert all(map(np.array_equal, rebuilt.kept[key], arrays))
+        # a kept its batch-2 reference while b and c retrained later
+        assert (2, 4) in trained_at and (2, 6) in trained_at
 
 
 # -- the engine's path: divergences from count deltas ----------------------------
@@ -258,7 +281,7 @@ class TestCountDivergence:
         record_counts(state, stats, [0, 1], batch=1)
         for attr in range(2):
             record_training(reference, attr, reference_joints(stats, attr), batch=1)
-        assert [state.baseline[attr][1 - attr][1].sum() for attr in range(2)] == [31, 31]  # n'
+        assert [state.kept[state.key(attr, 1 - attr)][1].sum() for attr in range(2)] == [31, 31]
         stats.ingest([[2, 2]] * 9 + [[3, 1]])  # (2, 2) grows to 10/41; (3, 1) is new
         for attr, other in ((0, 1), (1, 0)):
             joint = reference_joints(stats, attr)[other]
@@ -272,15 +295,13 @@ class TestCountDivergence:
         stats.ingest([[1, 1, 2], [1, 2, 2], [2, 1, 3]])
         state = SkipperState()
         record_counts(state, stats, [1], batch=1)
-        before = {
-            other: tuple(array.copy() for array in kept)
-            for other, kept in state.baseline[1].items()
-        }
+        before = {key: tuple(array.copy() for array in kept) for key, kept in state.kept.items()}
+        assert set(before) == {state.key(1, 0), state.key(1, 2)} == {(0, 1, 1), (1, 2, 1)}
         stats.ingest([[1, 1, 2], [3, 2, 1], [2, 4, 3]])
-        for other, (keys, counts) in state.baseline[1].items():
-            assert np.array_equal(keys, before[other][0])
-            assert np.array_equal(counts, before[other][1])
-            assert not np.array_equal(stats.table(*sorted((1, other)))[1], counts)
+        for key, (keys, counts) in state.kept.items():
+            assert np.array_equal(keys, before[key][0])
+            assert np.array_equal(counts, before[key][1])
+            assert not np.array_equal(stats.table(*key[:2])[1], counts)
 
     def test_kept_tables_are_copies(self):
         # a view of the statistics' one table would keep all of it alive
@@ -289,14 +310,17 @@ class TestCountDivergence:
         state = SkipperState()
         record_counts(state, stats, [0, 1, 2], batch=1)
         tables = [array for a in range(3) for b in range(3) if a != b for array in stats.table(a, b)]
-        for kept in state.baseline.values():
-            for arrays in kept.values():
-                assert not any(np.shares_memory(mine, table) for mine in arrays for table in tables)
-        # attributes recorded in one call share one copy; a later one does not
-        assert state.baseline[0][1] is state.baseline[1][0]
+        for arrays in state.kept.values():
+            assert not any(np.shares_memory(mine, table) for mine in arrays for table in tables)
+        # one copy per pair and batch, whichever of its attributes trained
+        assert set(state.kept) == {(0, 1, 1), (0, 2, 1), (1, 2, 1)}
         stats.ingest([[3, 3, 3]])
         record_counts(state, stats, [2], batch=2)
-        assert state.baseline[2][0] is not state.baseline[0][2]
+        assert state.kept[state.key(2, 0)] is not state.kept[state.key(0, 2)]
+        assert set(state.kept) == {(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 2, 2), (1, 2, 2)}
+        # a table that no attribute's reference names any more is dropped
+        record_counts(state, stats, [0, 1], batch=2)
+        assert set(state.kept) == {(0, 1, 2), (0, 2, 2), (1, 2, 2)}
 
     def test_unknown_rule_is_an_error(self):
         stats = StatsStore(2)
@@ -398,7 +422,7 @@ class TestDeltaPathMatchesReference:
                         want = kl_divergence(joint, reference.saved[attr][other], floor)
                         have = count_divergence(delta_state, stats, attr, other, floor)
                         assert same_divergence(have, want), (attr, other, have, want)
-                        trained_n = delta_state.baseline[attr][other][1].sum()
+                        trained_n = delta_state.kept[delta_state.key(attr, other)][1].sum()
                         if repeat and trained_n == n_before:
                             assert have == want == 0.0
                 if got[0]:

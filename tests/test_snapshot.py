@@ -97,15 +97,14 @@ def assert_same_state(carried, recounted):
     assert (sums.n, sums.marginal, sums.pair) == (entropy.n, entropy.marginal, entropy.pair)
     gate, rebuilt = carried.skipper, recounted.skipper
     assert rebuilt.last_trained == gate.last_trained
-    assert rebuilt.baseline.keys() == gate.baseline.keys()
-    for attr, partners in gate.baseline.items():
-        # n': every table the attribute kept totals the tuples seen when it trained
-        trained_n = carried.store.batch_tids(gate.trained_batch(attr)).stop
-        assert {int(z_trained.sum()) for _, z_trained in partners.values()} == {trained_n}
-        assert rebuilt.baseline[attr].keys() == partners.keys()
-        for other_attr, (keys, z_trained) in partners.items():
-            again = rebuilt.baseline[attr][other_attr]
-            assert np.array_equal(again[0], keys) and np.array_equal(again[1], z_trained)
+    # a table per reference that a trained attribute's key names, and no other
+    named = {gate.key(a, b) for a in gate.last_trained for b in range(n_attrs) if b != a}
+    assert rebuilt.kept.keys() == gate.kept.keys() == named
+    for key, (keys, z_trained) in gate.kept.items():
+        # n': every kept table totals the tuples seen at its batch
+        assert int(z_trained.sum()) == carried.store.batch_tids(key[2]).stop
+        again = rebuilt.kept[key]
+        assert np.array_equal(again[0], keys) and np.array_equal(again[1], z_trained)
 
 
 class TestRunSnapshots:
@@ -359,6 +358,10 @@ class TestRunSnapshotValidation:
             # a string is not a list of strings, though iterating it gives strings
             lambda p: p["store"].update(null_tokens="NULL"),
             lambda p: p["store"]["values"].__setitem__(0, "".join(p["store"]["values"][0])),
+            # no run counts below zero, nor a correct repair that changed no cell
+            lambda p: p["progress"].update(cum_probe_cells=-5),
+            lambda p: p["progress"].update(cum_training_instances=-1),
+            lambda p: p["progress"].update(cum_repairs_correct=1000000, cum_repairs_changed=0),
         ],
         ids=[
             "weights-nan",
@@ -369,6 +372,9 @@ class TestRunSnapshotValidation:
             "trained-before-rows",
             "null-tokens-string",
             "values-string",
+            "probe-cells-negative",
+            "training-instances-negative",
+            "more-correct-than-changed",
         ],
     )
     def test_inconsistent_content_is_data_error(self, tmp_path, mangle):

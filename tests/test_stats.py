@@ -148,7 +148,7 @@ class TestCounts:
         assert pairs_view(*stats.table(REGION, CODE)) == before
         state = SkipperState()
         record_counts(state, stats, [REGION], batch=1)
-        kept = state.baseline[REGION][CODE]
+        kept = state.kept[state.key(REGION, CODE)]
         assert all(array.flags.writeable for array in kept)
         kept[1][0] += 1
         assert pairs_view(*stats.table(REGION, CODE)) == before
